@@ -67,29 +67,40 @@ let extract ext ~session_vn tuple =
     | Op.Insert -> None
     | Op.Update | Op.Delete -> Some (Schema_ext.pre_update_tuple ext ~slot tuple))
 
+(* One page attempt's tallies, seeded from the validated pages before it.
+   Rows are consed onto the validated list, which an invalidated attempt
+   never mutates, so discarding the attempt discards its rows and counts
+   together. *)
+type scan = { mutable rows : Tuple.t list; mutable decodes : int; mutable slow : int }
+
 let visible_relation ext ~session_vn table =
   let extended = Schema_ext.extended ext in
-  (* The scan runs on the latch-free [fold_records] path, so the per-tuple
-     work is a pure fold: rows and tallies travel in the accumulator, and
-     an attempt invalidated by a concurrent mutator is discarded wholesale
-     — nothing double-counts and no torn row can leak into the result.
-     The tallies hit the gated observability counters once, after the
-     fold, keeping the hottest loop of the read path free of global-ref
-     loads. *)
-  let rows, decodes, slow =
-    Vnl_query.Table.fold_records table ~init:([], 0, 0)
-      ~f:(fun (rows, decodes, slow) img off ->
-        match Schema_ext.decode_visible ext ~session_vn img off with
-        | Schema_ext.Visible base -> (base :: rows, decodes + 1, slow)
-        | Schema_ext.Invisible -> (rows, decodes + 1, slow)
+  let strings = Value.Intern.create () in
+  (* The scan runs on the latch-free [fold_pages] path; per visible
+     record it allocates only the base tuple and its list cell (and one
+     more cell in the final reversal).  The tallies hit the gated
+     observability counters once, after the fold, keeping the hottest
+     loop of the read path free of global-ref loads. *)
+  let page (done_ : scan) img iter =
+    let s = { rows = done_.rows; decodes = done_.decodes; slow = done_.slow } in
+    iter (fun off ->
+        s.decodes <- s.decodes + 1;
+        match Schema_ext.visibility ext ~session_vn img off with
+        | Schema_ext.Visible -> s.rows <- Schema_ext.decode_visible ext strings img off :: s.rows
+        | Schema_ext.Invisible -> ()
         | Schema_ext.Slow -> (
+          s.slow <- s.slow + 1;
           match extract ext ~session_vn (Tuple.decode_from extended img off) with
-          | Some base -> (base :: rows, decodes + 1, slow + 1)
-          | None -> (rows, decodes + 1, slow + 1)))
+          | Some base -> s.rows <- base :: s.rows
+          | None -> ()));
+    s
   in
-  Obs.Counter.record m_decodes decodes;
-  Obs.Counter.record m_slow_decodes slow;
-  List.rev rows
+  let s =
+    Vnl_query.Table.fold_pages table ~init:{ rows = []; decodes = 0; slow = 0 } ~f:page
+  in
+  Obs.Counter.record m_decodes s.decodes;
+  Obs.Counter.record m_slow_decodes s.slow;
+  List.rev s.rows
 
 let expired_by_state ~session_vn ~current_vn ~maintenance_active =
   not

@@ -157,29 +157,35 @@ let pre_update_tuple t ~slot tuple =
       let r = t.rank_arr.(j) in
       if r >= 0 then Tuple.get tuple (pre0 + r) else Tuple.get tuple (2 + j))
 
-type visibility = Visible of Tuple.t | Invisible | Slow
+type visibility = Visible | Invisible | Slow
 
-let decode_visible t ~session_vn buf off =
+let visibility t ~session_vn buf off =
   (* Raw-record fast path for the reader: slot 1's version number and
-     operation sit at fixed byte offsets, so a session that reads the
-     current version decodes only the base attributes — no extended tuple,
-     no pre-update copies.  Anything else (older version, unused slot,
-     corrupt cell) returns [Slow]; the caller re-decodes fully and runs the
+     operation sit at fixed byte offsets, read here without boxing either.
+     Anything but a readable current version (older version, unused slot,
+     corrupt cell) is [Slow]; the caller re-decodes fully and runs the
      exact classify/extract logic, which also owns every error message. *)
   let offs = Schema.cell_offsets t.extended in
-  match Value.decode Dtype.Int buf (off + Array.unsafe_get offs 0) with
-  | Value.Int tvn1 when session_vn >= tvn1 -> begin
+  let tvn1 = Bytes.get_int32_le buf (off + Array.unsafe_get offs 0) in
+  (* [Int32.min_int] is the Int cell's NULL sentinel. *)
+  if Int32.equal tvn1 Int32.min_int || session_vn < Int32.to_int tvn1 then Slow
+  else
     match Bytes.get buf (off + Array.unsafe_get offs 1) with
     | 'd' -> Invisible
-    | 'i' | 'u' ->
-      let dts = Schema.dtypes t.extended in
-      Visible
-        (Tuple.unsafe_init (base_arity t) (fun j ->
-             Value.decode (Array.unsafe_get dts (2 + j)) buf
-               (off + Array.unsafe_get offs (2 + j))))
+    | 'i' | 'u' -> Visible
     | _ -> Slow
-  end
-  | _ -> Slow
+
+let decode_visible t strings buf off =
+  (* Only the base attributes are decoded — no extended tuple, no
+     pre-update copies — straight into the result array. *)
+  let offs = Schema.cell_offsets t.extended and dts = Schema.dtypes t.extended in
+  let values = Array.make (base_arity t) Value.Null in
+  for j = 0 to Array.length values - 1 do
+    Array.unsafe_set values j
+      (Value.Intern.decode strings (Array.unsafe_get dts (2 + j)) buf
+         (off + Array.unsafe_get offs (2 + j)))
+  done;
+  Tuple.unsafe_of_array values
 
 type raw_collectability = Raw_collect | Raw_keep | Raw_unknown
 

@@ -92,16 +92,20 @@ val pre_update_tuple : t -> slot:int -> Vnl_relation.Tuple.t -> Vnl_relation.Tup
     (non-updatable attributes cannot change). *)
 
 type visibility =
-  | Visible of Vnl_relation.Tuple.t  (** Current version, as a base tuple. *)
+  | Visible  (** Current version, readable by the session. *)
   | Invisible  (** Current version is a delete — not in the session's view. *)
   | Slow  (** Older version or unusual cell: use the full decode + classify. *)
 
-val decode_visible : t -> session_vn:int -> bytes -> int -> visibility
-(** [decode_visible t ~session_vn buf off] resolves visibility of the
-    extended record at [off] straight from its bytes, decoding only the
-    base attributes when the session reads the current version (the
-    overwhelmingly common case).  Returns [Slow] — never raises — whenever
-    the answer needs the real classification logic. *)
+val visibility : t -> session_vn:int -> bytes -> int -> visibility
+(** [visibility t ~session_vn buf off] resolves the visibility of the
+    extended record at [off] from slot 1's two fixed-offset cells, without
+    allocating.  Returns [Slow] — never raises on a well-formed offset —
+    whenever the answer needs the real classification logic. *)
+
+val decode_visible : t -> Vnl_relation.Value.Intern.t -> bytes -> int -> Vnl_relation.Tuple.t
+(** The base tuple of a record {!visibility} judged [Visible]: only the
+    base attributes are decoded, string cells through the scan's
+    dictionary.  Allocates the tuple and its non-string cells only. *)
 
 type raw_collectability =
   | Raw_collect  (** Expired delete: reclaimable at this horizon. *)

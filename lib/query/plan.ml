@@ -190,9 +190,105 @@ and unop ctx op a =
 
 (* ---------- group-context compilation (mirrors Executor.eval_agg) ------ *)
 
-(* A group at runtime: its member rows and the representative row backing
-   non-aggregate leaves ([None] for the empty global-aggregate group). *)
-type grt = { members : rt list; rep : rt option }
+(* Grouping streams: each row folds into its group's accumulators as it
+   arrives, so no group keeps its member rows.  An aggregate compiles to a
+   spec — its kind and compiled argument — registered in the group
+   compile context, and to a closure that reads the group's accumulator
+   for that spec.  Structurally equal aggregates share one spec. *)
+type spec = { kind : Ast.agg; arg : (rt -> Value.t) option }
+
+type gctx = { row : ctx; mutable specs : (Ast.agg * Ast.expr option * spec) list }
+
+let register gctx kind arg =
+  let rec find i = function
+    | [] ->
+      let spec = { kind; arg = Option.map (fun e -> to_fn (compile gctx.row e)) arg } in
+      gctx.specs <- (kind, arg, spec) :: gctx.specs;
+      List.length gctx.specs - 1
+    | (k, a, _) :: rest -> if k = kind && a = arg then i else find (i - 1) rest
+  in
+  find (List.length gctx.specs - 1) gctx.specs
+
+(* AVG's running total, in an all-float record so updating it does not box. *)
+type total = { mutable total : float }
+
+(* One group's running state for one spec.  [n] counts the non-NULL inputs
+   folded (every row, for a star COUNT).  SUM stays an unboxed int in [isum]
+   while every input is [Int] — the interpreter's left fold over [Int]s
+   gives the same wrapped int — and continues as a [Value.t] left fold in
+   [v] from the first other input.  [v] also carries MIN/MAX.
+
+   Errors are kept, not raised: the interpreter only computes an aggregate
+   when an expression reads it, so a failure in a group that HAVING drops
+   never surfaces.  It evaluates every argument before folding, so an
+   argument error ([arg_failed]) wins over an earlier fold error. *)
+type acc = {
+  mutable n : int;
+  mutable isum : int;
+  mutable boxed : bool;
+  mutable v : Value.t;
+  avg : total;
+  mutable err : exn option;
+  mutable arg_failed : bool;
+}
+
+let fresh_acc () =
+  {
+    n = 0;
+    isum = 0;
+    boxed = false;
+    v = Value.Null;
+    avg = { total = 0.0 };
+    err = None;
+    arg_failed = false;
+  }
+
+let one = Value.Int 1
+
+let fold_value kind a v =
+  (match kind with
+  | Ast.Count -> ()
+  | Ast.Sum -> (
+    match v with
+    | Value.Int i when not a.boxed -> a.isum <- a.isum + i
+    | _ ->
+      a.v <-
+        (if a.n = 0 then v
+         else if a.boxed then Value.add a.v v
+         else Value.add (Value.Int a.isum) v);
+      a.boxed <- true)
+  | Ast.Min -> if a.n = 0 || Value.compare v a.v < 0 then a.v <- v
+  | Ast.Max -> if a.n = 0 || Value.compare v a.v > 0 then a.v <- v
+  | Ast.Avg -> a.avg.total <- a.avg.total +. Value.to_float v);
+  a.n <- a.n + 1
+
+let feed spec a rt =
+  if not a.arg_failed then
+    match (match spec.arg with None -> one | Some f -> f rt) with
+    | exception e ->
+      a.arg_failed <- true;
+      a.err <- Some e
+    | Value.Null -> ()
+    | v -> (
+      match a.err with
+      | Some _ -> ()
+      | None -> ( try fold_value spec.kind a v with e -> a.err <- Some e))
+
+let read kind a =
+  match a.err with
+  | Some e -> raise e
+  | None -> (
+    match kind with
+    | Ast.Count -> Value.Int a.n
+    | _ when a.n = 0 -> Value.Null
+    | Ast.Sum -> if a.boxed then a.v else Value.Int a.isum
+    | Ast.Min | Ast.Max -> a.v
+    | Ast.Avg -> Value.Float (a.avg.total /. float_of_int a.n))
+
+(* A group at runtime: the representative row backing non-aggregate leaves
+   (its first row; [None] for the empty global-aggregate group) and one
+   accumulator per spec. *)
+type grt = { rep : rt option; accs : acc array }
 
 let apply_binop = function
   | Ast.And -> Eval.and3
@@ -203,42 +299,12 @@ let apply_binop = function
   | Ast.Mul -> Value.mul
   | Ast.Div -> div_vals
 
-let aggregate farg kind members =
-  let values =
-    match farg with
-    | None -> List.map (fun _ -> Value.Int 1) members
-    | Some f -> List.map (fun rt -> f rt) members
-  in
-  let present = List.filter (fun v -> not (Value.is_null v)) values in
-  match kind with
-  | Ast.Count ->
-    Value.Int (match farg with None -> List.length members | Some _ -> List.length present)
-  | Ast.Sum -> (
-    match present with
-    | [] -> Value.Null
-    | first :: rest -> List.fold_left Value.add first rest)
-  | Ast.Min -> (
-    match present with
-    | [] -> Value.Null
-    | first :: rest ->
-      List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) first rest)
-  | Ast.Max -> (
-    match present with
-    | [] -> Value.Null
-    | first :: rest ->
-      List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) first rest)
-  | Ast.Avg -> (
-    match present with
-    | [] -> Value.Null
-    | vs ->
-      let total = List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs in
-      Value.Float (total /. float_of_int (List.length vs)))
-
-let rec gcompile ctx (e : Ast.expr) : grt -> Value.t =
+let rec gcompile gctx (e : Ast.expr) : grt -> Value.t =
+  let ctx = gctx.row in
   match e with
   | Ast.Agg (kind, arg) ->
-    let farg = Option.map (fun e -> to_fn (compile ctx e)) arg in
-    fun g -> aggregate farg kind g.members
+    let i = register gctx kind arg in
+    fun g -> read kind (Array.unsafe_get g.accs i)
   | Ast.Lit v -> fun _ -> v
   | Ast.Col (q, name) -> (
     let f = to_fn (compile ctx e) in
@@ -254,21 +320,21 @@ let rec gcompile ctx (e : Ast.expr) : grt -> Value.t =
          caller supplied the parameter. *)
       | None -> efail "unbound parameter :%s" p)
   | Ast.Binop (op, a, b) ->
-    let ga = gcompile ctx a and gb = gcompile ctx b in
+    let ga = gcompile gctx a and gb = gcompile gctx b in
     let apply = apply_binop op in
     fun g ->
       let va = ga g in
       let vb = gb g in
       apply va vb
   | Ast.Unop (Ast.Not, a) ->
-    let ga = gcompile ctx a in
+    let ga = gcompile gctx a in
     fun g -> Eval.not3 (ga g)
   | Ast.Unop (Ast.Neg, a) ->
-    let ga = gcompile ctx a in
+    let ga = gcompile gctx a in
     fun g -> Value.neg (ga g)
   | Ast.Case (arms, default) ->
-    let garms = List.map (fun (c, v) -> (gcompile ctx c, gcompile ctx v)) arms in
-    let gdef = Option.map (gcompile ctx) default in
+    let garms = List.map (fun (c, v) -> (gcompile gctx c, gcompile gctx v)) arms in
+    let gdef = Option.map (gcompile gctx) default in
     fun g ->
       let rec arm = function
         | [] -> ( match gdef with Some d -> d g | None -> Value.Null)
@@ -276,14 +342,14 @@ let rec gcompile ctx (e : Ast.expr) : grt -> Value.t =
       in
       arm garms
   | Ast.Is_null a ->
-    let ga = gcompile ctx a in
+    let ga = gcompile gctx a in
     fun g -> Value.Bool (Value.is_null (ga g))
   | Ast.Is_not_null a ->
-    let ga = gcompile ctx a in
+    let ga = gcompile gctx a in
     fun g -> Value.Bool (not (Value.is_null (ga g)))
   | Ast.In (a, cands) ->
-    let ga = gcompile ctx a in
-    let gcands = List.map (gcompile ctx) cands in
+    let ga = gcompile gctx a in
+    let gcands = List.map (gcompile gctx) cands in
     (* eval_agg lowers every operand to a literal before dispatching, so
        candidates are evaluated eagerly here, unlike the row context. *)
     fun g ->
@@ -300,14 +366,14 @@ let rec gcompile ctx (e : Ast.expr) : grt -> Value.t =
         in
         scan false values
   | Ast.Between (a, lo, hi) ->
-    let ga = gcompile ctx a and glo = gcompile ctx lo and ghi = gcompile ctx hi in
+    let ga = gcompile gctx a and glo = gcompile gctx lo and ghi = gcompile gctx hi in
     fun g ->
       let v = ga g in
       let vlo = glo g in
       let vhi = ghi g in
       Eval.and3 (Eval.compare_op Ast.Ge v vlo) (Eval.compare_op Ast.Le v vhi)
   | Ast.Like (a, pattern) -> (
-    let ga = gcompile ctx a in
+    let ga = gcompile gctx a in
     fun g ->
       match ga g with
       | Value.Null -> Value.Null
@@ -415,13 +481,16 @@ type proj =
       out : (rt -> Value.t) list;
       order : (rt -> Value.t) list;
     }
-  | Grouped of {
-      keys : (rt -> Value.t) list;
-      global : bool;  (** No GROUP BY: an empty input still yields one row. *)
-      having : (grt -> Value.t) option;
-      out : (grt -> Value.t) list;
-      order : (grt -> Value.t) list;
-    }
+  | Grouped of grouped
+
+and grouped = {
+  keys : (rt -> Value.t) array;
+  specs : spec array;  (** Every aggregate that [having], [out] and [order] read. *)
+  global : bool;  (** No GROUP BY: an empty input still yields one row. *)
+  having : (grt -> Value.t) option;
+  out : (grt -> Value.t) list;
+  order : (grt -> Value.t) list;
+}
 
 type dep = { dep_name : string; dep_table : Table.t; dep_version : int }
 
@@ -450,15 +519,21 @@ let compile_select ctx ~columns_override (s : Ast.select) =
   let where_fn = Option.map (fun w -> to_fn (compile ctx w)) s.Ast.where in
   let dirs = List.map snd s.Ast.order_by in
   let proj =
-    if is_grouped s then
+    if is_grouped s then begin
+      let gctx = { row = ctx; specs = [] } in
+      let having = Option.map (gcompile gctx) s.Ast.having in
+      let out = List.map (gcompile gctx) exprs in
+      let order = List.map (fun (e, _) -> gcompile gctx e) s.Ast.order_by in
       Grouped
         {
-          keys = List.map (fun e -> to_fn (compile ctx e)) s.Ast.group_by;
+          keys = Array.of_list (List.map (fun e -> to_fn (compile ctx e)) s.Ast.group_by);
+          specs = Array.of_list (List.rev_map (fun (_, _, spec) -> spec) gctx.specs);
           global = s.Ast.group_by = [];
-          having = Option.map (gcompile ctx) s.Ast.having;
-          out = List.map (gcompile ctx) exprs;
-          order = List.map (fun (e, _) -> gcompile ctx e) s.Ast.order_by;
+          having;
+          out;
+          order;
         }
+    end
     else
       (* The interpreter ignores HAVING on non-grouped queries; so do we. *)
       Flat
@@ -588,25 +663,6 @@ let compare_value_lists a b =
   in
   loop a b
 
-(* Grouping hashes each row's key once instead of walking a balanced tree
-   twice.  Equality must coincide with [compare_value_lists], which coerces
-   Int/Float — so numeric values hash through their float image. *)
-let value_hash = function
-  | Value.Null -> 17
-  | Value.Int n -> Hashtbl.hash (float_of_int n)
-  | Value.Float f -> Hashtbl.hash f
-  | Value.Str s -> Hashtbl.hash s
-  | Value.Date d -> Hashtbl.hash (d + 7919)
-  | Value.Bool b -> if b then 3 else 5
-
-module Grouptbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal a b = compare_value_lists a b = 0
-
-  let hash key = List.fold_left (fun acc v -> (acc * 31) + value_hash v) 0 key
-end)
-
 let dedupe rows =
   let seen = Hashtbl.create 64 in
   List.filter
@@ -658,14 +714,15 @@ let rows_via_access table access prt =
     | Some values ->
       List.filter_map (fun rid -> Table.get table rid) (Table.index_lookup table ~name values))
 
+let keep t rt = match t.where_fn with None -> true | Some f -> Eval.truthy (f rt)
+
 let source_rts t params =
   let prt = { tuples = [||]; params } in
   let rows = ref [] in
   let rec product acc = function
     | [] ->
       let rt = { tuples = Array.of_list (List.rev acc); params } in
-      let keep = match t.where_fn with None -> true | Some f -> Eval.truthy (f rt) in
-      if keep then rows := rt :: !rows
+      if keep t rt then rows := rt :: !rows
     | (table, access) :: rest ->
       List.iter
         (fun tuple -> product (tuple :: acc) rest)
@@ -674,43 +731,102 @@ let source_rts t params =
   product [] t.sources;
   List.rev !rows
 
-let finish t rts =
-  let projected =
-    match t.proj with
-    | Grouped { keys; global; having; out; order } ->
-      let groups = Grouptbl.create 32 and order_keys = ref [] in
-      List.iter
-        (fun rt ->
-          let key = List.map (fun f -> f rt) keys in
-          match Grouptbl.find_opt groups key with
-          | None ->
-            Grouptbl.add groups key (ref [ rt ]);
-            order_keys := key :: !order_keys
-          | Some members -> members := rt :: !members)
-        rts;
-      let group_lists =
-        List.map (fun key -> List.rev !(Grouptbl.find groups key)) (List.rev !order_keys)
+(* ---------- grouping ---------- *)
+
+let rec keys_equal a b i =
+  i >= Array.length a
+  || (Value.compare (Array.unsafe_get a i) (Array.unsafe_get b i) = 0 && keys_equal a b (i + 1))
+
+(* Key equality is [Value.compare], the interpreter's group map order;
+   [Value.hash] agrees with it across Int and Float. *)
+module Keytbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal a b = keys_equal a b 0
+
+  let hash key =
+    let h = ref 0 in
+    for i = 0 to Array.length key - 1 do
+      h := (!h * 31) + Value.hash (Array.unsafe_get key i)
+    done;
+    !h land max_int
+end)
+
+(* A row's key is evaluated into [scratch] and looked up as is, so a row
+   that joins an existing group allocates nothing; a new group copies the
+   key and its first row.  [groups] holds first-seen order, newest first.
+
+   The interpreter filters every row before it evaluates any key, so a key
+   error is held back until the rows run out: a WHERE error on a later row
+   must still win.  Past a key error the remaining rows are only filtered. *)
+type table = {
+  g : grouped;
+  scratch : Value.t array;
+  index : grt Keytbl.t;
+  mutable groups : grt list;
+  mutable key_error : exn option;
+}
+
+let table_create g =
+  {
+    g;
+    scratch = Array.make (Array.length g.keys) Value.Null;
+    index = Keytbl.create 64;
+    groups = [];
+    key_error = None;
+  }
+
+let fresh_group g rep = { rep; accs = Array.init (Array.length g.specs) (fun _ -> fresh_acc ()) }
+
+let new_group tbl rt =
+  let grp = fresh_group tbl.g (Some { rt with tuples = Array.copy rt.tuples }) in
+  Keytbl.add tbl.index (Array.copy tbl.scratch) grp;
+  tbl.groups <- grp :: tbl.groups;
+  grp
+
+(* Fold one filtered row into its group.  [rt] may be a scratch row the
+   caller reuses: a new group keeps a copy. *)
+let add_row tbl rt =
+  match tbl.key_error with
+  | Some _ -> ()
+  | None -> (
+    let keys = tbl.g.keys in
+    match
+      for i = 0 to Array.length keys - 1 do
+        Array.unsafe_set tbl.scratch i ((Array.unsafe_get keys i) rt)
+      done
+    with
+    | exception e -> tbl.key_error <- Some e
+    | () ->
+      let grp =
+        match Keytbl.find tbl.index tbl.scratch with
+        | grp -> grp
+        | exception Not_found -> new_group tbl rt
       in
-      let group_lists = if group_lists = [] && global then [ [] ] else group_lists in
-      List.filter_map
-        (fun members ->
-          let g = { members; rep = (match members with r :: _ -> Some r | [] -> None) } in
-          let survives = match having with None -> true | Some h -> Eval.truthy (h g) in
-          if survives then begin
-            let row = List.map (fun f -> f g) out in
-            let sort_key = List.map (fun f -> f g) order in
-            Some (row, sort_key)
-          end
-          else None)
-        group_lists
-    | Flat { out; order } ->
-      List.map
-        (fun rt ->
-          let row = List.map (fun f -> f rt) out in
-          let sort_key = List.map (fun f -> f rt) order in
-          (row, sort_key))
-        rts
+      let specs = tbl.g.specs in
+      for i = 0 to Array.length specs - 1 do
+        feed (Array.unsafe_get specs i) (Array.unsafe_get grp.accs i) rt
+      done)
+
+let project_groups tbl =
+  (match tbl.key_error with Some e -> raise e | None -> ());
+  let g = tbl.g in
+  let groups =
+    match tbl.groups with
+    | [] when g.global -> [ fresh_group g None ]
+    | groups -> List.rev groups
   in
+  List.filter_map
+    (fun grp ->
+      let survives = match g.having with None -> true | Some h -> Eval.truthy (h grp) in
+      if survives then Some (List.map (fun f -> f grp) g.out, List.map (fun f -> f grp) g.order)
+      else None)
+    groups
+
+let project_rows out order rts =
+  List.map (fun rt -> (List.map (fun f -> f rt) out, List.map (fun f -> f rt) order)) rts
+
+let finish t projected =
   let sorted =
     match t.dirs with
     | [] -> List.map fst projected
@@ -739,23 +855,39 @@ let finish t rts =
 
 let execute ?(params = []) t =
   if t.is_view then invalid_arg "Plan.execute: view plan; use execute_view";
-  let params = bind_params t params in
-  finish t (source_rts t params)
+  let rts = source_rts t (bind_params t params) in
+  finish t
+    (match t.proj with
+    | Flat { out; order } -> project_rows out order rts
+    | Grouped g ->
+      let tbl = table_create g in
+      List.iter (add_row tbl) rts;
+      project_groups tbl)
 
 let execute_view ?(params = []) t tuples =
   if not t.is_view then invalid_arg "Plan.execute_view: not a view plan";
   let params = bind_params t params in
-  let rts =
-    match t.where_fn with
-    | None -> List.map (fun tuple -> { tuples = [| tuple |]; params }) tuples
-    | Some f ->
-      List.filter_map
+  finish t
+    (match t.proj with
+    | Flat { out; order } ->
+      let rts =
+        List.filter_map
+          (fun tuple ->
+            let rt = { tuples = [| tuple |]; params } in
+            if keep t rt then Some rt else None)
+          tuples
+      in
+      project_rows out order rts
+    | Grouped g ->
+      (* One scratch row for the whole scan: grouping keeps a copy only of
+         each group's first row. *)
+      let tbl = table_create g and rt = { tuples = [| Tuple.unsafe_of_array [||] |]; params } in
+      List.iter
         (fun tuple ->
-          let rt = { tuples = [| tuple |]; params } in
-          if Eval.truthy (f rt) then Some rt else None)
-        tuples
-  in
-  finish t rts
+          rt.tuples.(0) <- tuple;
+          if keep t rt then add_row tbl rt)
+        tuples;
+      project_groups tbl)
 
 (* ---------- result helpers ---------- *)
 

@@ -198,7 +198,7 @@ let iter_tuples t f = Heap_file.iter_tuples t.heap f
 
 let iter_records t f = Heap_file.iter_records t.heap f
 
-let fold_records t ~init ~f = Heap_file.fold_records t.heap ~init ~f
+let fold_pages t ~init ~f = Heap_file.fold_pages t.heap ~init ~f
 
 let fold_raw t ~init ~f = Heap_file.fold_raw t.heap ~init ~f
 

@@ -93,14 +93,15 @@ val iter_records : t -> (bytes -> int -> unit) -> unit
     {!Vnl_storage.Heap_file.iter_records}); [f] must not modify the
     table. *)
 
-val fold_records : t -> init:'a -> f:('a -> bytes -> int -> 'a) -> 'a
-(** Latch-free pure fold over undecoded records (see
-    {!Vnl_storage.Heap_file.fold_records}); [f] must be pure — it may be
+val fold_pages :
+  t -> init:'a -> f:('a -> bytes -> ((int -> unit) -> unit) -> 'a) -> 'a
+(** Latch-free pure per-page fold over undecoded records (see
+    {!Vnl_storage.Heap_file.fold_pages}); [f] must be pure — it may be
     re-run against a torn page image and that attempt discarded. *)
 
 val fold_raw :
   t -> init:'a -> f:('a -> page:int -> slot:int -> bytes -> int -> 'a) -> 'a
-(** {!fold_records} with each record's page/slot address (see
+(** Latch-free pure fold with each record's page/slot address (see
     {!Vnl_storage.Heap_file.fold_raw}); same purity contract. *)
 
 val to_list : t -> (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) list

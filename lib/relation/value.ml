@@ -145,10 +145,132 @@ let decode dt buf off =
   | Dtype.Bool -> (
     match Bytes.get buf off with '\000' -> Bool false | '\001' -> Bool true | _ -> Null)
 
+(* [compare] has [Int n] equal to [Float (float_of_int n)], so numerics
+   hash through their float image.  The image is hashed by its bits, which
+   skips boxing it; NaNs are one class and -0.0 hashes like 0.0, matching
+   [Float.compare]. *)
+let[@inline] hash_float f =
+  if Float.is_nan f then 0x7ff8
+  else if f = 0.0 then 0
+  else Hashtbl.hash (Int64.to_int (Int64.bits_of_float f))
+
 let hash = function
   | Null -> 17
-  | Int n -> Hashtbl.hash n
-  | Float f -> Hashtbl.hash f
+  | Int n -> hash_float (float_of_int n)
+  | Float f -> hash_float f
   | Str s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d + 7919)
   | Bool b -> if b then 3 else 5
+
+module Intern = struct
+  (* Open addressing over [Str] cells; [Null] marks an empty slot.  The
+     table is keyed by content, so a cell decoded from a torn page image
+     (an optimistic read that later fails validation) can only add an
+     entry, never answer a lookup wrongly. *)
+  type value = t
+
+  type t = {
+    mutable cells : value array;
+    mutable count : int;
+    ints : value array;  (** Direct-mapped by the low bits: the last [Int] seen. *)
+    dates : value array;  (** Likewise for [Date]. *)
+  }
+
+  (* Past this many distinct strings a scan is not repeating itself; later
+     misses decode into fresh strings instead of growing the table. *)
+  let max_entries = 4096
+
+  let recent = 256
+
+  let create () =
+    {
+      cells = Array.make 64 Null;
+      count = 0;
+      ints = Array.make recent Null;
+      dates = Array.make recent Null;
+    }
+
+  let hash_bytes buf off len =
+    let h = ref 0 in
+    for i = off to off + len - 1 do
+      h := (!h * 31) + Char.code (Bytes.unsafe_get buf i)
+    done;
+    !h land max_int
+
+  let rec same_from s buf off len i =
+    i >= len
+    || (String.unsafe_get s i = Bytes.unsafe_get buf (off + i) && same_from s buf off len (i + 1))
+
+  let same s buf off len = String.length s = len && same_from s buf off len 0
+
+  (* The slot holding these bytes, else the empty slot where they go. *)
+  let rec probe cells mask buf off len i =
+    match Array.unsafe_get cells i with
+    | Str s when same s buf off len -> i
+    | Null -> i
+    | _ -> probe cells mask buf off len ((i + 1) land mask)
+
+  let grow d =
+    let cells = Array.make (2 * Array.length d.cells) Null in
+    let mask = Array.length cells - 1 in
+    Array.iter
+      (function
+        | Str s as v ->
+          let b = Bytes.unsafe_of_string s and len = String.length s in
+          cells.(probe cells mask b 0 len (hash_bytes b 0 len land mask)) <- v
+        | _ -> ())
+      d.cells;
+    d.cells <- cells
+
+  let intern d buf off len h =
+    let mask = Array.length d.cells - 1 in
+    let i = probe d.cells mask buf off len (h land mask) in
+    match Array.unsafe_get d.cells i with
+    | Str _ as v -> v
+    | _ ->
+      let v = Str (Bytes.sub_string buf off len) in
+      if d.count < max_entries then begin
+        d.cells.(i) <- v;
+        d.count <- d.count + 1;
+        if 2 * d.count > Array.length d.cells then grow d
+      end;
+      v
+
+  (* Int and Date cells repeat too (days, small counts) but are cheap to
+     rebuild, so they only get a one-entry-per-slot cache: a hit when the
+     slot's last value is this one, else the new value takes the slot. *)
+  let recent_cell cache dt n =
+    let i = n land (recent - 1) in
+    match (dt, Array.unsafe_get cache i) with
+    | Dtype.Int, (Int m as v) | Dtype.Date, (Date m as v) when m = n -> v
+    | _ ->
+      let v = match dt with Dtype.Date -> Date n | _ -> Int n in
+      Array.unsafe_set cache i v;
+      v
+
+  let decode d dt buf off =
+    match dt with
+    | Dtype.Str n ->
+      if off < 0 || off + n > Bytes.length buf then
+        invalid_arg "Value.decode: string cell out of bounds"
+      else if n > 0 && Bytes.unsafe_get buf off = '\xff' then Null
+      else begin
+        (* One pass finds the padding terminator and hashes the payload,
+           with [hash_bytes]'s formula. *)
+        let lim = off + n in
+        let i = ref off and h = ref 0 in
+        while !i < lim && Bytes.unsafe_get buf !i <> '\000' do
+          h := (!h * 31) + Char.code (Bytes.unsafe_get buf !i);
+          incr i
+        done;
+        intern d buf off (!i - off) (!h land max_int)
+      end
+    | Dtype.Int | Dtype.Date ->
+      (* Both types' NULL sentinel is [Int32.min_int]. *)
+      let n = Bytes.get_int32_le buf off in
+      if Int32.equal n int_null then Null
+      else
+        let cache = match dt with Dtype.Date -> d.dates | _ -> d.ints in
+        recent_cell cache dt (Int32.to_int n)
+    | Dtype.Float | Dtype.Bool -> decode dt buf off
+end

@@ -57,4 +57,20 @@ val decode : Dtype.t -> bytes -> int -> t
 (** [decode dt buf off] reads a value of type [dt] at offset [off]. *)
 
 val hash : t -> int
-(** Hash consistent with [equal]; used by group-by hash tables. *)
+(** Hash consistent with [equal]: [Int n] and [Float (float_of_int n)]
+    hash alike.  Used by group-by hash tables. *)
+
+(** A per-scan string dictionary: decoding through it gives every
+    repeated string cell the same shared [Str] value, so a scan allocates
+    each distinct string once rather than once per record. *)
+module Intern : sig
+  type value := t
+
+  type t
+
+  val create : unit -> t
+
+  val decode : t -> Dtype.t -> bytes -> int -> value
+  (** {!decode}, with string cells looked up in place (no allocation on a
+      hit).  Not thread-safe: one dictionary per scan. *)
+end

@@ -131,20 +131,18 @@ let iter_tuples t f =
 let iter_records t f =
   (* [f] sees the raw frame image, so its effects cannot be unwound after
      a failed validation: this stays on the latched path.  Readers that
-     can accumulate purely should use [fold_records]. *)
+     can accumulate purely should use [fold_pages]. *)
   List.iter
     (fun pid ->
       Buffer_pool.with_page t.pool pid (fun img ->
           Page.iter_used_offsets t.layout img (fun _slot off -> f img off)))
     (List.rev (Atomic.get t.pages))
 
-let fold_records t ~init ~f =
+let fold_pages t ~init ~f =
   List.fold_left
     (fun acc pid ->
       Buffer_pool.read_page t.pool pid (fun img ->
-          let a = ref acc in
-          Page.iter_used_offsets t.layout img (fun _slot off -> a := f !a img off);
-          !a))
+          f acc img (fun g -> Page.iter_used_offsets t.layout img (fun _slot off -> g off))))
     init
     (List.rev (Atomic.get t.pages))
 

@@ -56,21 +56,24 @@ val iter_records : t -> (bytes -> int -> unit) -> unit
     optimistic validation): it must be read-only, must not touch the
     storage layer, and the image bytes are only meaningful until [f]
     returns.  Latch-free readers that can accumulate purely should use
-    {!fold_records}. *)
+    {!fold_pages}. *)
 
-val fold_records : t -> init:'a -> f:('a -> bytes -> int -> 'a) -> 'a
-(** Fold [f] over every live record as [(page image, byte offset)] in
-    page/slot order, latch-free: each page's sub-fold runs under
-    {!Buffer_pool.read_page}, so [f] must be pure (it may be re-run
-    against a torn image and its results discarded) and must not retain
-    the image.  The reader hot path. *)
+val fold_pages :
+  t -> init:'a -> f:('a -> bytes -> ((int -> unit) -> unit) -> 'a) -> 'a
+(** Fold [f] over the pages in order, latch-free: [f acc img iter] runs
+    under {!Buffer_pool.read_page} with the page image and an iterator
+    over its live records' byte offsets, in slot order.  [f] must be pure
+    with respect to [acc] and external state (it may be re-run against a
+    torn image and that attempt's result discarded) and must not retain
+    the image; only a validated attempt's result is threaded on, so
+    per-page tallies in it stay exact.  The reader hot path. *)
 
 val fold_raw :
   t -> init:'a -> f:('a -> page:int -> slot:int -> bytes -> int -> 'a) -> 'a
-(** {!fold_records} with the record's page id and slot, for callers that
-    need to address records (e.g. GC building a victim list) without the
-    per-record allocation of a {!rid}.  Same purity contract as
-    {!fold_records}. *)
+(** A latch-free per-record fold that passes each record's page id and
+    slot, for callers that need to address records (e.g. GC building a
+    victim list) without the per-record allocation of a {!rid}.  Same
+    purity contract as {!fold_pages}. *)
 
 val fold : t -> init:'a -> f:('a -> rid -> Vnl_relation.Tuple.t -> 'a) -> 'a
 

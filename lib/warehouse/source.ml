@@ -17,15 +17,24 @@ let remove_one t row =
   t.rows <- loop [] t.rows
 
 let apply t changes =
-  List.iter
-    (fun change ->
-      match change with
-      | Delta.Insert row -> t.rows <- row :: t.rows
-      | Delta.Delete row -> remove_one t row
-      | Delta.Update (old_row, new_row) ->
-        remove_one t old_row;
-        t.rows <- new_row :: t.rows)
-    changes
+  (* All or nothing: the row list is immutable, so a change that fails
+     part-way through the batch restores the list from before the first. *)
+  let before = t.rows in
+  match
+    List.iter
+      (fun change ->
+        match change with
+        | Delta.Insert row -> t.rows <- row :: t.rows
+        | Delta.Delete row -> remove_one t row
+        | Delta.Update (old_row, new_row) ->
+          remove_one t old_row;
+          t.rows <- new_row :: t.rows)
+      changes
+  with
+  | () -> ()
+  | exception e ->
+    t.rows <- before;
+    raise e
 
 let rows t = List.rev t.rows
 

@@ -11,9 +11,10 @@ val create : Vnl_relation.Schema.t -> t
 val schema : t -> Vnl_relation.Schema.t
 
 val apply : t -> Delta.change list -> unit
-(** Apply changes to the base relation.  [Delete]/[Update] identify the old
-    row by full-tuple equality; raises [Invalid_argument] when it is
-    absent. *)
+(** Apply changes to the base relation, all or nothing.  [Delete]/[Update]
+    identify the old row by full-tuple equality; when it is absent, raises
+    [Invalid_argument] and leaves the relation as it was before the
+    batch. *)
 
 val rows : t -> Vnl_relation.Tuple.t list
 

@@ -27,7 +27,9 @@ val source : t -> string -> Source.t
 
 val queue_changes : t -> view:string -> Delta.change list -> unit
 (** Append source changes to the view's pending queue (and apply them to
-    the simulated source so ground-truth recomputation stays in step). *)
+    the simulated source so ground-truth recomputation stays in step).  A
+    batch naming an absent row raises [Invalid_argument] with neither the
+    source nor the queue changed. *)
 
 val pending : t -> view:string -> int
 (** Queued changes not yet propagated (O(1)). *)

@@ -32,4 +32,5 @@ let () =
       ("shard", Test_shard.suite);
       ("net", Test_net.suite);
       ("catalog-evolve", Test_catalog_evolve.suite);
+      ("reader-path", Test_reader_path.suite);
     ]

@@ -237,6 +237,106 @@ let test_query_string_matches_query () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Streaming group accumulators vs the interpreter.                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each statement runs three ways — the interpreter, the generic table
+   plan and the view plan over the same rows (the 2VNL reader path) — and
+   all three must agree on the exact rows, their order and their labels,
+   or all fail.  The data has a NULL, Int and Float inputs, strings, and a
+   zero divisor confined to one group. *)
+let acc_schema =
+  Schema.make
+    [
+      Schema.attr ~key:true "k" Dtype.Int;
+      Schema.attr "g" (Dtype.Str 4);
+      Schema.attr "i" Dtype.Int;
+      Schema.attr "f" Dtype.Float;
+      Schema.attr "s" (Dtype.Str 6);
+    ]
+
+let acc_db () =
+  let db = Database.create () in
+  let t = Database.create_table db "m" acc_schema in
+  List.iteri
+    (fun k (g, i, f, str) ->
+      ignore
+        (Table.insert t
+           (Tuple.make acc_schema [ Value.Int k; Value.Str g; i; Value.Float f; Value.Str str ])))
+    [
+      ("a", Value.Int 1, 1.5, "pear");
+      ("a", Value.Int 2, 2.0, "apple");
+      ("b", Value.Null, 0.5, "fig");
+      ("b", Value.Int 4, 0.25, "kiwi");
+      ("c", Value.Int 0, 3.0, "lime");
+      ("c", Value.Int 3, 1.0, "date");
+    ];
+  (db, t)
+
+let run_three src =
+  let db, t = acc_db () in
+  let sel = Parser.parse_select src in
+  let interp = run_outcome (fun () -> Executor.query db sel) in
+  let generic = run_outcome (fun () -> Plan.execute (Plan.prepare db sel)) in
+  let rows = List.map snd (Table.to_list t) in
+  let view =
+    run_outcome (fun () -> Plan.execute_view (Plan.prepare_view ~label:"m" acc_schema sel) rows)
+  in
+  (interp, generic, view)
+
+let check_agrees ~expect_ok src =
+  let interp, generic, view = run_three src in
+  let same a b =
+    match (a, b) with
+    | Ok (a : Plan.result), Ok (b : Plan.result) -> a.columns = b.columns && a.rows = b.rows
+    | Error _, Error _ -> true
+    | _ -> false
+  in
+  let show = function
+    | Ok r -> Fmt.str "%a" Executor.pp_result r
+    | Error e -> "error: " ^ e
+  in
+  Alcotest.(check bool) (src ^ ": interpreter outcome as expected") expect_ok (Result.is_ok interp);
+  if not (same interp generic) then
+    Alcotest.failf "%s\ninterpreter: %s\ngeneric plan: %s" src (show interp) (show generic);
+  if not (same interp view) then
+    Alcotest.failf "%s\ninterpreter: %s\nview plan: %s" src (show interp) (show view)
+
+let test_accumulators_match_interpreter () =
+  List.iter (check_agrees ~expect_ok:true)
+    [
+      (* HAVING drops the group whose output aggregate would fail: an
+         argument error (division by zero) and a fold error (SUM of
+         strings) are held in the accumulator and never read. *)
+      "SELECT g, SUM(10 / i) FROM m GROUP BY g HAVING MIN(i) > 0";
+      "SELECT g, SUM(CASE WHEN g = 'c' THEN s ELSE i END) FROM m GROUP BY g HAVING g <> 'c'";
+      (* ORDER BY an aggregate, shared with and apart from the select list. *)
+      "SELECT g, SUM(i) FROM m GROUP BY g ORDER BY SUM(i) DESC";
+      "SELECT g FROM m GROUP BY g ORDER BY MAX(f), g";
+      (* A global aggregate over empty input still yields its one row. *)
+      "SELECT COUNT(*), COUNT(i), SUM(i), MIN(s), MAX(f), AVG(f) FROM m WHERE k > 100";
+      (* SUM over Int and Float inputs: a left fold that leaves the int. *)
+      "SELECT g, SUM(CASE WHEN i > 1 THEN f ELSE i END) FROM m GROUP BY g";
+      "SELECT SUM(CASE WHEN k = 3 THEN f ELSE i END), SUM(i) FROM m";
+      (* MIN and MAX over strings. *)
+      "SELECT g, MIN(s), MAX(s) FROM m GROUP BY g";
+      (* COUNT(col) skips NULLs; a star COUNT does not. *)
+      "SELECT g, COUNT(i), COUNT(*) FROM m GROUP BY g";
+      "SELECT g, AVG(i), AVG(f), AVG(k) FROM m GROUP BY g HAVING AVG(f) > 0.5";
+      (* Non-aggregate leaves read the group's first row. *)
+      "SELECT g, k, s FROM m GROUP BY g";
+      "SELECT g, COUNT(*) FROM m WHERE i IS NOT NULL GROUP BY g HAVING COUNT(*) > 1";
+    ];
+  List.iter (check_agrees ~expect_ok:false)
+    [
+      (* The same failures surface once an output reads them. *)
+      "SELECT g, SUM(10 / i) FROM m GROUP BY g";
+      "SELECT g, SUM(s) FROM m GROUP BY g";
+      "SELECT AVG(s) FROM m";
+      "SELECT g, COUNT(*) FROM m GROUP BY g HAVING SUM(10 / i) > 0";
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Prepared-statement cache behaviour.                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -398,6 +498,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_compiled_matches_interpreter;
     Alcotest.test_case "query_string = query on SQL text" `Quick test_query_string_matches_query;
+    Alcotest.test_case "group accumulators = interpreter" `Quick
+      test_accumulators_match_interpreter;
     Alcotest.test_case "cache hit/miss accounting" `Quick test_cache_hits_and_misses;
     Alcotest.test_case "index DDL invalidates cached plan" `Quick
       test_cache_invalidation_on_index_ddl;

@@ -220,6 +220,57 @@ let qcheck_value_compare_total_order =
       sgn (Value.compare a b) = -sgn (Value.compare b a)
       && (not (Value.compare a b <= 0 && Value.compare b c <= 0) || Value.compare a c <= 0))
 
+(* Grouping hashes keys with [Value.hash] and compares them with
+   [Value.equal], which has [Int n] equal to [Float (float_of_int n)]; the
+   generator draws from a small numeric domain so such pairs are common,
+   including the signed zeros, NaN and integers past 2^53 whose float
+   image rounds. *)
+let qcheck_value_hash_consistent =
+  let big = 1 lsl 53 in
+  let gen =
+    QCheck.Gen.oneof
+      [
+        QCheck.Gen.map (fun n -> Value.Int n) (QCheck.Gen.int_range (-3) 3);
+        QCheck.Gen.map (fun n -> Value.Float (float_of_int n)) (QCheck.Gen.int_range (-3) 3);
+        QCheck.Gen.oneofl
+          [
+            Value.Float 0.5; Value.Float (-0.0); Value.Float nan; Value.Float (-.nan);
+            Value.Int big; Value.Int (big + 1); Value.Float (float_of_int big);
+            Value.Str "ab"; Value.Str "ab"; Value.Date 19961014; Value.Int 19961014;
+            Value.Bool true; Value.Null;
+          ];
+      ]
+  in
+  QCheck.Test.make ~name:"value equal implies equal hash" ~count:1000
+    (QCheck.make (QCheck.Gen.pair gen gen) ~print:(fun (a, b) ->
+         Printf.sprintf "%s %s" (Value.to_string a) (Value.to_string b)))
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
+(* Decoding through a scan dictionary gives the plain decode's values, and
+   repeated string cells come back as one shared value. *)
+let test_intern_decode () =
+  let dt = Dtype.Str 6 in
+  let cells = [ Value.Str "ab"; Value.Null; Value.Str ""; Value.Str "ab"; Value.Str "abcdef" ] in
+  let buf = Bytes.concat Bytes.empty (List.map (Value.encode dt) cells) in
+  let d = Value.Intern.create () in
+  let decoded = List.mapi (fun i _ -> Value.Intern.decode d dt buf (i * 6)) cells in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check bool) (Printf.sprintf "cell %d" i) true
+        (Value.equal v (Value.decode dt buf (i * 6))))
+    decoded;
+  Alcotest.(check bool) "repeated string shared" true (List.nth decoded 0 == List.nth decoded 3);
+  let ints = Value.encode Dtype.Int (Value.Int 42) in
+  Alcotest.(check bool) "non-string cells decode as usual" true
+    (Value.equal (Value.Intern.decode d Dtype.Int ints 0) (Value.Int 42));
+  (* More distinct strings than the dictionary keeps still decode right. *)
+  for i = 0 to 5000 do
+    let s = string_of_int i in
+    let cell = Value.encode dt (Value.Str s) in
+    Alcotest.(check bool) "distinct string" true
+      (Value.equal (Value.Intern.decode d dt cell 0) (Value.Str s))
+  done
+
 let suite =
   [
     Alcotest.test_case "dtype widths" `Quick test_dtype_widths;
@@ -244,4 +295,6 @@ let suite =
     Alcotest.test_case "tuple roundtrip with nulls" `Quick test_tuple_encode_roundtrip_with_nulls;
     QCheck_alcotest.to_alcotest qcheck_tuple_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_value_compare_total_order;
+    QCheck_alcotest.to_alcotest qcheck_value_hash_consistent;
+    Alcotest.test_case "intern decode = decode, strings shared" `Quick test_intern_decode;
   ]

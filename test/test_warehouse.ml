@@ -113,6 +113,35 @@ let refresh_and_compare wh =
   Alcotest.(check bool) "incremental = recompute" true
     (List.equal Tuple.equal (sorted_view got) (sorted_view expected))
 
+(* A batch whose last change names an absent row is rejected whole: the
+   earlier insert, delete and update in it must not reach the source, and
+   nothing may be queued, or ground truth drifts from every refresh after. *)
+let test_queue_changes_all_or_nothing () =
+  let wh = Warehouse.create [ view ] in
+  Warehouse.queue_changes wh ~view:"DailySales"
+    [ Insert (sale "San Jose" "golf equip" 0 100); Insert (sale "Berkeley" "tennis" 1 75) ];
+  let src = Warehouse.source wh "DailySales" in
+  let rows = Source.rows src
+  and pending = Warehouse.pending wh ~view:"DailySales"
+  and expected = Warehouse.expected_view wh "DailySales" in
+  let batch =
+    [
+      Delta.Insert (sale "Novato" "rollerblades" 2 60);
+      Delta.Delete (sale "Berkeley" "tennis" 1 75);
+      Delta.Update (sale "San Jose" "golf equip" 0 100, sale "San Jose" "golf equip" 0 130);
+      Delta.Delete (sale "Fresno" "camping" 3 10);
+    ]
+  in
+  Alcotest.(check bool) "absent row rejected" true
+    (try Warehouse.queue_changes wh ~view:"DailySales" batch; false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "source rows unchanged" true (List.equal Tuple.equal rows (Source.rows src));
+  check Alcotest.int "nothing queued" pending (Warehouse.pending wh ~view:"DailySales");
+  Alcotest.(check bool) "expected view unchanged" true
+    (List.equal Tuple.equal expected (Warehouse.expected_view wh "DailySales"));
+  refresh_and_compare wh
+
+
 let test_float_aggregates () =
   let src_schema =
     Schema.make [ Schema.attr "grp" (Dtype.Str 4); Schema.attr "x" Dtype.Float ]
@@ -232,6 +261,7 @@ let suite =
       test_delta_cancelling_batch_drops_group;
     Alcotest.test_case "source apply/recompute" `Quick test_source_apply_and_recompute;
     Alcotest.test_case "source delete absent rejected" `Quick test_source_delete_absent_rejected;
+    Alcotest.test_case "queue_changes is all or nothing" `Quick test_queue_changes_all_or_nothing;
     Alcotest.test_case "float aggregates" `Quick test_float_aggregates;
     Alcotest.test_case "incremental matches recompute" `Quick test_incremental_matches_recompute;
     Alcotest.test_case "group removed at zero support" `Quick
