@@ -6,7 +6,6 @@ module Table = Vnl_query.Table
 module Catalog = Vnl_query.Catalog
 module Executor = Vnl_query.Executor
 module Heap_file = Vnl_storage.Heap_file
-module Buffer_pool = Vnl_storage.Buffer_pool
 module Epoch = Vnl_util.Epoch
 module StrMap = Map.Make (String)
 
@@ -134,12 +133,6 @@ let fresh_generation ~gen ~gen_vn ~registry ~order =
   { gen; gen_vn; registry; order; plans = Atomic.make StrMap.empty; plans_gen = Atomic.make 0 }
 
 let make db version =
-  let pool = Database.pool db in
-  (* Evicted buffer frames join the epoch-gated retire bag instead of
-     being recycled immediately: a latch-free reader may still be
-     validating against them. *)
-  Buffer_pool.enable_epoch_reclamation pool;
-  Buffer_pool.advance_epoch pool (Version_state.current_vn version);
   {
     db;
     version;
@@ -355,7 +348,6 @@ let retire_generations t ~horizon =
 let collect_garbage t =
   let c = current_vn t in
   Epoch.advance t.epochs c;
-  Buffer_pool.advance_epoch (Database.pool t.db) c;
   let horizon = min_session_vn t in
   Obs.Gauge.record m_epoch_lag (c - horizon);
   ignore (retire_generations t ~horizon);
@@ -373,10 +365,8 @@ let collect_garbage t =
             (fun acc h -> acc + Gc.collect h.ext h.table ~min_session_vn:horizon)
             0 (handles t))
     in
-    let frames = Buffer_pool.reclaim_frames (Database.pool t.db) ~horizon in
     Obs.Counter.record m_gc_reclaimed reclaimed;
-    Log.debug (fun m ->
-        m "gc at horizon %d reclaimed %d tuples, %d retired frames" horizon reclaimed frames);
+    Log.debug (fun m -> m "gc at horizon %d reclaimed %d tuples" horizon reclaimed);
     reclaimed
   end
 
@@ -1029,9 +1019,8 @@ module Txn = struct
     m.owner.txn_active <- false;
     Version_state.commit_maintenance m.owner.version ~vn:m.txn_vn;
     (* Publish the committed VN as the new epoch: sessions opened from
-       here pin it, and frames evicted from here retire under it. *)
+       here pin it. *)
     Epoch.advance m.owner.epochs m.txn_vn;
-    Buffer_pool.advance_epoch (Database.pool m.owner.db) m.txn_vn;
     Obs.Counter.record m_maintenance_commits 1;
     Obs.Gauge.record m_current_vn (current_vn m.owner);
     Log.info (fun m' ->
@@ -1134,7 +1123,6 @@ module Round = struct
       r.owner.txn_active <- false
     end;
     Epoch.advance r.owner.epochs v;
-    Buffer_pool.advance_epoch (Database.pool r.owner.db) v;
     Obs.Counter.record m_maintenance_commits 1;
     Obs.Gauge.record m_current_vn v;
     Log.info (fun m -> m "round stripe published at VN %d (%d/%d)" v r.published r.count)

@@ -1,6 +1,5 @@
 module Obs = Vnl_obs.Obs
 module Sched = Vnl_util.Sched
-module Epoch = Vnl_util.Epoch
 
 (* Frames form an intrusive doubly-linked list in recency order (head =
    most recent, tail = LRU victim), so touch and evict are O(1) pointer
@@ -23,10 +22,16 @@ module Epoch = Vnl_util.Epoch
    change forces a retry, bounded before falling back to the latched
    path.  OCaml's memory model makes the racy byte reads safe (no crash,
    no type confusion) — a torn decode yields garbage values or an
-   exception, both of which the failed validation discards. *)
+   exception, both of which the failed validation discards.
+
+   A miss reads its page into the eviction victim's byte buffer (and
+   keeps its latch), wrapped in a fresh frame record with a fresh stamp.
+   The victim's record is dead-stamped before the first byte of the new
+   page lands, so a reader still holding it can never validate the new
+   bytes; see [new_frame]. *)
 type frame = {
-  mutable pid : int;
-  mutable image : bytes;
+  pid : int;
+  image : bytes;
   mutable dirty : bool;
   mutable pins : int;
       (** Active [with_page]/[with_page_mut] callbacks over this frame,
@@ -38,9 +43,10 @@ type frame = {
       (** Version stamp.  Even: stable; odd: being mutated.  Mutators bump
           it to odd before touching the bytes and back to even after, both
           inside the exclusive latch.  Eviction kills the frame by forcing
-          the stamp odd forever, so a reader holding a stale frame whose
-          page was reloaded and mutated elsewhere can never validate
-          pre-eviction bytes as current. *)
+          the stamp odd forever, so a reader holding a stale frame can
+          never validate: not pre-eviction bytes of a page reloaded and
+          mutated elsewhere, and not another page read into the same
+          buffer. *)
   mutable prev : frame;
   mutable next : frame;
 }
@@ -57,7 +63,6 @@ type stats = {
   opt_reads : int;
   opt_retries : int;
   opt_fallbacks : int;
-  frames_reclaimed : int;
 }
 
 (* Stack-wide mirrors in the default observability registry (aggregated
@@ -100,9 +105,6 @@ type metrics = {
   opt_fallbacks : Obs.Counter.t;
       (** Reads that exhausted their optimistic budget (or missed the
           resident map) and took the latched path. *)
-  frames_reclaimed : Obs.Counter.t;
-      (** Evicted frames whose retire epoch fell behind the minimum pinned
-          epoch and were handed back for reuse. *)
   last_write : Obs.Gauge.t;
       (** Pid of this pool's last write-back; initial (and post-reset)
           value -1 puts the head just before page 0. *)
@@ -123,7 +125,6 @@ let make_metrics () =
     opt_reads = Obs.Registry.counter ~registry "pool.opt_reads";
     opt_retries = Obs.Registry.counter ~registry "pool.opt_retries";
     opt_fallbacks = Obs.Registry.counter ~registry "pool.opt_fallbacks";
-    frames_reclaimed = Obs.Registry.counter ~registry "pool.frames_reclaimed";
     last_write = Obs.Registry.gauge ~registry ~initial:(-1) "pool.last_write";
   }
 
@@ -140,12 +141,6 @@ type t = {
           array keep seeing updates; a pid beyond a reader's array simply
           misses to the latched path. *)
   nil : frame;  (** Sentinel: [nil.next] is the MRU frame, [nil.prev] the LRU. *)
-  mutable retired : frame Epoch.t option;
-      (** When epoch reclamation is enabled, evicted frames are retired
-          here stamped with the warehouse epoch ([advance_epoch]) and
-          recycled ([reclaim_frames]) only once the minimum pinned session
-          epoch has moved past their retirement — the buffer-reuse
-          analogue of tuple GC. *)
   m : metrics;
 }
 
@@ -170,17 +165,12 @@ let create ?(capacity = 64) disk =
     frames = Hashtbl.create capacity;
     map = Atomic.make (Array.init (max capacity 16) (fun _ -> Atomic.make None));
     nil;
-    retired = None;
     m = make_metrics ();
   }
 
 let disk t = t.disk
 
-let enable_epoch_reclamation t =
-  if t.retired = None then t.retired <- Some (Epoch.create ())
-
-let advance_epoch t e =
-  match t.retired with Some bag -> Epoch.advance bag e | None -> ()
+let capacity t = t.capacity
 
 (* ---------- lock-free resident map ---------- *)
 
@@ -218,11 +208,30 @@ let push_front t frame =
   t.nil.next.prev <- frame;
   t.nil.next <- frame
 
+let push_back t frame =
+  frame.prev <- t.nil.prev;
+  frame.next <- t.nil;
+  t.nil.prev.next <- frame;
+  t.nil.prev <- frame
+
 let touch t frame =
   if t.nil.next != frame then begin
     unlink frame;
     push_front t frame
   end
+
+(* The one physical write-back: the disk write and its accounting.  The
+   caller holds the pool mutex and at least the frame's shared latch, and
+   has checked [dirty]. *)
+let write_frame t frame =
+  Disk.write t.disk frame.pid frame.image;
+  Obs.Counter.incr t.m.physical_writes;
+  Obs.Counter.record g_physical_writes 1;
+  let last = Obs.Gauge.get t.m.last_write in
+  if frame.pid = last || frame.pid = last + 1 then Obs.Counter.incr t.m.seq_writes
+  else Obs.Counter.incr t.m.rand_writes;
+  Obs.Gauge.set t.m.last_write frame.pid;
+  frame.dirty <- false
 
 (* A write-back must not race the frame's mutator: without the frame latch
    it could push a half-written image to disk and — worse — clear [dirty]
@@ -236,22 +245,13 @@ let write_back t frame =
   if frame.dirty && Latch.try_shared frame.latch then
     Fun.protect
       ~finally:(fun () -> Latch.release_shared frame.latch)
-      (fun () ->
-        if frame.dirty then begin
-          Disk.write t.disk frame.pid frame.image;
-          Obs.Counter.incr t.m.physical_writes;
-          Obs.Counter.record g_physical_writes 1;
-          let last = Obs.Gauge.get t.m.last_write in
-          if frame.pid = last || frame.pid = last + 1 then Obs.Counter.incr t.m.seq_writes
-          else Obs.Counter.incr t.m.rand_writes;
-          Obs.Gauge.set t.m.last_write frame.pid;
-          frame.dirty <- false
-        end)
+      (fun () -> if frame.dirty then write_frame t frame)
 
 (* Walk tail -> head for the least-recently-used unpinned frame.  Pinned
    frames (a [with_page]* callback is live over their bytes) must stay
    resident; if every frame is pinned the pool is over-committed and we
-   fail loudly instead of corrupting the active caller. *)
+   fail loudly instead of corrupting the active caller.  Returns the dead
+   victim, whose buffer and latch the caller reuses. *)
 let evict_lru t =
   let rec victim f =
     if f == t.nil then
@@ -277,17 +277,44 @@ let evict_lru t =
      leave this frame's stamp even and its stale bytes "valid". *)
   Atomic.set v.stamp (Atomic.get v.stamp lor 1);
   Atomic.set (map_cell t v.pid) None;
-  (match t.retired with Some bag -> Epoch.retire bag v | None -> ());
   Obs.Counter.incr t.m.evictions;
-  Obs.Counter.record g_evictions 1
+  Obs.Counter.record g_evictions 1;
+  v
 
-let install t frame =
-  if Hashtbl.length t.frames >= t.capacity then evict_lru t;
-  push_front t frame;
+(* A frame for [pid], not yet linked or published.  While the pool has a
+   free frame it gets a fresh buffer; otherwise it takes over the LRU
+   victim's buffer and latch.  [evict_lru] has by then written the victim
+   back and dead-stamped it (odd forever) and cleared its map cell, and
+   the caller writes the new page into the buffer only after this
+   returns.  So an optimistic reader still holding the victim either
+   validated before the kill — and read the victim's own page — or sees
+   an odd stamp at validation and retries through the map, which no
+   longer leads to the victim (DESIGN.md §12).  The latch is free: the
+   victim was unpinned, and every latch holder pins first (or holds the
+   pool mutex, as [write_back] does). *)
+let new_frame t pid =
+  let image, latch =
+    if Hashtbl.length t.frames < t.capacity then
+      (Bytes.create (Disk.page_size t.disk), Latch.create "frame")
+    else
+      let v = evict_lru t in
+      (v.image, v.latch)
+  in
+  { pid; image; dirty = false; pins = 0; latch; stamp = Atomic.make 0; prev = t.nil; next = t.nil }
+
+(* Link a filled frame in and publish it to optimistic readers.  [cold]
+   puts it at the LRU end, so it is the next victim: a large scan's pages
+   then recycle one frame instead of flushing the pool. *)
+let install t ~cold frame =
+  if cold then push_back t frame else push_front t frame;
   Hashtbl.add t.frames frame.pid frame;
   Atomic.set (map_cell t frame.pid) (Some frame)
 
-let load t pid =
+(* On a failed read ([Disk.Crash], [Disk.Corrupt_page]) the new frame is
+   dropped unlinked: the victim is gone (written back first, so nothing
+   is lost), the pool has one free frame, and the next read of [pid]
+   repeats the disk read and its error. *)
+let load t ~cold pid =
   Obs.Counter.incr t.m.logical_reads;
   match Hashtbl.find_opt t.frames pid with
   | Some frame ->
@@ -298,38 +325,18 @@ let load t pid =
   | None ->
     Obs.Counter.incr t.m.misses;
     Obs.Counter.record g_misses 1;
-    let frame =
-      {
-        pid;
-        image = Disk.read t.disk pid;
-        dirty = false;
-        pins = 0;
-        latch = Latch.create (Printf.sprintf "page-%d" pid);
-        stamp = Atomic.make 0;
-        prev = t.nil;
-        next = t.nil;
-      }
-    in
-    install t frame;
+    let frame = new_frame t pid in
+    Disk.read_into t.disk pid frame.image;
+    install t ~cold frame;
     frame
 
 let alloc_page t =
   Sched.yield ();
   Mutex.protect t.mu @@ fun () ->
   let pid = Disk.alloc t.disk in
-  let frame =
-    {
-      pid;
-      image = Bytes.make (Disk.page_size t.disk) '\000';
-      dirty = false;
-      pins = 0;
-      latch = Latch.create (Printf.sprintf "page-%d" pid);
-      stamp = Atomic.make 0;
-      prev = t.nil;
-      next = t.nil;
-    }
-  in
-  install t frame;
+  let frame = new_frame t pid in
+  Bytes.fill frame.image 0 (Bytes.length frame.image) '\000';
+  install t ~cold:false frame;
   pid
 
 (* Pin under the pool mutex, run the callback under the frame latch with
@@ -340,11 +347,11 @@ let alloc_page t =
    concurrent [write_back] holds the shared latch while it tests-and-
    clears the flag, so latch exclusion is what keeps a mutation from ever
    sitting under a cleared flag. *)
-let pinned t ~exclusive pid f =
+let pinned t ~exclusive ~cold pid f =
   Sched.yield ();
   let frame =
     Mutex.protect t.mu (fun () ->
-        let frame = load t pid in
+        let frame = load t ~cold pid in
         frame.pins <- frame.pins + 1;
         frame)
   in
@@ -370,9 +377,9 @@ let pinned t ~exclusive pid f =
                 f frame.image))
       else Latch.with_shared frame.latch (fun () -> f frame.image))
 
-let with_page t pid f = pinned t ~exclusive:false pid f
+let with_page t pid f = pinned t ~exclusive:false ~cold:false pid f
 
-let with_page_mut t pid f = pinned t ~exclusive:true pid f
+let with_page_mut t pid f = pinned t ~exclusive:true ~cold:false pid f
 
 (* How many optimistic attempts before conceding to the latched path.  A
    retry is cheap (no lock traffic), but under a continuously mutating
@@ -398,12 +405,13 @@ let max_optimistic_attempts = 3
    [hits + misses = logical_reads] and the compiled-vs-interpreted I/O
    parity intact; it deliberately skips the LRU touch — recency
    maintenance is what the mutex was protecting, and hot pages are kept
-   resident by the misses and mutations that do touch. *)
-let read_page t pid f =
+   resident by the misses and mutations that do touch.  [cold] only
+   decides where a miss's frame enters the recency list. *)
+let optimistic t ~cold pid f =
   let fallback () =
     Obs.Counter.incr t.m.opt_fallbacks;
     Obs.Counter.record g_opt_fallbacks 1;
-    pinned t ~exclusive:false pid f
+    pinned t ~exclusive:false ~cold pid f
   in
   let retry () =
     Obs.Counter.incr t.m.opt_retries;
@@ -442,6 +450,10 @@ let read_page t pid f =
         end
   in
   attempt 0
+
+let read_page t pid f = optimistic t ~cold:false pid f
+
+let scan_page t pid f = optimistic t ~cold:true pid f
 
 (* Dirty frames are written back in ascending pid order: deterministic
    (Hashtbl iteration order used to decide it) and sequential on disk.
@@ -485,36 +497,9 @@ let flush_pages t pids =
         ~finally:(fun () -> Mutex.protect t.mu (fun () -> frame.pins <- frame.pins - 1))
         (fun () ->
           Latch.with_shared frame.latch (fun () ->
-              Mutex.protect t.mu (fun () ->
-                  if frame.dirty then begin
-                    Disk.write t.disk frame.pid frame.image;
-                    Obs.Counter.incr t.m.physical_writes;
-                    Obs.Counter.record g_physical_writes 1;
-                    let last = Obs.Gauge.get t.m.last_write in
-                    if frame.pid = last || frame.pid = last + 1 then
-                      Obs.Counter.incr t.m.seq_writes
-                    else Obs.Counter.incr t.m.rand_writes;
-                    Obs.Gauge.set t.m.last_write frame.pid;
-                    frame.dirty <- false
-                  end)))
+              Mutex.protect t.mu (fun () -> if frame.dirty then write_frame t frame)))
   in
   List.iter flush_one (List.sort_uniq Int.compare pids)
-
-(* Pull evicted frames out of the retire bag once no pinned session epoch
-   can still reach them.  The frames' byte buffers become garbage here
-   (the OCaml GC frees them); what the epoch gate buys is the guarantee
-   that no optimistic reader is still running [f] over those bytes — the
-   protocol a real allocator-recycling pool needs, exercised and counted
-   so the QCheck suite can drive it.  [horizon] is the warehouse's minimum
-   pinned session epoch (Twovnl.min_session_vn); pins placed directly on
-   the pool's own bag (tests) bound it too. *)
-let reclaim_frames t ~horizon =
-  match t.retired with
-  | None -> 0
-  | Some bag ->
-    let freed = List.length (Epoch.reclaim_before bag ~horizon) in
-    if freed > 0 then Obs.Counter.add t.m.frames_reclaimed freed;
-    freed
 
 let stats t =
   {
@@ -529,7 +514,6 @@ let stats t =
     opt_reads = Obs.Counter.get t.m.opt_reads;
     opt_retries = Obs.Counter.get t.m.opt_retries;
     opt_fallbacks = Obs.Counter.get t.m.opt_fallbacks;
-    frames_reclaimed = Obs.Counter.get t.m.frames_reclaimed;
   }
 
 let metrics_registry t = t.m.registry
@@ -548,8 +532,7 @@ let drop_cache t =
     (fun pid frame ->
       (* Same kill as eviction: the dropped frames must never validate. *)
       Atomic.set frame.stamp (Atomic.get frame.stamp lor 1);
-      Atomic.set (map_cell t pid) None;
-      match t.retired with Some bag -> Epoch.retire bag frame | None -> ())
+      Atomic.set (map_cell t pid) None)
     t.frames;
   Hashtbl.reset t.frames;
   t.nil.next <- t.nil;

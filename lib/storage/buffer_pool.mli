@@ -1,4 +1,4 @@
-(** LRU buffer pool over a {!Disk}.
+(** LRU buffer pool over a {!Disk}, with a scan ring.
 
     All page access goes through [with_page]/[with_page_mut]; misses cost a
     physical read, dirty evictions and [flush_all] cost physical writes.
@@ -8,7 +8,16 @@
 
     Frames live on an intrusive doubly-linked recency list, so a hit
     (move-to-front) and an eviction (pop the tail) are both O(1); the miss
-    path never scans the resident set.
+    path never scans the resident set.  Every access is plain LRU except
+    {!scan_page}: a full scan of a table larger than the pool inserts its
+    misses at the cold end, so they recycle about one frame and the rest
+    of the pool survives the scan (PostgreSQL's bulk-read ring; LRU
+    insertion, Qureshi et al., ISCA 2007).
+
+    A miss reads the page straight into the evicted frame's buffer
+    ({!Disk.read_into}) rather than into a fresh one: the victim is
+    written back and dead-stamped first, so no reader can validate the
+    reused bytes under the old page (DESIGN.md §12).
 
     Frames are pinned for the duration of the [with_page]/[with_page_mut]
     callback: a nested page access inside the callback can evict other
@@ -60,15 +69,15 @@ type stats = {
   opt_fallbacks : int;
       (** [read_page] calls served by the latched path instead: page not
           resident, or the retry budget ran out under mutation pressure. *)
-  frames_reclaimed : int;
-      (** Evicted frames recycled by {!reclaim_frames} once past the
-          epoch horizon. *)
 }
 
 val create : ?capacity:int -> Disk.t -> t
 (** [capacity] is the frame count, default 64. *)
 
 val disk : t -> Disk.t
+
+val capacity : t -> int
+(** The frame count. *)
 
 val alloc_page : t -> int
 (** Allocate a fresh zeroed page on the underlying disk and cache it;
@@ -107,21 +116,13 @@ val read_page : t -> int -> (bytes -> 'a) -> 'a
     Unlike [with_page], a validated optimistic read does not touch the
     LRU recency list. *)
 
-val enable_epoch_reclamation : t -> unit
-(** Switch eviction to epoch-gated frame retirement: evicted (and
-    dropped) frames go to a retire bag stamped with the current epoch
-    instead of being released immediately.  Idempotent. *)
-
-val advance_epoch : t -> int -> unit
-(** Publish the warehouse epoch (version number) to the retire bag;
-    monotone, no-op when reclamation is not enabled.  The warehouse calls
-    this at each refresh commit. *)
-
-val reclaim_frames : t -> horizon:int -> int
-(** Drain the retire bag of evicted frames whose retire epoch is strictly
-    below [min horizon (minimum pin on the bag)], returning how many were
-    freed.  [horizon] is the warehouse's minimum pinned session epoch.
-    Returns 0 when reclamation is not enabled. *)
+val scan_page : t -> int -> (bytes -> 'a) -> 'a
+(** [read_page] for one page of a full scan of a table with more pages
+    than the pool has frames: a miss enters the recency list at the cold
+    end, so the scan's next miss evicts it again.  Hits behave exactly as
+    in [read_page].  Only such scans may use it; a page read and then
+    written (maintenance) must stay on the plain LRU path, or the write
+    misses again. *)
 
 val flush_all : t -> unit
 (** Write every dirty frame back to disk in ascending page-id order, so a

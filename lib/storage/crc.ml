@@ -67,7 +67,7 @@ let crc32c_bytewise img =
   crc32c_update_bytewise tables.(0) 0xffffffff img ~pos:0 ~len:(Bytes.length img)
   lxor 0xffffffff
 
-let crc32c img =
+let crc32c_sliced img =
   let tables = Lazy.force castagnoli_tables in
   let t0 = Array.unsafe_get tables 0
   and t1 = Array.unsafe_get tables 1
@@ -98,3 +98,11 @@ let crc32c img =
     i := !i + 8
   done;
   crc32c_update_bytewise t0 !c img ~pos:!i ~len:(len - !i) lxor 0xffffffff
+
+external hardware_available : unit -> bool = "vnl_crc32c_hw_available" [@@noalloc]
+
+external crc32c_hw : bytes -> int = "vnl_crc32c_hw" [@@noalloc]
+
+let hardware = hardware_available ()
+
+let crc32c = if hardware then crc32c_hw else crc32c_sliced

@@ -53,8 +53,9 @@ type t = {
   mutable fault_writes : int;  (** Physical writes since the policy was armed. *)
 }
 
-(* Sector checksum: slicing-by-8 CRC-32C (see [Crc]).  Checksums live only
-   in memory, so swapping the polynomial has no persistence-format cost. *)
+(* Sector checksum: CRC-32C, in hardware where the CPU has it (see [Crc]).
+   Checksums live only in memory, so swapping the polynomial has no
+   persistence-format cost. *)
 let crc32 = Crc.crc32c
 
 let create ?(page_size = 4096) ?(checksums = true) () =
@@ -106,8 +107,9 @@ let check t pid =
   if pid < 0 || pid >= t.used then
     invalid_arg (Printf.sprintf "Disk: page %d not allocated (have %d)" pid t.used)
 
-let read t pid =
+let read_into t pid dst =
   check t pid;
+  if Bytes.length dst <> t.page_size then invalid_arg "Disk.read_into: buffer size mismatch";
   if List.mem pid t.fault.fail_read_pids then begin
     if !Obs.enabled then Obs.Counter.incr m_crashes;
     raise (Crash (Printf.sprintf "injected read failure on page %d" pid))
@@ -115,6 +117,8 @@ let read t pid =
   t.reads <- t.reads + 1;
   if !Obs.enabled then Obs.Counter.incr m_reads;
   let img = t.pages.(pid) in
+  (* Verify the platter image before touching [dst]: a failed read leaves
+     the caller's buffer exactly as it was. *)
   if t.checksums then begin
     let computed = crc32 img in
     if computed <> t.sums.(pid) then begin
@@ -122,7 +126,12 @@ let read t pid =
       raise (Corrupt_page { pid; stored = t.sums.(pid); computed })
     end
   end;
-  Bytes.copy img
+  Bytes.blit img 0 dst 0 t.page_size
+
+let read t pid =
+  let dst = Bytes.create t.page_size in
+  read_into t pid dst;
+  dst
 
 (* A write is sequential when the head is already positioned: the page
    follows (or repeats) the previously written one.  Anything else pays a

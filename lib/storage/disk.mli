@@ -72,6 +72,14 @@ val read : t -> int -> bytes
     when the checksum does not match (torn write), and {!Crash} when the
     fault policy injects a read failure for this page. *)
 
+val read_into : t -> int -> bytes -> unit
+(** [read_into t pid dst] is {!read} into a caller-owned buffer: the same
+    fault check, read count and checksum verification, then the page image
+    is copied into [dst].  [dst] is written only after every check has
+    passed, so on any exception it is untouched.  Raises
+    [Invalid_argument] unless [dst] is exactly [page_size] bytes.  The
+    buffer pool reads a miss into its eviction victim's bytes this way. *)
+
 val write : t -> int -> bytes -> unit
 (** [write t pid img] replaces the page image (copied) and counts one
     physical write.  [img] must be exactly [page_size] bytes.  Raises

@@ -139,12 +139,21 @@ let iter_records t f =
     (List.rev (Atomic.get t.pages))
 
 let fold_pages t ~init ~f =
+  let pages = List.rev (Atomic.get t.pages) in
+  (* Scanning more pages than the pool has frames is LRU's worst case:
+     every page would miss and flush the pool on the way.  Such a scan
+     sends its misses to the cold end instead, so they recycle one frame
+     and the pages already resident stay for the next scan. *)
+  let read =
+    if List.compare_length_with pages (Buffer_pool.capacity t.pool) > 0 then
+      Buffer_pool.scan_page
+    else Buffer_pool.read_page
+  in
   List.fold_left
     (fun acc pid ->
-      Buffer_pool.read_page t.pool pid (fun img ->
+      read t.pool pid (fun img ->
           f acc img (fun g -> Page.iter_used_offsets t.layout img (fun _slot off -> g off))))
-    init
-    (List.rev (Atomic.get t.pages))
+    init pages
 
 let fold_raw t ~init ~f =
   List.fold_left

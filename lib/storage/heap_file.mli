@@ -66,7 +66,9 @@ val fold_pages :
     with respect to [acc] and external state (it may be re-run against a
     torn image and that attempt's result discarded) and must not retain
     the image; only a validated attempt's result is threaded on, so
-    per-page tallies in it stay exact.  The reader hot path. *)
+    per-page tallies in it stay exact.  The reader hot path.  When the
+    file has more pages than the pool has frames, pages are read with
+    {!Buffer_pool.scan_page}, so the scan does not flush the pool. *)
 
 val fold_raw :
   t -> init:'a -> f:('a -> page:int -> slot:int -> bytes -> int -> 'a) -> 'a

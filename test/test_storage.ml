@@ -407,6 +407,171 @@ let test_drop_cache_ascending_pid () =
   check Alcotest.int "drop_cache flush is sequential" 6 s.Buffer_pool.seq_writes;
   check Alcotest.int "drop_cache flush has no seeks" 0 s.Buffer_pool.rand_writes
 
+(* ---------- scan ring, victim-buffer reuse, read faults ---------- *)
+
+module Sched = Vnl_util.Sched
+
+(* A heap of exactly [pages] full pages over [pool]. *)
+let heap_with_pages pool pages =
+  let h = Heap_file.create pool small_schema in
+  for id = 1 to pages * Heap_file.tuples_per_page h do
+    ignore (Heap_file.insert h (mk_tuple id id))
+  done;
+  h
+
+let scan_count h =
+  Heap_file.fold_pages h ~init:0 ~f:(fun acc _img iter ->
+      let n = ref acc in
+      iter (fun _off -> incr n);
+      !n)
+
+(* Scanning N > C pages through C frames is LRU's worst case: each page
+   evicts the page the next scan needs first, so plain LRU hits nothing.
+   The scan ring sends the misses to the cold end, so they recycle one
+   frame and the others keep their pages from scan to scan. *)
+let test_pool_scan_ring_resists_large_scans () =
+  let c = 6 and n = 15 in
+  let pool = Buffer_pool.create ~capacity:c (Disk.create ~page_size:256 ()) in
+  let h = heap_with_pages pool n in
+  check Alcotest.int "table larger than the pool" n (Heap_file.page_count h);
+  check Alcotest.int "first scan sees every record" (Heap_file.tuple_count h) (scan_count h);
+  for round = 2 to 5 do
+    Buffer_pool.reset_stats pool;
+    check Alcotest.int "scan sees every record" (Heap_file.tuple_count h) (scan_count h);
+    let s = Buffer_pool.stats pool in
+    check Alcotest.int "every page read once" n s.Buffer_pool.logical_reads;
+    if s.Buffer_pool.hits < c - 2 then
+      Alcotest.failf "scan %d hit %d pages through %d frames, want >= %d" round
+        s.Buffer_pool.hits c (c - 2)
+  done
+
+(* A scanned table that fits the pool keeps plain LRU: its misses enter
+   at the MRU end, so an unrelated page is the next victim, not them. *)
+let test_pool_small_scan_keeps_lru () =
+  let c = 4 in
+  let pool = Buffer_pool.create ~capacity:c (Disk.create ~page_size:256 ()) in
+  let h = heap_with_pages pool (c - 1) in
+  let x = Buffer_pool.alloc_page pool in
+  Buffer_pool.drop_cache pool;
+  Buffer_pool.with_page pool x (fun _ -> ());
+  ignore (scan_count h);
+  ignore (Buffer_pool.alloc_page pool);
+  Buffer_pool.reset_stats pool;
+  ignore (scan_count h);
+  check Alcotest.int "the table survived the next eviction" 0
+    (Buffer_pool.stats pool).Buffer_pool.misses;
+  Buffer_pool.with_page pool x (fun _ -> ());
+  check Alcotest.int "the LRU page was the victim" 1 (Buffer_pool.stats pool).Buffer_pool.misses
+
+(* Maintenance reads a page (latch-free) and then writes it, with other
+   reads in between.  The write must hit: only scans recycle the cold
+   end, plain reads stay on the LRU path. *)
+let test_pool_read_then_write_misses_once () =
+  let pool = Buffer_pool.create ~capacity:4 (Disk.create ~page_size:128 ()) in
+  let pids = Array.init 12 (fun _ -> Buffer_pool.alloc_page pool) in
+  Buffer_pool.drop_cache pool;
+  Buffer_pool.reset_stats pool;
+  for i = 0 to 5 do
+    let target = pids.(i) and other = pids.(6 + i) in
+    ignore (Buffer_pool.read_page pool target (fun img -> Bytes.get img 0));
+    ignore (Buffer_pool.read_page pool other (fun img -> Bytes.get img 0));
+    Buffer_pool.with_page_mut pool target (fun img -> Bytes.set img 0 'w')
+  done;
+  let s = Buffer_pool.stats pool in
+  check Alcotest.int "one miss per page read" 12 s.Buffer_pool.misses;
+  check Alcotest.int "every write hit" 6 s.Buffer_pool.hits
+
+(* The victim-buffer race, forced: a reader snapshots page p's stamp, then
+   (inside its callback) another task evicts p and reads page q into the
+   same bytes.  The reader's attempt must fail validation on the dead
+   stamp, and the retry must return p's bytes, never q's. *)
+let test_pool_reload_into_victim_buffer_race () =
+  let forced = ref 0 in
+  for seed = 1 to 40 do
+    let pool = Buffer_pool.create ~capacity:2 (Disk.create ~page_size:128 ()) in
+    let q = Buffer_pool.alloc_page pool in
+    Buffer_pool.with_page_mut pool q (fun img -> Bytes.set_int64_be img 0 222L);
+    let p = Buffer_pool.alloc_page pool in
+    Buffer_pool.with_page_mut pool p (fun img -> Bytes.set_int64_be img 0 111L);
+    (* A third page evicts q; p is then the LRU frame. *)
+    ignore (Buffer_pool.alloc_page pool);
+    let p_buf = Buffer_pool.read_page pool p Fun.id in
+    let saw_q = ref false and result = ref 0L and reused = ref false in
+    ignore
+      (Sched.run ~seed
+         [
+           ( "reader",
+             fun () ->
+               result :=
+                 Buffer_pool.read_page pool p (fun img ->
+                     Sched.yield ();
+                     let v = Bytes.get_int64_be img 0 in
+                     if v = 222L then saw_q := true;
+                     v) );
+           ("loader", fun () -> Buffer_pool.with_page pool q (fun img -> reused := img == p_buf));
+         ]);
+    check Alcotest.int64 "reader returns p's bytes" 111L !result;
+    Alcotest.(check bool) "q was read into p's buffer" true !reused;
+    if !saw_q then begin
+      incr forced;
+      Alcotest.(check bool) "the torn attempt was retried" true
+        ((Buffer_pool.stats pool).Buffer_pool.opt_retries > 0)
+    end
+  done;
+  Alcotest.(check bool) "some schedule put q's bytes under the reader" true (!forced > 0)
+
+(* A miss whose read fails after its victim was evicted: the error
+   surfaces, the counters stay consistent, nothing half-installed is
+   served, the next read of the page fails the same way, and the rest of
+   the pool keeps working. *)
+let test_pool_read_into_faults () =
+  let d = Disk.create ~page_size:128 () in
+  let pool = Buffer_pool.create ~capacity:2 d in
+  let a = Buffer_pool.alloc_page pool in
+  let b = Buffer_pool.alloc_page pool in
+  let bad = Buffer_pool.alloc_page pool in
+  List.iter
+    (fun (p, ch) -> Buffer_pool.with_page_mut pool p (fun img -> Bytes.set img 0 ch))
+    [ (a, 'a'); (b, 'b'); (bad, 'x') ];
+  Buffer_pool.drop_cache pool;
+  let consistent what =
+    let s = Buffer_pool.stats pool in
+    check Alcotest.int (what ^ ": hits + misses = logical reads") s.Buffer_pool.logical_reads
+      (s.Buffer_pool.hits + s.Buffer_pool.misses)
+  in
+  let check_fault what is_fault =
+    (* a is dirty and the LRU frame: the failing miss evicts it first. *)
+    Buffer_pool.with_page_mut pool a (fun img -> Bytes.set img 1 'A');
+    Buffer_pool.with_page pool b (fun _ -> ());
+    for attempt = 1 to 2 do
+      (match Buffer_pool.read_page pool bad (fun img -> Bytes.get img 0) with
+      | ch -> Alcotest.failf "%s: read %d of the bad page returned %C" what attempt ch
+      | exception e when is_fault e -> ());
+      consistent what
+    done;
+    check Alcotest.char (what ^ ": victim's write reached disk") 'A' (Bytes.get (Disk.read d a) 1);
+    let misses = (Buffer_pool.stats pool).Buffer_pool.misses in
+    check Alcotest.char (what ^ ": b still served") 'b'
+      (Buffer_pool.read_page pool b (fun img -> Bytes.get img 0));
+    check Alcotest.char (what ^ ": a reloads") 'a'
+      (Buffer_pool.read_page pool a (fun img -> Bytes.get img 0));
+    check Alcotest.int (what ^ ": only a missed") (misses + 1)
+      (Buffer_pool.stats pool).Buffer_pool.misses;
+    consistent what
+  in
+  Disk.set_faults d { Disk.no_faults with fail_read_pids = [ bad ] };
+  check_fault "injected read failure" (function Disk.Crash _ -> true | _ -> false);
+  let dst = Bytes.make 128 '#' in
+  (try Disk.read_into d bad dst with Disk.Crash _ -> ());
+  Alcotest.(check bool) "failed read_into leaves the buffer untouched" true
+    (Bytes.equal dst (Bytes.make 128 '#'));
+  (* Tear the bad page on the platter: a prefix of a new image, old sum. *)
+  Disk.set_faults d { Disk.no_faults with crash_at_write = Some 1; torn_prefix = 10 };
+  (try Disk.write d bad (Bytes.make 128 'z') with Disk.Crash _ -> ());
+  Disk.clear_faults d;
+  Buffer_pool.drop_cache pool;
+  check_fault "torn page" (function Disk.Corrupt_page _ -> true | _ -> false)
+
 let with_heap f =
   let d = Disk.create ~page_size:256 () in
   let pool = Buffer_pool.create ~capacity:16 d in
@@ -558,14 +723,24 @@ let qcheck_heap_model =
 module Crc = Vnl_storage.Crc
 module Xorshift = Vnl_util.Xorshift
 
+let crc32c_paths =
+  [
+    ("crc32c", Crc.crc32c);
+    ("hardware", Crc.crc32c_hw);
+    ("sliced", Crc.crc32c_sliced);
+    ("bytewise", Crc.crc32c_bytewise);
+  ]
+
 let test_crc32c_vectors () =
-  (* RFC 3720 §B.4 test vectors. *)
-  check Alcotest.int "crc32c(\"123456789\")" 0xE3069283
-    (Crc.crc32c (Bytes.of_string "123456789"));
-  check Alcotest.int "crc32c(32 x 0x00)" 0x8A9136AA (Crc.crc32c (Bytes.make 32 '\x00'));
-  check Alcotest.int "crc32c(32 x 0xff)" 0x62A8AB43 (Crc.crc32c (Bytes.make 32 '\xff'));
-  let inc = Bytes.init 32 Char.chr in
-  check Alcotest.int "crc32c(0x00..0x1f)" 0x46DD794E (Crc.crc32c inc);
+  (* RFC 3720 §B.4 test vectors, through every path. *)
+  List.iter
+    (fun (path, crc) ->
+      check Alcotest.int (path ^ "(\"123456789\")") 0xE3069283
+        (crc (Bytes.of_string "123456789"));
+      check Alcotest.int (path ^ "(32 x 0x00)") 0x8A9136AA (crc (Bytes.make 32 '\x00'));
+      check Alcotest.int (path ^ "(32 x 0xff)") 0x62A8AB43 (crc (Bytes.make 32 '\xff'));
+      check Alcotest.int (path ^ "(0x00..0x1f)") 0x46DD794E (crc (Bytes.init 32 Char.chr)))
+    crc32c_paths;
   (* The retired checksum must be unchanged too — it anchors the
      differential torn-page test below. *)
   check Alcotest.int "crc32_ieee(\"123456789\")" 0xCBF43926
@@ -582,7 +757,24 @@ let qcheck_crc32c_differential =
       map Bytes.unsafe_of_string (string_size (return n)))
   in
   Test.make ~name:"sliced CRC-32C agrees with the bytewise oracle" ~count:300 (make gen)
-    (fun img -> Crc.crc32c img = Crc.crc32c_bytewise img)
+    (fun img -> Crc.crc32c_sliced img = Crc.crc32c_bytewise img)
+
+(* The hardware kernel folds 8 bytes per [crc32q] with a bytewise tail;
+   it must agree with both OCaml kernels at every length up to two pages,
+   including every tail length.  On hosts without SSE4.2 this exercises
+   the stub's portable loop. *)
+let qcheck_crc32c_hardware_differential =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* n = oneof [ int_range 0 9000; int_range 0 17; map (fun k -> (8 * k) + 1) (int_range 0 1124) ] in
+      map Bytes.unsafe_of_string (string_size (return n)))
+  in
+  Test.make ~name:"hardware, sliced and bytewise CRC-32C agree" ~count:300
+    (make ~print:(fun b -> Printf.sprintf "<%d bytes>" (Bytes.length b)) gen)
+    (fun img ->
+      let hw = Crc.crc32c_hw img in
+      hw = Crc.crc32c_sliced img && hw = Crc.crc32c_bytewise img && hw = Crc.crc32c img)
 
 (* Old-vs-new on the same torn-page corpus: for every random page image and
    torn prefix, both generations of checksum must flag exactly the same
@@ -657,6 +849,15 @@ let suite =
     Alcotest.test_case "pool LRU victim order" `Quick test_pool_lru_victim_order;
     Alcotest.test_case "flush_all writes ascending pids" `Quick test_flush_all_ascending_pid;
     Alcotest.test_case "drop_cache flush ordering" `Quick test_drop_cache_ascending_pid;
+    Alcotest.test_case "pool scan ring keeps pages across large scans" `Quick
+      test_pool_scan_ring_resists_large_scans;
+    Alcotest.test_case "pool small scan keeps plain LRU" `Quick test_pool_small_scan_keeps_lru;
+    Alcotest.test_case "pool read-then-write misses once" `Quick
+      test_pool_read_then_write_misses_once;
+    Alcotest.test_case "pool reload into victim buffer vs reader" `Quick
+      test_pool_reload_into_victim_buffer_race;
+    Alcotest.test_case "pool read_into faults keep pool consistent" `Quick
+      test_pool_read_into_faults;
     Alcotest.test_case "heap insert/get" `Quick test_heap_insert_get;
     Alcotest.test_case "heap update in place keeps rid" `Quick test_heap_update_in_place_keeps_rid;
     Alcotest.test_case "heap delete" `Quick test_heap_delete;
@@ -673,5 +874,6 @@ let suite =
     Alcotest.test_case "disk verify detects torn writes with crc32c" `Quick
       test_disk_verify_uses_crc32c;
     QCheck_alcotest.to_alcotest qcheck_crc32c_differential;
+    QCheck_alcotest.to_alcotest qcheck_crc32c_hardware_differential;
     QCheck_alcotest.to_alcotest qcheck_heap_model;
   ]
