@@ -145,9 +145,10 @@ let check_parallel_floor ~floor (fresh : Json.t) =
 
 (* The maintainer-side twin of [check_parallel_floor], over the fresh
    BENCH_pipeline.json: the 4-worker configuration must keep a minimum
-   batch-drain speedup over the serial baseline (workers = 0) and report
-   zero inconsistent reader pairs.  The floor (--pipeline-floor, default
-   1.2) again sits well under a quiet machine's numbers (~2x): the gate is
+   batch-drain speedup over the base row (workers = 0, one batch per
+   one-stripe round) and report zero inconsistent reader pairs.  The floor
+   (--pipeline-floor, default 1.2) sits under a quiet machine's numbers
+   (~1.4-2x): the gate is
    for a regression that flattens pipelining back to serial — a lost
    netting window, a partitioner that stops splitting, or a stripe
    protocol change that re-serializes the round. *)

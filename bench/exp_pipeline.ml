@@ -2,18 +2,18 @@
 
    The mirror of exp_parallel: fix the maintenance work (a pre-generated
    sequence of refresh batches, identical across configurations) and
-   measure how fast it drains.  The serial baseline pushes every batch
-   through the classic one-transaction refresh
-   ({!Vnl_core.Recovery.run_maintenance}: flag, apply, full flush, full
-   catalog save, publish).  The pipelined rows admit a window of up to k
-   queued batches per round: the round nets the window's changes (each hot
-   group resolved, written, and flushed once instead of once per batch),
+   measure how fast it drains.  The base row (workers = 0, run as 1)
+   pushes every batch through its own one-stripe refresh round
+   ({!Vnl_warehouse.Warehouse.refresh}: classify, flag, apply, targeted
+   flush, publish).  The k-worker rows admit a window of up to k queued
+   batches per round: the round nets the window's changes (each hot group
+   resolved, written, and flushed once instead of once per batch),
    partitions them into dependency-disjoint stripes
    ({!Vnl_core.Sched_batch}) applied by k workers under nVNL (n = k + 1),
    each stripe flushing only the pages it wrote and saving the catalog
    only when its heap grew, VNs published strictly in order — so readers
    still see intermediate consistent states while the window drains, which
-   a single fat serial batch cannot offer.  One reader domain runs the
+   a single fat batch cannot offer.  One reader domain runs the
    consistency-checked Example 2.1 pair throughout, so every row also
    certifies that no mixed-version read slipped through while stripes were
    publishing.
@@ -40,8 +40,9 @@ let write_json (reports : Parallel.pipeline_report list) ~base =
   Printf.fprintf oc
     "{\n\
     \  \"description\": \"pipelined parallel maintenance: identical refresh batches drained \
-     serially (workers=0) vs netted k-batch windows as k-stripe nVNL rounds at n=k+1; one \
-     concurrent reader domain consistency-checks every Example 2.1 pair\",\n\
+     one per one-stripe round (workers=0, run as 1) vs netted k-batch windows as k-stripe \
+     nVNL rounds at n=k+1; one concurrent reader domain consistency-checks every Example \
+     2.1 pair\",\n\
     \  \"scaling\": [\n%s\n  ],\n\
     \  \"phases\": %s\n\
      }\n"
@@ -54,7 +55,7 @@ let run () =
   Obs.enabled := true;
   Obs.reset ();
   print_endline "\n=============================================================";
-  print_endline "=== PIPELINE  serial refresh vs k-stripe pipelined rounds ===";
+  print_endline "=== PIPELINE  one-batch rounds vs k-batch k-stripe rounds ====";
   print_endline "=============================================================";
   let config workers =
     {
@@ -83,7 +84,7 @@ let run () =
   List.iter
     (fun (r : Parallel.pipeline_report) ->
       Printf.printf "| %7s | %10.1f | %9.0f | %6.2fx | %7d | %7d | %12d |\n"
-        (if r.p_workers = 0 then "serial" else string_of_int r.p_workers)
+        (if r.p_workers = 0 then "base" else string_of_int r.p_workers)
         r.p_refreshes_per_s r.p_ops_per_s
         (if base > 0.0 then r.p_refreshes_per_s /. base else 0.0)
         r.p_stripes r.p_reader_queries r.p_inconsistent)

@@ -248,6 +248,7 @@ let staged_outcome s =
 
 let apply_updates ?stats table s =
   let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
+  Obs.with_span "batch.apply" @@ fun () ->
   List.map
     (fun (rid, old, t) ->
       st.Maintenance.physical_updates <- st.Maintenance.physical_updates + 1;
@@ -257,6 +258,7 @@ let apply_updates ?stats table s =
 
 let apply_structural ?stats table s =
   let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
+  Obs.with_span "batch.apply" @@ fun () ->
   List.iter
     (fun rid ->
       st.Maintenance.physical_deletes <- st.Maintenance.physical_deletes + 1;
@@ -271,13 +273,9 @@ let apply_structural ?stats table s =
   s.s_deletes @ inserted
 
 let apply_staged ?stats table s =
-  let written =
-    Obs.with_span "batch.apply" (fun () ->
-        let updated = apply_updates ?stats table s in
-        let structural = apply_structural ?stats table s in
-        updated @ structural)
-  in
-  (staged_outcome s, written)
+  let updated = apply_updates ?stats table s in
+  let structural = apply_structural ?stats table s in
+  (staged_outcome s, updated @ structural)
 
 let apply ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops =
   let s = stage ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops in

@@ -107,13 +107,6 @@ val key_table_of_pairs :
     the pairs resolve to [None], so the pairs must cover every key the
     staged operations touch. *)
 
-val staged_ops : staged -> int
-(** Physical actions the plan will perform (the pipeline's skew measure). *)
-
-val staged_outcome : staged -> outcome
-(** The outcome applying the plan will produce, computed without
-    applying. *)
-
 val apply_updates :
   ?stats:Maintenance.stats -> Vnl_query.Table.t -> staged -> Vnl_storage.Heap_file.rid list
 (** Execute only the plan's in-place updates (rid order); returns the rids

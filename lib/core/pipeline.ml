@@ -15,11 +15,6 @@ let m_rounds = Obs.Registry.counter "pipeline.rounds"
 
 let m_stripes = Obs.Registry.counter "pipeline.stripes"
 
-(* Round.abort itself failing while handling a primary failure: the
-   primary exception still propagates, but the repair did not land — the
-   warehouse may need a reopen.  Loud in the log, countable here. *)
-let m_abort_failures = Obs.Registry.counter "pipeline.abort_failures"
-
 (* Load imbalance across a round's stripes: largest stripe's operation
    count over the mean.  1.0 is a perfectly even split; a heavy tail here
    means partition merging (shared keys or index footprints) is
@@ -55,7 +50,6 @@ type plan = {
           so stripes skip the second index pass. *)
   prenetted : bool;
       (** The caller promised one operation per key (see {!Batch.stage}). *)
-  partition_counts : (string * int) list;
   tables : Twovnl.handle array;
   page_counts : int array;
       (** Per-[tables] heap page counts as last made durable; compared and
@@ -73,29 +67,11 @@ type plan = {
 type report = {
   stripes : int;
   base_vn : int;
-  partition_counts : (string * int) list;
-  outcomes : (string * Batch.outcome) list;
 }
 
 let min_n t =
   List.fold_left (fun acc h -> min acc (Schema_ext.n (Twovnl.ext h))) max_int (Twovnl.handles t)
   |> fun n -> if n = max_int then 2 else n
-
-(* Abort the round's unpublished suffix on behalf of a failure we are
-   about to re-raise.  The abort's own failure must stay subordinate to
-   the primary error — but not silently ([m_abort_failures] + log), and
-   never by swallowing an asynchronous fatal ([Out_of_memory] /
-   [Stack_overflow]), which would hide that the process heap is gone. *)
-let abort_subordinate ?(save = false) t round context =
-  try
-    ignore (Twovnl.Round.abort round);
-    if save then Database.save (Twovnl.database t)
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | secondary ->
-    Obs.Counter.record m_abort_failures 1;
-    Log.err (fun m ->
-        m "round abort failed while handling %s: %s" context (Printexc.to_string secondary))
 
 let plan ?on_phase ?(resolvers = []) ?(prenetted = false) t ~workers per_table =
   if workers < 1 then invalid_arg "Pipeline.plan: workers must be >= 1";
@@ -150,7 +126,7 @@ let plan ?on_phase ?(resolvers = []) ?(prenetted = false) t ~workers per_table =
      tuple. *)
   (try Obs.with_span "maintenance.flag" (fun () -> Database.save (Twovnl.database t))
    with e ->
-     abort_subordinate t round "the flag save";
+     Recovery.abort_subordinate ~context:"the flag save" (fun () -> Twovnl.Round.abort round);
      raise e);
   let stripes =
     Array.init count (fun i ->
@@ -170,7 +146,6 @@ let plan ?on_phase ?(resolvers = []) ?(prenetted = false) t ~workers per_table =
     stripes;
     resolvers;
     prenetted;
-    partition_counts = List.map (fun (h, ps) -> (Twovnl.handle_name h, List.length ps)) parted;
     tables = Array.of_list (List.map fst handles);
     page_counts =
       Array.of_list (List.map (fun (h, _) -> Table.page_count (Twovnl.table h)) handles);
@@ -232,7 +207,7 @@ let pages_of rids = List.map (fun (r : Heap_file.rid) -> r.Heap_file.page) rids
 let fold_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Fold i;
-  Obs.with_span "pipeline.fold" (fun () ->
+  Obs.with_span "maintenance.apply" (fun () ->
       stripe.staged <-
         List.map
           (fun (h, part) ->
@@ -253,7 +228,7 @@ let fold_stripe (p : plan) i =
 let apply_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Apply i;
-  Obs.with_span "pipeline.apply" (fun () ->
+  Obs.with_span "maintenance.apply" (fun () ->
       List.concat_map
         (fun (h, s) -> pages_of (Batch.apply_updates ~stats:stripe.stats (Twovnl.table h) s))
         stripe.staged)
@@ -266,27 +241,30 @@ let token_stripe (p : plan) i update_pages =
   let pool = Database.pool db in
   Obs.with_span "pipeline.token" (fun () ->
       let structural_pages =
-        List.concat_map
-          (fun (h, s) ->
-            pages_of (Batch.apply_structural ~stats:stripe.stats (Twovnl.table h) s))
-          stripe.staged
+        Obs.with_span "maintenance.apply" (fun () ->
+            List.concat_map
+              (fun (h, s) ->
+                pages_of (Batch.apply_structural ~stats:stripe.stats (Twovnl.table h) s))
+              stripe.staged)
       in
       (* Data pages durable before the catalog names any new ones, catalog
          durable before the publish — per stripe. *)
-      Buffer_pool.flush_pages pool
-        (List.sort_uniq Int.compare (update_pages @ structural_pages));
-      let grew = ref false in
-      Array.iteri
-        (fun j h ->
-          let pc = Table.page_count (Twovnl.table h) in
-          if pc <> p.page_counts.(j) then begin
-            p.page_counts.(j) <- pc;
-            grew := true
-          end)
-        p.tables;
-      if !grew then Database.save ~mode:`Catalog_only db;
-      Twovnl.Round.publish p.round ~vn:stripe.vn;
-      Buffer_pool.flush_pages pool [ Version_state.storage_page (Twovnl.version_state t) ];
+      Obs.with_span "maintenance.flush" (fun () ->
+          Buffer_pool.flush_pages pool
+            (List.sort_uniq Int.compare (update_pages @ structural_pages));
+          let grew = ref false in
+          Array.iteri
+            (fun j h ->
+              let pc = Table.page_count (Twovnl.table h) in
+              if pc <> p.page_counts.(j) then begin
+                p.page_counts.(j) <- pc;
+                grew := true
+              end)
+            p.tables;
+          if !grew then Database.save ~mode:`Catalog_only db);
+      Obs.with_span "maintenance.publish" (fun () ->
+          Twovnl.Round.publish p.round ~vn:stripe.vn;
+          Buffer_pool.flush_pages pool [ Version_state.storage_page (Twovnl.version_state t) ]);
       signal p (fun () -> Atomic.incr p.published))
 
 let worker (p : plan) i =
@@ -334,9 +312,9 @@ let worker (p : plan) i =
    then each stripe applies and runs its token section in stripe order.
    Byte-identical writes and the identical publish order — it is one of
    the schedules the barrier/token protocol admits — without any
-   cross-domain coordination.  [run] picks it when the hardware has no
-   parallelism to offer: with more worker domains than cores the domain
-   path only adds handoff latency and stop-the-world pauses. *)
+   cross-domain coordination.  [run] picks it when the round has more
+   stripes than the host has cores: with more worker domains than cores
+   the domain path only adds handoff latency and stop-the-world pauses. *)
 let run_sequential (p : plan) =
   try
     Array.iteri (fun i _ -> if not (failed p) then fold_stripe p i) p.stripes;
@@ -348,26 +326,6 @@ let run_sequential (p : plan) =
         end)
       p.stripes
   with e -> record_failure p e
-
-let add_outcome (a : Batch.outcome) (b : Batch.outcome) =
-  {
-    Batch.logical_ops = a.Batch.logical_ops + b.Batch.logical_ops;
-    distinct_keys = a.Batch.distinct_keys + b.Batch.distinct_keys;
-    folded_ops = a.Batch.folded_ops + b.Batch.folded_ops;
-    physical_inserts = a.Batch.physical_inserts + b.Batch.physical_inserts;
-    physical_updates = a.Batch.physical_updates + b.Batch.physical_updates;
-    physical_deletes = a.Batch.physical_deletes + b.Batch.physical_deletes;
-  }
-
-let zero_outcome =
-  {
-    Batch.logical_ops = 0;
-    distinct_keys = 0;
-    folded_ops = 0;
-    physical_inserts = 0;
-    physical_updates = 0;
-    physical_deletes = 0;
-  }
 
 let finish (p : plan) =
   match Atomic.get p.failure with
@@ -381,34 +339,13 @@ let finish (p : plan) =
       (* Live failure: revert the unpublished suffix (the published prefix
          is exactly what a shorter round would have committed) and make the
          repair durable so a later crash cannot resurrect the stamps. *)
-      abort_subordinate ~save:true p.owner p.round "a worker failure");
+      Recovery.abort_subordinate ~db:(Twovnl.database p.owner) ~context:"a worker failure"
+        (fun () -> Twovnl.Round.abort p.round));
     raise e
   | None ->
     if Atomic.get p.published <> Array.length p.stripes then
       failwith "Pipeline.finish: round incomplete without a recorded failure";
-    let outcomes =
-      Array.to_list p.tables
-      |> List.map (fun h ->
-             let name = Twovnl.handle_name h in
-             let total =
-               Array.fold_left
-                 (fun acc stripe ->
-                   List.fold_left
-                     (fun acc (h', s) ->
-                       if Twovnl.handle_name h' = name then
-                         add_outcome acc (Batch.staged_outcome s)
-                       else acc)
-                     acc stripe.staged)
-                 zero_outcome p.stripes
-             in
-             (name, total))
-    in
-    {
-      stripes = Array.length p.stripes;
-      base_vn = Twovnl.Round.base_vn p.round;
-      partition_counts = p.partition_counts;
-      outcomes;
-    }
+    { stripes = Array.length p.stripes; base_vn = Twovnl.Round.base_vn p.round }
 
 let tasks (p : plan) =
   Array.to_list
@@ -442,6 +379,6 @@ let run (p : plan) =
        case on the calling domain, where the deterministic scheduler can
        see it). *)
     worker p 0
-  | _ when Domain.recommended_domain_count () <= 1 -> run_sequential p
+  | c when c > Domain.recommended_domain_count () -> run_sequential p
   | c -> Domain_pool.Persistent.parallel (get_pool c) ~domains:c (worker p));
   finish p

@@ -2,11 +2,13 @@
     dependency-disjoint stripes, applied by k workers under nVNL with VNs
     published strictly in order.
 
-    The classic refresh ({!Recovery.run_maintenance}) is one maintenance
-    transaction: flag → apply → flush → catalog → publish.  This driver
-    splits the refresh's net-effect batch with {!Sched_batch.partition}
-    into key- and index-footprint-disjoint partitions, reserves one VN per
-    stripe ({!Twovnl.Round}), and runs the stripes on worker domains:
+    A maintenance transaction ({!Recovery.run_maintenance}) runs one
+    flag → apply → flush → catalog → publish ladder.  This driver, the
+    engine under every warehouse refresh, splits the refresh's net-effect
+    batch with {!Sched_batch.partition} into key- and
+    index-footprint-disjoint partitions, reserves one VN per stripe
+    ({!Twovnl.Round}), and runs the stripes on worker domains (a round of
+    one stripe runs on the calling domain):
 
     - {b fold} (parallel): each worker stages its partitions
       ({!Batch.stage}) against the pre-round state — partitions are
@@ -20,7 +22,9 @@
       then the stripe's own §7 durability ladder — targeted flush of every
       page the stripe wrote ({!Vnl_storage.Buffer_pool.flush_pages}),
       catalog save when a heap grew ([`Catalog_only]), VN publish, Version
-      page flush.  In-order publication keeps every prefix of the round a
+      page flush.  The phases trace as the transaction's own
+      [maintenance.apply] / [maintenance.flush] / [maintenance.publish]
+      spans.  In-order publication keeps every prefix of the round a
       state some serial execution would have produced, which is what makes
       a mid-round crash land on a VN boundary ({!Twovnl.recover}).
 
@@ -40,9 +44,6 @@ type plan
 type report = {
   stripes : int;
   base_vn : int;  (** currentVN when the round began. *)
-  partition_counts : (string * int) list;  (** Partitions per relation. *)
-  outcomes : (string * Batch.outcome) list;
-      (** Per-relation totals across all stripes. *)
 }
 
 type resolver =
@@ -99,11 +100,12 @@ val tasks : plan -> (string * (unit -> unit)) list
 val finish : plan -> report
 (** Join the round: re-raise a worker failure (after reverting the
     unpublished suffix), or return the report.  If the revert itself fails
-    the primary exception still propagates; the secondary failure is
-    logged and counted ([pipeline.abort_failures]) — except asynchronous
-    fatals ([Out_of_memory], [Stack_overflow]), which take precedence. *)
+    the primary exception still propagates, under
+    {!Recovery.abort_subordinate}'s rules. *)
 
 val run : plan -> report
 (** Execute the round on [stripe_count] domains
-    ({!Vnl_util.Domain_pool.parallel}; inline on the calling domain when
-    the round has a single stripe) and {!finish} it. *)
+    ({!Vnl_util.Domain_pool.parallel}) and {!finish} it.  A single stripe
+    runs inline on the calling domain, and a round with more stripes than
+    the host has cores runs the canonical in-order schedule there too
+    (more worker domains than cores only add hand-off latency). *)

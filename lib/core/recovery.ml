@@ -12,7 +12,7 @@ type outcome = {
 }
 
 (* The §7 write-ordering invariant, stated once and relied on twice (here
-   and in Warehouse.refresh):
+   and per stripe in Pipeline's token section, under Warehouse.refresh):
 
      flag -> data -> catalog -> publish
 
@@ -34,20 +34,54 @@ type outcome = {
 
 module Obs = Vnl_obs.Obs
 
+(* An abort itself failing while handling a primary failure: the primary
+   exception still propagates, but the repair did not land — the warehouse
+   may need a reopen.  Loud in the log, countable here. *)
+let m_abort_failures = Obs.Registry.counter "maintenance.abort_failures"
+
+let abort_subordinate ?db ~context abort =
+  try
+    ignore (abort ());
+    Option.iter Database.save db
+  with
+  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
+  | secondary ->
+    Obs.Counter.record m_abort_failures 1;
+    Log.err (fun m ->
+        m "maintenance abort failed while handling %s: %s" context
+          (Printexc.to_string secondary))
+
 let run_maintenance db vnl f =
   Obs.with_span "maintenance.txn" @@ fun () ->
   let txn = Twovnl.Txn.begin_ vnl in
-  (* Durability point 1: the flag (and current catalog) on disk before any
-     maintenance mutation exists, so a crash during apply is detectable. *)
-  Obs.with_span "maintenance.flag" (fun () -> Database.save db);
-  let result = Obs.with_span "maintenance.apply" (fun () -> f txn) in
-  (* Durability point 2: mutated data pages, then the catalog naming any
-     pages the transaction allocated.  [save] serializes the catalog and
-     flushes every dirty frame, giving exactly apply -> flush ->
-     catalog-write. *)
-  Obs.with_span "maintenance.flush" (fun () ->
-      Buffer_pool.flush_all (Database.pool db);
-      Database.save db);
+  let result =
+    try
+      (* Durability point 1: the flag (and current catalog) on disk before
+         any maintenance mutation exists, so a crash during apply is
+         detectable. *)
+      Obs.with_span "maintenance.flag" (fun () -> Database.save db);
+      let result = Obs.with_span "maintenance.apply" (fun () -> f txn) in
+      (* Durability point 2: mutated data pages, then the catalog naming
+         any pages the transaction allocated.  [save] serializes the
+         catalog and flushes every dirty frame, giving exactly apply ->
+         flush -> catalog-write. *)
+      Obs.with_span "maintenance.flush" (fun () ->
+          Buffer_pool.flush_all (Database.pool db);
+          Database.save db);
+      result
+    with e ->
+      (match e with
+      | Disk.Crash _ ->
+        (* The disk is gone; the repair belongs to {!reopen}. *)
+        ()
+      | _ ->
+        (* A live failure before the publish: the §7 no-log abort reverts
+           the touched tuples and unstages any DDL, and the save makes the
+           repair durable so a later crash cannot resurrect the stamps. *)
+        abort_subordinate ~db ~context:"a maintenance failure" (fun () ->
+            Twovnl.Txn.abort txn));
+      raise e
+  in
   (* Durability point 3: publish.  Commit dirties only the Version page;
      the flush makes the new currentVN / cleared flag durable. *)
   Obs.with_span "maintenance.publish" (fun () ->

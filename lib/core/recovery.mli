@@ -29,9 +29,25 @@ val run_maintenance :
   Vnl_query.Database.t -> Twovnl.t -> (Twovnl.Txn.m -> 'a) -> 'a
 (** [run_maintenance db vnl f] runs [f] as one maintenance transaction
     under the crash-safe ordering above: begin and flush the flag, apply,
-    flush data, write the catalog, commit, flush the publish.  Exceptions
-    from [f] (including {!Vnl_storage.Disk.Crash}) propagate with the disk
-    left for {!reopen} to repair. *)
+    flush data, write the catalog, commit, flush the publish.
+
+    An exception raised before the publish aborts the transaction
+    ({!Twovnl.Txn.abort}: the §7 no-log revert, which also unstages any
+    DDL), makes the repair durable, and re-raises — the warehouse is back
+    in its pre-state, with no maintenance left active, and accepts the
+    next transaction.  {!Vnl_storage.Disk.Crash} is the exception: it
+    propagates untouched, with the disk left for {!reopen} to repair.  An
+    abort that itself fails is handled as in {!abort_subordinate}. *)
+
+val abort_subordinate :
+  ?db:Vnl_query.Database.t -> context:string -> (unit -> int) -> unit
+(** [abort_subordinate ?db ~context abort] runs [abort] (then
+    [Database.save db], when given, to make the repair durable) on behalf
+    of a primary failure the caller is about to re-raise.  The abort's own
+    failure stays subordinate to the primary one: it is logged, naming
+    [context], and counted ([maintenance.abort_failures]) — except
+    asynchronous fatals ([Out_of_memory], [Stack_overflow]), which
+    propagate and take precedence. *)
 
 val reopen :
   ?pool_capacity:int ->

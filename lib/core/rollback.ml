@@ -60,21 +60,10 @@ let revert_tuple ext table ~vn ~was_insert_over_delete rid =
       end)
     | Some _ | None -> ())
 
-let revert_all ext table ~vn ~over_deleted =
-  let touched = ref [] in
-  Table.scan table (fun rid tuple ->
-      match Schema_ext.tuple_vn ext ~slot:1 tuple with
-      | Some tvn when tvn = vn -> touched := rid :: !touched
-      | Some _ | None -> ());
-  List.iter
-    (fun rid -> revert_tuple ext table ~vn ~was_insert_over_delete:(over_deleted rid) rid)
-    !touched;
-  List.length !touched
-
-(* Multi-VN repair for pipelined rounds: partitions are key-disjoint, so a
-   tuple carries at most one unpublished VN in slot 1 — each touched tuple
-   reverts independently at its own stamp, exactly as a single-VN abort
-   would have. *)
+(* The one repair, for a transaction (one outstanding VN) and a pipelined
+   round alike: a round's partitions are key-disjoint, so a tuple carries at
+   most one unpublished VN in slot 1 and each touched tuple reverts
+   independently at its own stamp. *)
 let revert_above ext table ~current ~over_deleted =
   let touched = ref [] in
   Table.scan table (fun rid tuple ->

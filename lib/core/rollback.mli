@@ -30,25 +30,17 @@ val revert_tuple :
 (** Revert one touched tuple.  No-op if the tuple's slot-1 version is not
     [vn] (it was not actually modified by this transaction). *)
 
-val revert_all :
-  Schema_ext.t ->
-  Vnl_query.Table.t ->
-  vn:int ->
-  over_deleted:(Vnl_storage.Heap_file.rid -> bool) ->
-  int
-(** Scan the table and revert every tuple with slot-1 version [vn]; returns
-    the number reverted.  [over_deleted] tells apart fresh inserts from
-    inserts over deleted keys (in-memory transaction bookkeeping, not a
-    log). *)
-
 val revert_above :
   Schema_ext.t ->
   Vnl_query.Table.t ->
   current:int ->
   over_deleted:(Vnl_storage.Heap_file.rid -> bool) ->
   int
-(** Generalized repair for pipelined rounds: revert every tuple whose
-    slot-1 version exceeds [current] (the last {e published} VN), each at
-    its own stamp.  Sound because a round's partitions are key-disjoint —
-    no tuple carries more than one unpublished VN.  With a round of one
-    this is exactly [revert_all ~vn:(current + 1)]. *)
+(** Scan the table and revert every tuple whose slot-1 version exceeds
+    [current] (the last {e published} VN), each at its own stamp; returns
+    the number reverted.  For a single maintenance transaction that is
+    every tuple stamped [current + 1]; for a pipelined round, every tuple
+    of its unpublished stripes — sound because a round's partitions are
+    key-disjoint, so no tuple carries more than one unpublished VN.
+    [over_deleted] tells apart fresh inserts from inserts over deleted keys
+    (in-memory transaction bookkeeping, not a log). *)

@@ -883,50 +883,50 @@ module Txn = struct
     let retained = List.map generation_meta (Atomic.get t.generations) in
     Database.set_generations_meta t.db (pending :: retained)
 
-  (* Replace [name]'s table with a staged copy under [new_ext]: park the
-     old table under a frozen alias (it keeps serving every generation up
-     to the head), create the replacement under the logical name, recreate
-     its indexes, and copy the logically-live records — version stamps,
-     operations, and pre-update cells carried over by name, added columns
-     filled from their defaults.  Logically-deleted records are not
-     copied: any session entitled to resurrect one pins a VN below the
+  (* Replace [name]'s table with a staged copy under [new_ext]: build the
+     replacement under a scratch name — its indexes recreated, the
+     logically-live records copied with version stamps, operations, and
+     pre-update cells carried over by name and added columns filled from
+     their defaults — then park the old table under a frozen alias (it
+     keeps serving every generation up to the head) and move the
+     replacement under the logical name.  Logically-deleted records are
+     not copied: any session entitled to resurrect one pins a VN below the
      pending generation's and therefore reads the frozen table.  A table
      already replaced earlier in this same transaction is copied again
-     from its private staged copy, which is then dropped. *)
+     from its private staged copy, which is then dropped.  A rejected
+     index or copy drops the scratch table before re-raising, so the
+     staged catalog stays exactly what {!abort} knows how to undo. *)
   let stage_replace m st ~name ~(old_h : handle) ~new_ext ~added ~extra_index =
     let t = m.owner in
-    let was_created = List.mem name st.s_created in
-    let tmp_drop =
-      if was_created then begin
-        let tmp = Printf.sprintf "%s#stage" name in
-        Database.rename_table t.db name tmp;
-        Some tmp
-      end
-      else begin
-        let frozen = Printf.sprintf "%s@g%d" name (head t).gen in
-        Database.rename_table t.db name frozen;
-        st.s_renamed <- (name, frozen) :: st.s_renamed;
-        None
-      end
-    in
-    let table = Database.create_table t.db name (Schema_ext.extended new_ext) in
-    List.iter
-      (fun (iname, attrs) -> Table.create_index table ~name:iname attrs)
-      (Table.indexes old_h.table);
-    (match extra_index with
-    | Some (iname, attrs) -> Table.create_index table ~name:iname attrs
-    | None -> ());
-    let defaults = List.map (fun (a, v) -> (a.Schema.name, v)) added in
-    let w = Schema_ext.widening ~from_:old_h.ext ~to_:new_ext ~defaults in
-    let rows = ref [] in
-    Heap_file.iter_tuples (Table.heap old_h.table) (fun tuple ->
-        if Maintenance.is_logically_live old_h.ext tuple then
-          rows := Schema_ext.widen w tuple :: !rows);
-    ignore (Table.insert_many ~check:false table (List.rev !rows));
-    (match tmp_drop with Some tmp -> Database.drop_table t.db tmp | None -> ());
+    let scratch = Printf.sprintf "%s#stage" name in
+    let table = Database.create_table t.db scratch (Schema_ext.extended new_ext) in
+    (try
+       List.iter
+         (fun (iname, attrs) -> Table.create_index table ~name:iname attrs)
+         (Table.indexes old_h.table);
+       (match extra_index with
+       | Some (iname, attrs) -> Table.create_index table ~name:iname attrs
+       | None -> ());
+       let defaults = List.map (fun (a, v) -> (a.Schema.name, v)) added in
+       let w = Schema_ext.widening ~from_:old_h.ext ~to_:new_ext ~defaults in
+       let rows = ref [] in
+       Heap_file.iter_tuples (Table.heap old_h.table) (fun tuple ->
+           if Maintenance.is_logically_live old_h.ext tuple then
+             rows := Schema_ext.widen w tuple :: !rows);
+       ignore (Table.insert_many ~check:false table (List.rev !rows))
+     with e ->
+       Database.drop_table t.db scratch;
+       raise e);
+    if List.mem name st.s_created then Database.drop_table t.db name
+    else begin
+      let frozen = Printf.sprintf "%s@g%d" name (head t).gen in
+      Database.rename_table t.db name frozen;
+      st.s_renamed <- (name, frozen) :: st.s_renamed;
+      st.s_created <- name :: st.s_created
+    end;
+    Database.rename_table t.db scratch name;
     let h = { name; ext = new_ext; table; added } in
     st.s_registry <- StrMap.add name h st.s_registry;
-    if not was_created then st.s_created <- name :: st.s_created;
     sync_meta m st;
     h
 
@@ -1045,11 +1045,12 @@ module Txn = struct
         st.s_renamed;
       Database.set_generations_meta t.db st.s_prev_meta;
       m.staged <- None);
+    let current = Version_state.current_vn t.version in
     let reverted =
       List.fold_left
         (fun acc h ->
           let over_deleted rid = was_over_delete m h rid in
-          acc + Rollback.revert_all h.ext h.table ~vn:m.txn_vn ~over_deleted)
+          acc + Rollback.revert_above h.ext h.table ~current ~over_deleted)
         0 (handles t)
     in
     t.txn_active <- false;

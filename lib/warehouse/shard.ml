@@ -104,14 +104,20 @@ module Sharded = struct
     Array.iteri (fun s _ -> total := !total + pending_shard t ~shard:s ~view) t.warehouses;
     !total
 
-  let refresh_shard t ~shard = Warehouse.refresh t.warehouses.(shard)
+  let refresh_shard ?workers ?on_phase ?run t ~shard =
+    Warehouse.refresh ?workers ?on_phase ?run t.warehouses.(shard)
 
-  let refresh_all ?(domains = 1) t =
+  let refresh_all ?(domains = 1) ?(workers = 1) t =
     if domains < 1 then invalid_arg "Sharded.refresh_all: need at least one domain";
+    (* The pipeline's worker pool is process-wide and one multi-stripe
+       round owns it at a time: cross-shard parallelism composes with
+       one-stripe rounds only. *)
+    if domains > 1 && workers > 1 then
+      invalid_arg "Sharded.refresh_all: domains > 1 needs workers = 1";
     let shards = shard_count t in
     let outcomes = Array.make shards [] in
     if domains = 1 || shards = 1 then
-      Array.iteri (fun s _ -> outcomes.(s) <- refresh_shard t ~shard:s) t.warehouses
+      Array.iteri (fun s _ -> outcomes.(s) <- refresh_shard ~workers t ~shard:s) t.warehouses
     else begin
       (* Shards share no state (each warehouse owns its database, pool,
          and version relation), so round-robin them across domains. *)
@@ -125,12 +131,6 @@ module Sharded = struct
              done))
     end;
     outcomes
-
-  let refresh_pipelined_shard ?workers ?on_phase ?run t ~shard =
-    Warehouse.refresh_pipelined ?workers ?on_phase ?run t.warehouses.(shard)
-
-  let refresh_pipelined_all ?workers t =
-    Array.mapi (fun s _ -> refresh_pipelined_shard ?workers t ~shard:s) t.warehouses
 
   (* Evolve every shard: the same logical DDL maps to each shard's view
      instances (per-shard evolution transactions — shards share no state,

@@ -87,31 +87,25 @@ module Sharded : sig
 
   val pending_shard : t -> shard:int -> view:string -> int
 
-  val refresh_shard : t -> shard:int -> Summary.outcome list
-
-  val refresh_all : ?domains:int -> t -> Summary.outcome list array
-  (** Refresh every shard (serial maintenance transaction each), indexed
-      by shard.  [domains > 1] distributes shards round-robin across that
-      many OCaml domains — shards share no state, so per-shard maintenance
-      is embarrassingly parallel.  Raises [Invalid_argument] when
-      [domains < 1]. *)
-
-  val refresh_pipelined_shard :
+  val refresh_shard :
     ?workers:int ->
     ?on_phase:(Vnl_core.Pipeline.phase -> stripe:int -> unit) ->
     ?run:(Vnl_core.Pipeline.plan -> Vnl_core.Pipeline.report) ->
     t ->
     shard:int ->
     Summary.outcome list
-  (** One pipelined round on one shard
-      ({!Warehouse.refresh_pipelined}, including its abort/requeue
-      guarantee). *)
+  (** One refresh round on one shard ({!Warehouse.refresh}, including its
+      abort/requeue guarantee). *)
 
-  val refresh_pipelined_all : ?workers:int -> t -> Summary.outcome list array
-  (** Pipelined round per shard, shard after shard: the pipeline's worker
-      pool is process-wide and one round owns it at a time, so cross-shard
-      parallelism composes with {e serial} per-shard refreshes
-      ({!refresh_all} [~domains]), not with per-shard worker stripes. *)
+  val refresh_all : ?domains:int -> ?workers:int -> t -> Summary.outcome list array
+  (** Refresh every shard, indexed by shard: one {!Warehouse.refresh} round
+      of at most [workers] (default 1) stripes each.  [domains > 1]
+      distributes shards round-robin across that many OCaml domains —
+      shards share no state, so per-shard maintenance is embarrassingly
+      parallel.  The pipeline's worker pool is process-wide and one
+      multi-stripe round owns it at a time, so cross-shard parallelism
+      composes with one-stripe rounds only.  Raises [Invalid_argument]
+      when [domains < 1], or when both [domains] and [workers] exceed 1. *)
 
   val evolve : t -> Warehouse.evolution list -> unit
   (** Apply the same logical schema evolution to every shard: template

@@ -30,14 +30,15 @@ val plan_batch :
     (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option)
   * outcome
 (** Classify the batch's net group deltas against the view table's current
-    state {e without} applying anything: the same decisions as
+    state {e without} applying anything, through the same classifier as
     {!apply_batch} (absent group → insert, present → aggregate adjust,
     support to zero → delete), with the raw lookups kept.  Returns the
-    logical operation list for the pipelined refresh driver, a [resolve]
+    logical operation list for {!Warehouse.refresh}'s round, a [resolve]
     function replaying the pass's raw lookups (for {!Vnl_core.Batch.stage},
     so the stripes do not resolve the same keys a second time), and the
-    would-be outcome.  Must be called outside any maintenance mutation (it reads
-    the pre-refresh state). *)
+    outcome the refresh reports once the round has published.  Must be
+    called outside any maintenance mutation (it reads the pre-refresh
+    state). *)
 
 val merge_union : View_def.t -> Vnl_relation.Tuple.t list list -> Vnl_relation.Tuple.t list
 (** Merge per-shard instances of one view template into the logical union

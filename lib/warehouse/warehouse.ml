@@ -75,46 +75,17 @@ let take_pending t ~view =
   e.queue_len <- 0;
   batch
 
-(* One maintenance transaction under the crash-safe write ordering of
-   {!Vnl_core.Recovery.run_maintenance} (flag durable -> apply -> flush ->
-   catalog-write -> publish): a crash at any physical write during a
-   refresh leaves a disk image {!Vnl_core.Recovery.reopen} repairs to
-   either the pre- or post-refresh state. *)
-let refresh_with t extra =
-  Vnl_obs.Obs.with_span "warehouse.refresh" @@ fun () ->
-  Vnl_core.Recovery.run_maintenance t.db t.vnl (fun txn ->
-      let outcomes =
-        List.map
-          (fun name ->
-            let e = entry t name in
-            let batch = List.rev e.queue in
-            e.queue <- [];
-            e.queue_len <- 0;
-            Summary.apply_batch txn e.def batch)
-          t.order
-      in
-      extra txn;
-      outcomes)
-
-let refresh t = refresh_with t (fun _ -> ())
-
-(* The group keys a batch operation targets are exactly the view-table key
-   values — for net deltas, one operation per group. *)
-let op_group_key target = function
-  | Batch.Insert tuple -> Tuple.key_of target tuple
-  | Batch.Update (key, _) | Batch.Delete key -> key
-
-(* The source changes a failed round did NOT durably propagate, in their
-   original arrival order.  [published] holds the group keys of every
-   operation in the round's published stripe prefix: those groups'
-   net deltas committed, everything else was reverted by the abort.  A
-   change whose groups all published is dropped; one whose groups all
-   missed is requeued whole; an update straddling the boundary (its old
-   and new rows in different groups, one published) is requeued as only
-   its unpublished half — re-running the published half would double-apply
-   it. *)
+(* The source changes a failed refresh did NOT durably propagate, in their
+   original arrival order.  [published name key] says whether view [name]'s
+   group [key] belongs to the round's published stripe prefix: those
+   groups' net deltas committed, everything else was reverted by the
+   abort.  A change whose groups all published is dropped; one whose
+   groups all missed is requeued whole; an update straddling the boundary
+   (its old and new rows in different groups, one published) is requeued
+   as only its unpublished half — re-running the published half would
+   double-apply it. *)
 let unpublished_suffix def published batch =
-  let mem row = Hashtbl.mem published (View_def.group_key def row) in
+  let mem row = published (View_def.name def) (View_def.group_key def row) in
   List.filter_map
     (fun change ->
       match change with
@@ -127,95 +98,74 @@ let unpublished_suffix def published batch =
         | false, true -> Some (Delta.Delete old_row)))
     batch
 
-(* Put a failed round's unapplied changes back at the FRONT of each queue
-   (the queue list is newest-first, so the front of the logical queue is
-   the tail of the list), preserving their original order ahead of
-   anything queued since the drain. *)
-let requeue_unpublished planned published_ops =
-  List.iter
-    (fun (name, e, batch, _, _) ->
-      let published = Hashtbl.create 64 in
-      (match List.assoc_opt name published_ops with
-      | None -> ()
-      | Some ops ->
-        let target = View_def.target_schema e.def in
-        List.iter (fun op -> Hashtbl.replace published (op_group_key target op) ()) ops);
-      let residual = unpublished_suffix e.def published batch in
-      e.queue <- e.queue @ List.rev residual;
-      e.queue_len <- e.queue_len + List.length residual)
-    planned
+(* The group keys of the published stripe prefix, by view.  The group keys
+   a round operation targets are exactly the view-table key values — for
+   net deltas, one operation per group. *)
+let published_groups t = function
+  | None -> fun _ _ -> false
+  | Some plan ->
+    let groups = Hashtbl.create 64 in
+    List.iteri
+      (fun i (_, per_table) ->
+        if i < Pipeline.published plan then
+          List.iter
+            (fun (name, ops) ->
+              let target = View_def.target_schema (entry t name).def in
+              List.iter
+                (fun op ->
+                  let key =
+                    match op with
+                    | Batch.Insert tuple -> Tuple.key_of target tuple
+                    | Batch.Update (key, _) | Batch.Delete key -> key
+                  in
+                  Hashtbl.replace groups (name, key) ())
+                ops)
+            per_table)
+      (Pipeline.stripe_ops plan);
+    fun name key -> Hashtbl.mem groups (name, key)
 
-(* Pipelined refresh: classify every view's queued batch in one batched
-   pass ({!Summary.plan_batch}), partition the operation lists, and drive
-   the round through {!Vnl_core.Pipeline} — k worker stripes, one VN each,
-   published in order under the same flag → data → catalog → publish
-   ladder as the serial path, held per stripe.
+(* One refresh is one pipelined round ({!Vnl_core.Pipeline}): drain every
+   queue, classify each view's batch in one batched pass
+   ({!Summary.plan_batch}), then partition, stage, apply and publish the
+   stripes under the flag -> data -> catalog -> publish ladder.  With
+   [workers = 1] the round is a single stripe on the calling domain.
 
-   Failure handling is the part the serial path gets for free from its
-   single transaction: a worker failure aborts the round back to the
-   published stripe prefix, but the queues were already drained and the
-   simulated sources already mutated.  Before re-raising, the unpublished
-   suffix's source changes are re-enqueued at the front of each affected
-   view's queue (original order preserved), so a follow-up refresh
-   converges to the expected view — no batch is ever lost. *)
-let refresh_pipelined ?(workers = 2) ?on_phase ?(run = Pipeline.run) t =
-  Vnl_obs.Obs.with_span "warehouse.refresh_pipelined" @@ fun () ->
-  let planned =
-    List.map
-      (fun name ->
-        let e = entry t name in
-        let batch = take_pending t ~view:name in
-        let ops, resolve, _ = Summary.plan_batch t.vnl e.def batch in
-        (name, e, batch, ops, resolve))
-      t.order
-  in
-  let plan =
-    match
+   The queues are drained and the simulated sources already hold the
+   changes, so a failure anywhere — classification, planning, a stripe —
+   puts the changes the round did not publish back at the FRONT of each
+   queue (the list is newest-first, so the front of the logical queue is
+   the tail of the list), in their original order, before re-raising: no
+   queued change is ever lost, and a follow-up refresh converges. *)
+let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
+  let module Obs = Vnl_obs.Obs in
+  Obs.with_span "warehouse.refresh" @@ fun () ->
+  Obs.with_span "maintenance.txn" @@ fun () ->
+  let drained = List.map (fun name -> (entry t name, take_pending t ~view:name)) t.order in
+  let plan = ref None in
+  try
+    let classified =
+      Obs.with_span "maintenance.apply" (fun () ->
+          List.map (fun (e, batch) -> (View_def.name e.def, Summary.plan_batch t.vnl e.def batch))
+            drained)
+    in
+    let p =
       Pipeline.plan t.vnl ?on_phase ~workers ~prenetted:true
-        ~resolvers:(List.map (fun (n, _, _, _, r) -> (n, r)) planned)
-        (List.map (fun (n, _, _, ops, _) -> (n, ops)) planned)
-    with
-    | plan -> plan
-    | exception e ->
-      (* Planning failed before any stripe ran: nothing published. *)
-      requeue_unpublished planned [];
-      raise e
-  in
-  let report =
-    match run plan with
-    | report -> report
-    | exception e ->
-      (* The published stripe prefix committed; collect its operations per
-         view and requeue everything the reverted suffix carried. *)
-      let stripes = Pipeline.stripe_ops plan in
-      let prefix = List.filteri (fun i _ -> i < Pipeline.published plan) stripes in
-      let published_ops =
-        List.concat_map (fun (_, per_table) -> per_table) prefix
-        |> List.fold_left
-             (fun acc (name, ops) ->
-               match List.assoc_opt name acc with
-               | Some prev -> (name, prev @ ops) :: List.remove_assoc name acc
-               | None -> (name, ops) :: acc)
-             []
-      in
-      requeue_unpublished planned published_ops;
-      raise e
-  in
-  (* Report what actually landed, not what planning predicted: the per-view
-     physical action counts of the staged stripes (prenetted rounds apply
-     one physical action per classified group, so the counts line up with
-     the serial path's classification totals). *)
-  List.map
-    (fun name ->
-      match List.assoc_opt name report.Pipeline.outcomes with
-      | Some (o : Batch.outcome) ->
-        {
-          Summary.groups_inserted = o.Batch.physical_inserts;
-          groups_updated = o.Batch.physical_updates;
-          groups_deleted = o.Batch.physical_deletes;
-        }
-      | None -> { Summary.groups_inserted = 0; groups_updated = 0; groups_deleted = 0 })
-    t.order
+        ~resolvers:(List.map (fun (name, (_, resolve, _)) -> (name, resolve)) classified)
+        (List.map (fun (name, (ops, _, _)) -> (name, ops)) classified)
+    in
+    plan := Some p;
+    ignore (run p);
+    (* The classification is exact once every stripe has published. *)
+    List.map (fun (_, (_, _, outcome)) -> outcome) classified
+  with exn ->
+    let published = published_groups t !plan in
+    List.iter
+      (fun (e, batch) ->
+        let residual = unpublished_suffix e.def published batch in
+        e.queue <- e.queue @ List.rev residual;
+        e.queue_len <- e.queue_len + List.length residual)
+      drained;
+    raise exn
 
 (* ---------- online schema evolution ---------- *)
 

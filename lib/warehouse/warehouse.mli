@@ -43,47 +43,40 @@ val take_pending : t -> view:string -> Delta.change list
     scenarios that spread one maintenance transaction over simulated time
     instead of calling {!refresh}. *)
 
-val refresh : t -> Summary.outcome list
-(** Run one maintenance transaction propagating every queued batch, commit,
-    and return per-view outcomes (in view order).  The transaction runs
-    under {!Vnl_core.Recovery.run_maintenance}'s crash-safe write ordering:
-    a crash at any point leaves a disk image that
-    {!Vnl_core.Recovery.reopen} repairs to the pre- or post-refresh
-    state. *)
-
-val refresh_with : t -> (Vnl_core.Twovnl.Txn.m -> unit) -> Summary.outcome list
-(** Like {!refresh} but also runs the given extra maintenance work inside
-    the same transaction (used by experiments to stretch transactions). *)
-
-val refresh_pipelined :
+val refresh :
   ?workers:int ->
   ?on_phase:(Vnl_core.Pipeline.phase -> stripe:int -> unit) ->
   ?run:(Vnl_core.Pipeline.plan -> Vnl_core.Pipeline.report) ->
   t ->
   Summary.outcome list
-(** Propagate every queued batch as one pipelined round
-    ({!Vnl_core.Pipeline}): net deltas are classified in a single batched
-    index pass per view ({!Summary.plan_batch}), partitioned into
-    dependency-disjoint stripes (at most [workers], default 2, further
-    capped at n - 1), and applied by one worker domain per stripe with VNs
-    published strictly in order.  Readers run throughout; with the
-    warehouse created at [n >= workers + 1], sessions opened at round
-    begin stay valid across the whole round.  Same logical result as
-    {!refresh}; a crash at any write leaves a disk image
+(** Propagate every queued batch as one maintenance round
+    ({!Vnl_core.Pipeline}) and return per-view outcomes (in view order).
+    Each view's net deltas are classified in one batched index pass
+    ({!Summary.plan_batch}), partitioned into dependency-disjoint stripes
+    (at most [workers], default 1, further capped at n - 1), and applied
+    with VNs published strictly in order, each stripe under the crash-safe
+    flag → data → catalog → publish ladder.  With [workers = 1] the round
+    is one stripe on the calling domain: one VN, one maintenance commit.
+    Readers run throughout; with the warehouse created at
+    [n >= workers + 1], sessions opened at round begin stay valid across
+    the whole round.  A crash at any write leaves a disk image
     {!Vnl_core.Recovery.reopen} repairs to a VN-prefix boundary of the
-    round.
+    round (for one stripe: the pre- or post-refresh state).
 
-    Returned outcomes reflect what the round actually applied (the run
-    report's per-view physical action counts), not the planning pass's
-    prediction.
+    The outcomes are the classification's group counts: a group whose
+    support drops to zero counts as deleted, whatever physical action
+    (usually an in-place update carrying the delete mark) 2VNL uses for it.
 
-    If the round fails, the published stripe prefix stays committed and
-    the source changes the reverted suffix carried are re-enqueued at the
-    front of each affected view's queue in their original order before the
-    exception re-raises — no queued change is ever lost, and a follow-up
-    {!refresh} converges to {!expected_view}.  (A change whose net effect
-    straddles the published boundary is requeued as just its unpublished
-    half.)
+    If the refresh fails — in classification, in planning, or in any
+    stripe — the unpublished stripes are reverted with the §7 no-log abort
+    and made durable, and the source changes they carried are re-enqueued
+    at the front of each affected view's queue in their original order
+    before the exception re-raises.  No queued change is lost and the
+    version state is never left active, so a follow-up {!refresh}
+    converges to {!expected_view}.  (A change whose net effect straddles
+    the published boundary is requeued as just its unpublished half.)
+    Raises [Invalid_argument] when [workers < 1], with the whole batch
+    requeued.
 
     [on_phase] is forwarded to {!Vnl_core.Pipeline.plan} (deterministic
     fault injection); [run] (default {!Vnl_core.Pipeline.run}) lets tests

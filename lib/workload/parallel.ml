@@ -205,18 +205,16 @@ let maintainer_loop vnl ~stop ~until_s ~rng ~days ~batch_size =
   !refreshes
 
 (* ------------------------------------------------------------------ *)
-(* Maintainer-side scaling: the serial warehouse refresh
-   ({!Vnl_warehouse.Warehouse.refresh} — per-group probes, one
-   transaction, full flushes) vs pipelined rounds
-   ({!Vnl_warehouse.Warehouse.refresh_pipelined} — batched
-   classification, k dependency-disjoint stripes, targeted flushes) over
-   a fixed number of identical pre-generated source batches (same seed =>
-   same batches at every k, so the comparison is fair).  Optional reader
-   domains run the Example 2.1 consistency pair throughout — the point of
-   pipelining under nVNL is that reader service never stops. *)
+(* Maintainer-side scaling: warehouse refresh rounds
+   ({!Vnl_warehouse.Warehouse.refresh} — batched classification, k
+   dependency-disjoint stripes, targeted flushes) over a fixed number of
+   identical pre-generated source batches (same seed => same batches at
+   every k, so the comparison is fair).  Optional reader domains run the
+   Example 2.1 consistency pair throughout — the point of pipelining under
+   nVNL is that reader service never stops. *)
 
 type pipeline_config = {
-  workers : int;  (** 0 = serial {!Recovery.run_maintenance} baseline. *)
+  workers : int;  (** Stripes and batches per round; 0 runs as 1. *)
   rounds : int;  (** Refresh rounds to drive (the measured work). *)
   readers : int;  (** Concurrent reader domains (0 = none). *)
   days : int;
@@ -285,26 +283,23 @@ let run_pipeline (config : pipeline_config) =
   in
   let rngs = Array.init (config.readers + 1) (fun i -> Xorshift.create (config.seed + 100 + i)) in
   let elapsed = ref 0.0 in
-  (* Serial drains the backlog one refresh per batch — the classic
-     operating mode, one maintenance transaction each.  The pipelined
-     maintainer admits a window of up to [workers] queued batches per
+  (* The maintainer admits a window of up to [workers] queued batches per
      round: the round nets the window's changes together (each hot group
      written and flushed once instead of once per batch), partitions them
      into key-disjoint stripes, and publishes one VN per stripe in order —
      so readers see intermediate consistent states at the same granularity
-     serial refreshes would give them, which a single fat serial batch
-     cannot do. *)
-  let window = if config.workers < 1 then 1 else config.workers in
+     one-batch rounds would give them, which a single fat batch cannot
+     do. *)
+  let workers = max 1 config.workers in
   let maintain () =
     let t0 = Unix.gettimeofday () in
     let i = ref 0 in
     while !i < config.rounds do
-      let w = min window (config.rounds - !i) in
+      let w = min workers (config.rounds - !i) in
       for j = !i to !i + w - 1 do
         Warehouse.queue_changes wh ~view:view_name batches.(j)
       done;
-      if config.workers < 1 then ignore (Warehouse.refresh wh)
-      else ignore (Warehouse.refresh_pipelined ~workers:config.workers wh);
+      ignore (Warehouse.refresh ~workers wh);
       ignore (Warehouse.collect_garbage wh);
       i := !i + w
     done;

@@ -48,13 +48,14 @@ val run : config -> report
 
     The mirror scenario: fix the {e amount} of maintenance work (a
     pre-generated sequence of source batches, identical across
-    configurations) and measure how fast it drains — serially through
-    {!Vnl_warehouse.Warehouse.refresh}, or as pipelined rounds
-    ({!Vnl_warehouse.Warehouse.refresh_pipelined}, driving
-    {!Vnl_core.Pipeline}) at [workers] stripes under nVNL. *)
+    configurations) and measure how fast it drains as
+    {!Vnl_warehouse.Warehouse.refresh} rounds (driving
+    {!Vnl_core.Pipeline}) of at most [workers] stripes under nVNL. *)
 
 type pipeline_config = {
-  workers : int;  (** 0 = serial {!Vnl_warehouse.Warehouse.refresh} baseline. *)
+  workers : int;
+      (** Stripes per round, and batches admitted per round; 0 runs as 1
+          (the one-stripe base row of the pipeline bench). *)
   rounds : int;  (** Source batches to drain (the measured work). *)
   readers : int;  (** Concurrent reader domains (0 = none). *)
   days : int;
@@ -73,7 +74,7 @@ type pipeline_report = {
   p_elapsed_s : float;
   p_refreshes_per_s : float;  (** Source batches drained per second. *)
   p_ops_per_s : float;  (** Source changes propagated per second. *)
-  p_stripes : int;  (** Published VNs across all rounds (= batches when serial). *)
+  p_stripes : int;  (** Published VNs across all rounds (= batches at one stripe). *)
   p_reader_queries : int;
   p_inconsistent : int;  (** Example 2.1 drill-downs that missed their total. *)
   p_expired : int;
@@ -81,12 +82,11 @@ type pipeline_report = {
 
 val run_pipeline : pipeline_config -> pipeline_report
 (** Build a fresh warehouse at [n] version slots, pre-generate [rounds]
-    batches from [seed], and drain them.  The serial maintainer refreshes
-    once per batch; the pipelined maintainer takes up to [workers] queued
-    batches per round, nets them together, and publishes one VN per
-    key-disjoint stripe in order — intermediate consistent states at the
-    same granularity the serial refreshes give readers.  The batches and
-    their order are functions of the config alone, so reports at different
-    [workers] are directly comparable; reader domains (if any) run the
-    consistency-checked analyst pair throughout and their failures land in
-    [p_inconsistent]. *)
+    batches from [seed], and drain them.  The maintainer takes up to
+    [workers] queued batches per round, nets them together, and publishes
+    one VN per key-disjoint stripe in order — intermediate consistent
+    states at the same granularity one-batch rounds give readers.  The
+    batches and their order are functions of the config alone, so reports
+    at different [workers] are directly comparable; reader domains (if
+    any) run the consistency-checked analyst pair throughout and their
+    failures land in [p_inconsistent]. *)

@@ -24,6 +24,7 @@ let () =
       ("workload", Test_workload.suite);
       ("recovery", Test_recovery.suite);
       ("faults", Test_faults.suite);
+      ("abort", Test_abort.suite);
       ("obs", Test_obs.suite);
       ("nvnl", Test_nvnl.suite);
       ("pipeline", Test_pipeline.suite);

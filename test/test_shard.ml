@@ -5,7 +5,7 @@
    - {e zero lost batches}: killing a pipelined round at any (phase,
      stripe) point leaves each view's queue holding exactly the source
      changes the aborted suffix failed to propagate, in arrival order,
-     and a follow-up serial refresh converges byte-identically to the
+     and a follow-up one-stripe refresh converges byte-identically to the
      source recomputation.  The kill is injected through
      [Pipeline.plan]'s [on_phase] hook and driven by the deterministic
      scheduler, so every failure point is replayable.
@@ -133,7 +133,7 @@ let run_kill_point ~workers ~seed (phase, stripe) =
   let on_phase p ~stripe:i = if p = phase && i = stripe then raise (Killed (p, i)) in
   let killed =
     match
-      Warehouse.refresh_pipelined ~workers ~on_phase ~run:(sched_run ~seed) wh
+      Warehouse.refresh ~workers ~on_phase ~run:(sched_run ~seed) wh
     with
     | _ -> false
     | exception Killed _ -> true
@@ -146,7 +146,7 @@ let run_kill_point ~workers ~seed (phase, stripe) =
     Alcotest.(check bool) "requeued bounded by batch" true
       (List.length requeued <= List.length original)
   end;
-  (* (b) a follow-up serial refresh lands byte-identically on the source
+  (* (b) a follow-up one-stripe refresh lands byte-identically on the source
      recomputation — zero lost (and zero double-applied) changes, whether
      or not the kill point was reached. *)
   ignore (Warehouse.refresh wh);
@@ -193,7 +193,7 @@ let test_abort_requeue_real_domains () =
   let batch = mixed_batch rng src ~day:3 in
   Warehouse.queue_changes wh ~view:view_name batch;
   let on_phase p ~stripe:i = if p = `Apply && i = 0 then raise (Killed (p, i)) in
-  (match Warehouse.refresh_pipelined ~workers:2 ~on_phase wh with
+  (match Warehouse.refresh ~workers:2 ~on_phase wh with
   | _ -> Alcotest.fail "kill point not reached"
   | exception Killed _ -> ());
   ignore (Warehouse.refresh wh);
@@ -211,7 +211,7 @@ let test_plan_failure_requeues_everything () =
   let original = Warehouse.peek_pending wh ~view:view_name in
   (* workers < 1 makes Pipeline.plan raise after the queues were drained:
      nothing published, so everything must come back. *)
-  (match Warehouse.refresh_pipelined ~workers:0 wh with
+  (match Warehouse.refresh ~workers:0 wh with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "entire batch requeued" true
@@ -504,10 +504,10 @@ let test_pipelined_shard_refresh () =
     Shard.Sharded.queue_changes sw ~view:view_name changes
   in
   feed (Sales_gen.initial_load rng ~days:3 ~sales_per_day:50);
-  ignore (Shard.Sharded.refresh_pipelined_all ~workers:2 sw);
+  ignore (Shard.Sharded.refresh_all ~workers:2 sw);
   feed (gen_round rng mirror ~day:3);
   let on_phase p ~stripe:i = if p = `Apply && i = 1 then raise (Killed (p, i)) in
-  (match Shard.Sharded.refresh_pipelined_shard ~workers:2 ~on_phase sw ~shard:0 with
+  (match Shard.Sharded.refresh_shard ~workers:2 ~on_phase sw ~shard:0 with
   | _ -> ()  (* shard 0's slice may plan fewer than 2 stripes *)
   | exception Killed _ -> ());
   ignore (Shard.Sharded.refresh_all sw);

@@ -188,12 +188,15 @@ let test_incremental_matches_recompute () =
       Insert (sale "Novato" "rollerblades" 2 60) ];
   refresh_and_compare wh
 
-let test_group_disappears_at_zero_support () =
-  let wh = Warehouse.create [ view ] in
+(* The outcome counts groups, not physical actions: under 2VNL a group
+   dropped to zero support is usually an in-place update carrying the
+   delete mark, and must still be reported as deleted. *)
+let test_group_disappears_at_zero_support ~workers () =
+  let wh = Warehouse.create ~n:(workers + 1) [ view ] in
   Warehouse.queue_changes wh ~view:"DailySales" [ Insert (sale "Berkeley" "tennis" 0 75) ];
-  ignore (Warehouse.refresh wh);
+  ignore (Warehouse.refresh ~workers wh);
   Warehouse.queue_changes wh ~view:"DailySales" [ Delete (sale "Berkeley" "tennis" 0 75) ];
-  let outcomes = Warehouse.refresh wh in
+  let outcomes = Warehouse.refresh ~workers wh in
   (match outcomes with
   | [ o ] -> check Alcotest.int "group deleted" 1 o.Vnl_warehouse.Summary.groups_deleted
   | _ -> Alcotest.fail "one view");
@@ -265,7 +268,9 @@ let suite =
     Alcotest.test_case "float aggregates" `Quick test_float_aggregates;
     Alcotest.test_case "incremental matches recompute" `Quick test_incremental_matches_recompute;
     Alcotest.test_case "group removed at zero support" `Quick
-      test_group_disappears_at_zero_support;
+      (test_group_disappears_at_zero_support ~workers:1);
+    Alcotest.test_case "group removed at zero support, 2 workers" `Quick
+      (test_group_disappears_at_zero_support ~workers:2);
     Alcotest.test_case "reader isolated during refresh" `Quick
       test_reader_isolated_during_refresh;
     QCheck_alcotest.to_alcotest qcheck_incremental_equals_recompute;
