@@ -114,7 +114,7 @@ let run () =
                  (* The query pair: SQL through the per-generation plan
                     cache must agree with the engine-level read. *)
                  let r = Warehouse.query wh s "SELECT COUNT(*) FROM DailySales" in
-                 (match r.Vnl_query.Executor.rows with
+                 (match r.Vnl_query.Plan.rows with
                  | [ [ Value.Int c ] ] ->
                    if c <> List.length rows then Atomic.incr inconsistent
                  | _ -> Atomic.incr inconsistent);

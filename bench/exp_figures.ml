@@ -9,7 +9,7 @@ module Schema = Vnl_relation.Schema
 module Tuple = Vnl_relation.Tuple
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Op = Vnl_core.Op
 module Schema_ext = Vnl_core.Schema_ext
 module Reader = Vnl_core.Reader
@@ -236,11 +236,11 @@ let ex41 () =
   Printf.printf "original:  %s\nrewritten: %s\n\n" sql (Rewrite.reader_sql ~lookup sql);
   print_endline "Executing the rewritten query with :sessionVN = 3:";
   let r =
-    Executor.query db
+    Plan.execute
       ~params:[ ("sessionVN", Value.Int 3) ]
-      (Rewrite.reader_select ~lookup (Vnl_sql.Parser.parse_select sql))
+      (Plan.prepare db (Rewrite.reader_select ~lookup (Vnl_sql.Parser.parse_select sql)))
   in
-  Format.printf "%a@." Executor.pp_result r
+  Format.printf "%a@." Plan.pp_result r
 
 (* ---------- EX4.2-4.4: maintenance statement rewrites ---------- *)
 

@@ -13,7 +13,7 @@ module Tuple = Vnl_relation.Tuple
 module Buffer_pool = Vnl_storage.Buffer_pool
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Twovnl = Vnl_core.Twovnl
 module Rewrite = Vnl_core.Rewrite
 module Sales_gen = Vnl_workload.Sales_gen
@@ -53,10 +53,10 @@ let run () =
   let rewritten sql =
     Rewrite.reader_select ~lookup:(Twovnl.lookup wh) (Vnl_sql.Parser.parse_select sql)
   in
-  let explain sql = Executor.explain db ~params:[ ("sessionVN", Value.Int 1) ] (rewritten sql) in
+  let explain sql = Plan.explain (Plan.prepare db (rewritten sql)) in
   let io sql =
     measure db (fun () ->
-        Executor.query db ~params:[ ("sessionVN", Value.Int 1) ] (rewritten sql))
+        Plan.execute ~params:[ ("sessionVN", Value.Int 1) ] (Plan.prepare db (rewritten sql)))
   in
   let groups = Table.tuple_count (Twovnl.table handle) in
   Printf.printf "%d summary groups; rewritten analyst queries under a 16-frame pool.\n\n" groups;

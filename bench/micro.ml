@@ -17,7 +17,7 @@ module Dtype = Vnl_relation.Dtype
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
 module Executor = Vnl_query.Executor
-module Prepared = Vnl_query.Prepared
+module Plan = Vnl_query.Plan
 module Op = Vnl_core.Op
 module Schema_ext = Vnl_core.Schema_ext
 module Reader = Vnl_core.Reader
@@ -129,7 +129,8 @@ let pool_fetch =
 let bench_pool_fetch =
   Test.make ~name:"version-pool fetch (8-deep chain)" (Staged.stage pool_fetch)
 
-let group_by_db =
+(* Compiled once: each run is one plan execution, no parse. *)
+let group_by_plan =
   lazy
     (let db = Database.create ~pool_capacity:512 () in
      let table = Database.create_table db "DailySales" daily_sales in
@@ -146,9 +147,9 @@ let group_by_db =
                        Value.Int (Vnl_util.Xorshift.int rng 1000) ])))
            [ "golf equip"; "racquetball"; "tennis"; "running" ])
        (Array.to_list Vnl_workload.Sales_gen.cities);
-     db)
+     Plan.prepare db (Vnl_sql.Parser.parse_select analyst_query))
 
-let group_by_query () = Executor.query_string (Lazy.force group_by_db) analyst_query
+let group_by_query () = Plan.execute (Lazy.force group_by_plan)
 
 let bench_group_by_query =
   Test.make ~name:"group-by query (48 rows)" (Staged.stage group_by_query)
@@ -177,7 +178,7 @@ let bench_extract_by_n =
       Staged.stage (extract_for_n n))
 
 (* ------------------------------------------------------------------ *)
-(* Prepared vs interpreted: the 2VNL reader hot path.                  *)
+(* Compiled vs interpreted: the 2VNL reader hot path.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The same session statements executed two ways:
@@ -318,15 +319,10 @@ let run_plans_json ?(smoke = false) () =
            Printf.sprintf "%.1fx" (i /. p) ])
        results);
   write_plans_json results;
-  (* The session statements above go through Twovnl's per-statement reader
-     plans; the SQL-level LRU cache shows up on the query_string path. *)
-  let s = Prepared.stats (Lazy.force group_by_db) in
-  Printf.printf
-    "-> query_string plan cache: %d hits / %d misses / %d invalidations;\n\
-    \   results written to BENCH_plans.json.  Compilation removes the\n\
+  print_string
+    "-> results written to BENCH_plans.json.  Compilation removes the\n\
     \   per-statement parse, rewrite, and tree-walk cost without touching\n\
     \   physical I/O.\n"
-    s.Prepared.hits s.Prepared.misses s.Prepared.invalidations
 
 let tests =
   Test.make_grouped ~name:"vnl"

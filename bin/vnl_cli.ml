@@ -11,7 +11,7 @@
      vnl load       open-loop session-churn load generator against serve *)
 
 module Value = Vnl_relation.Value
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Table = Vnl_query.Table
 module Twovnl = Vnl_core.Twovnl
 module Warehouse = Vnl_warehouse.Warehouse
@@ -123,10 +123,10 @@ let run_shell seed n =
          else if starts_with ".explain" line then
            let sql = strip ".explain" line in
            print_endline
-             (Executor.explain (Warehouse.database wh)
-                ~params:[ ("sessionVN", Value.Int (Twovnl.Session.vn !session)) ]
-                (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup vnl)
-                   (Vnl_sql.Parser.parse_select sql)))
+             (Plan.explain
+                (Plan.prepare (Warehouse.database wh)
+                   (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup vnl)
+                      (Vnl_sql.Parser.parse_select sql))))
          else if starts_with ".rewrite" line then
            print_endline
              (Vnl_core.Rewrite.reader_sql ~lookup:(Twovnl.lookup vnl) (strip ".rewrite" line))
@@ -134,7 +134,7 @@ let run_shell seed n =
            Printf.printf "%d tuples reclaimed\n" (Warehouse.collect_garbage wh)
          else if starts_with "." line then
            Printf.printf "unknown command %s (try .help)\n" line
-         else Format.printf "%a@." Executor.pp_result (Warehouse.query wh !session line)
+         else Format.printf "%a@." Plan.pp_result (Warehouse.query wh !session line)
        with
       | Twovnl.Expired { session_vn; current_vn } ->
         Printf.printf
@@ -142,7 +142,7 @@ let run_shell seed n =
           session_vn current_vn
       | Vnl_sql.Parser.Parse_error msg -> Printf.printf "parse error: %s\n" msg
       | Vnl_sql.Lexer.Lex_error (msg, pos) -> Printf.printf "lex error at %d: %s\n" pos msg
-      | Vnl_query.Eval.Eval_error msg | Executor.Query_error msg -> Printf.printf "error: %s\n" msg
+      | Vnl_query.Eval.Eval_error msg | Plan.Query_error msg -> Printf.printf "error: %s\n" msg
       | Invalid_argument msg | Failure msg -> Printf.printf "error: %s\n" msg);
       true
     end

@@ -8,7 +8,7 @@
    locks without versioning) the same pair of queries tears. *)
 
 module Value = Vnl_relation.Value
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Twovnl = Vnl_core.Twovnl
 module Warehouse = Vnl_warehouse.Warehouse
 module Summary = Vnl_warehouse.Summary
@@ -25,7 +25,7 @@ let total_of rows =
 let overview query =
   total_of
     (query (Printf.sprintf "SELECT SUM(total_sales) FROM DailySales WHERE city = '%s'" city))
-      .Executor.rows
+      .Plan.rows
 
 let drilldown query =
   let rows =
@@ -34,7 +34,7 @@ let drilldown query =
           "SELECT product_line, SUM(total_sales) FROM DailySales WHERE city = '%s' \
            GROUP BY product_line ORDER BY product_line"
           city))
-      .Executor.rows
+      .Plan.rows
   in
   List.map
     (function
@@ -61,10 +61,11 @@ let () =
     (* Read-uncommitted: always look at the latest (possibly mid-transaction)
        version. *)
     let vn = Twovnl.current_vn vnl + 1 in
-    Executor.query (Warehouse.database wh)
+    Plan.execute
       ~params:[ ("sessionVN", Value.Int vn) ]
-      (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup vnl)
-         (Vnl_sql.Parser.parse_select sql))
+      (Plan.prepare (Warehouse.database wh)
+         (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup vnl)
+            (Vnl_sql.Parser.parse_select sql)))
   in
 
   Printf.printf "Analyst asks for the %s overview (session version %d):\n" city

@@ -10,7 +10,7 @@
    a refresh is running. *)
 
 module Value = Vnl_relation.Value
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Twovnl = Vnl_core.Twovnl
 module View_def = Vnl_warehouse.View_def
 module Warehouse = Vnl_warehouse.Warehouse
@@ -27,7 +27,7 @@ let product_totals =
 
 let grand_total query table =
   match
-    (query (Printf.sprintf "SELECT SUM(total_sales) FROM %s" table)).Executor.rows
+    (query (Printf.sprintf "SELECT SUM(total_sales) FROM %s" table)).Plan.rows
   with
   | [ [ Value.Int n ] ] -> n
   | _ -> 0

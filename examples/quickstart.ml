@@ -9,13 +9,13 @@
 
 module Value = Vnl_relation.Value
 module Database = Vnl_query.Database
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Twovnl = Vnl_core.Twovnl
 module Rewrite = Vnl_core.Rewrite
 
 let banner title = Printf.printf "\n== %s ==\n" title
 
-let show result = Format.printf "%a\n" Executor.pp_result result
+let show result = Format.printf "%a\n" Plan.pp_result result
 
 let () =
   banner "1. Create the warehouse and register DailySales under 2VNL";

@@ -10,8 +10,6 @@ let policy_name = function
   | Commit_when_quiescent -> "commit-when-quiescent"
   | More_versions n -> Printf.sprintf "%dVNL" n
 
-let pp_policy ppf p = Format.pp_print_string ppf (policy_name p)
-
 (* Smallest n >= 2 with (n - 1) * (gap + txn_len) - txn_len >= session_len,
    in closed form: n - 1 >= ceil((session_len + txn_len) / (gap + txn_len)).
    The degenerate period gap = txn_len = 0 makes the bound 0 for every n —

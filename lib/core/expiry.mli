@@ -16,8 +16,6 @@ type policy =
   | More_versions of int
       (** Run nVNL with the given [n], widening the no-expiry window. *)
 
-val pp_policy : Format.formatter -> policy -> unit
-
 val policy_name : policy -> string
 
 val versions_needed : session_len:int -> gap:int -> txn_len:int -> int

@@ -4,7 +4,7 @@ module Schema = Vnl_relation.Schema
 module Tuple = Vnl_relation.Tuple
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Dml = Vnl_query.Dml
 module Eval = Vnl_query.Eval
 
@@ -218,13 +218,15 @@ let reader_sql ~lookup src =
   Vnl_sql.Pp.statement_to_string (Ast.Select (reader_select ~lookup s))
 
 let session_valid db ~session_vn =
-  let r =
-    Executor.query_string db
-      ~params:[ ("sessionVN", Value.Int session_vn) ]
+  let check =
+    Vnl_sql.Parser.parse_select
       "SELECT COUNT(*) FROM Version WHERE currentVN = :sessionVN \
        OR (currentVN = :sessionVN + 1 AND maintenanceActive = FALSE)"
   in
-  match r.Executor.rows with
+  let r =
+    Plan.execute ~params:[ ("sessionVN", Value.Int session_vn) ] (Plan.prepare db check)
+  in
+  match r.Plan.rows with
   | [ [ Value.Int n ] ] -> n > 0
   | _ -> invalid_arg "Rewrite.session_valid: unexpected Version relation shape"
 

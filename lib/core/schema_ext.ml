@@ -265,9 +265,6 @@ let decode_widened w buf off =
       | W_copy i -> Value.decode (Array.unsafe_get dts i) buf (off + Array.unsafe_get offs i)
       | W_const v -> v)
 
-let base_key_of t tuple =
-  List.map (fun j -> Tuple.get tuple (base_index t j)) (Schema.key_indices t.base)
-
 let width_overhead t = Schema.width t.extended - Schema.width t.base
 
 let overhead_ratio t = float_of_int (width_overhead t) /. float_of_int (Schema.width t.base)

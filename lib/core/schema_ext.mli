@@ -153,10 +153,6 @@ val decode_widened : widening -> bytes -> int -> Vnl_relation.Tuple.t
     copied cells read at the old generation's byte offsets, added cells
     come from the defaults.  Equals [widen] of the old-generation decode. *)
 
-val base_key_of : t -> Vnl_relation.Tuple.t -> Vnl_relation.Value.t list
-(** Unique-key values of an extended tuple (positions translated from the
-    base schema). *)
-
 val width_overhead : t -> int
 (** Extra bytes per tuple versus the base schema. *)
 

@@ -4,7 +4,6 @@ module Value = Vnl_relation.Value
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
 module Catalog = Vnl_query.Catalog
-module Executor = Vnl_query.Executor
 module Heap_file = Vnl_storage.Heap_file
 module Epoch = Vnl_util.Epoch
 module StrMap = Map.Make (String)
@@ -116,7 +115,7 @@ type t = {
   db : Database.t;
   version : Version_state.t;
   generations : generation list Atomic.t;
-  epochs : unit Epoch.t;
+  epochs : Epoch.t;
       (** Session pins; the epoch is the warehouse VN.  Advanced at every
           refresh commit. *)
   next_session : int Atomic.t;
@@ -168,8 +167,6 @@ let generation_for t vn =
   walk (Atomic.get t.generations)
 
 let catalog_generation t = (head t).gen
-
-let generation_of_vn t vn = (generation_for t vn).gen
 
 let rec update_head t f =
   let gens = Atomic.get t.generations in
@@ -235,8 +232,6 @@ let handle_name h = h.name
 let ext h = h.ext
 
 let table h = h.table
-
-let added_columns h = List.map (fun (a, v) -> (a.Schema.name, v)) h.added
 
 let lookup t name = gen_lookup (head t) name
 

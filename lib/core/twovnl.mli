@@ -93,14 +93,6 @@ val catalog_generation : t -> int
 (** Index of the head (newest) catalog generation; 0 until the first
     schema evolution commits. *)
 
-val generation_of_vn : t -> int -> int
-(** The generation a session pinned at this VN resolves against: the
-    newest one whose activation VN is at or below it. *)
-
-val added_columns : handle -> (string * Vnl_relation.Value.t) list
-(** Columns appended to this handle's table by evolution (oldest first)
-    with their declared defaults; [[]] for a never-evolved table. *)
-
 val pad_ops : handle -> Batch.op list -> Batch.op list
 (** Pad short {!Batch.Insert} tuples — built against a pre-evolution base
     schema — with the trailing added-column defaults.  Identity when the
@@ -165,7 +157,7 @@ module Session : sig
 
   val query :
     ?params:(string * Vnl_relation.Value.t) list ->
-    t -> s -> string -> Vnl_query.Executor.result
+    t -> s -> string -> Vnl_query.Plan.result
   (** Rewrite (per §4.1, generalized to any n) and execute a SELECT over
       base-schema names with [:sessionVN] bound; [params] supplies
       additional named parameters, so repeated statements differing only

@@ -202,7 +202,7 @@ let handle_query t sql =
   else begin
     Obs.Counter.record m_queries 1;
     match Twovnl.Session.query t.vnl s sql with
-    | { Vnl_query.Executor.columns; rows } ->
+    | { Vnl_query.Plan.columns; rows } ->
       let cursor = t.next_cursor in
       t.next_cursor <- t.next_cursor + 1;
       Hashtbl.replace t.cursors cursor { columns; remaining = rows };
@@ -214,13 +214,13 @@ let handle_query t sql =
       err t Wire.Session_expired "session expired: begin a new one with Hello"
     | exception
         (( Vnl_sql.Parser.Parse_error _ | Vnl_sql.Lexer.Lex_error _
-         | Vnl_query.Executor.Query_error _ | Vnl_query.Eval.Eval_error _
+         | Vnl_query.Plan.Query_error _ | Vnl_query.Eval.Eval_error _
          | Failure _ | Invalid_argument _ ) as e)
       ->
       let msg =
         match e with
         | Vnl_sql.Parser.Parse_error m
-        | Vnl_query.Executor.Query_error m
+        | Vnl_query.Plan.Query_error m
         | Vnl_query.Eval.Eval_error m
         | Failure m
         | Invalid_argument m ->

@@ -243,16 +243,12 @@ module Span = struct
     start_s : float;
     mutable stop_s : float;
     mutable status : status;
-    sim_start : int;
-    mutable sim_stop : int;
   }
 
   let duration_ms sp = 1000.0 *. (sp.stop_s -. sp.start_s)
 end
 
 let span_prefix = "span."
-
-let sim_clock : Vnl_util.Sim_clock.t option ref = ref None
 
 (* One trace per domain.  Spans from two domains used to interleave in a
    single shared ring and stack: a reader's end_span could pop the
@@ -294,10 +290,6 @@ let set_trace_capacity n =
           t.next <- 0)
         !traces)
 
-let set_sim_clock c = sim_clock := c
-
-let sim_now () = match !sim_clock with Some c -> Vnl_util.Sim_clock.now c | None -> 0
-
 let begin_span name =
   let trace = my_trace () in
   let sp : Span.t =
@@ -308,8 +300,6 @@ let begin_span name =
       start_s = Sys.time ();
       stop_s = 0.0;
       status = Span.Closed;
-      sim_start = sim_now ();
-      sim_stop = 0;
     }
   in
   trace.stack <- sp :: trace.stack;
@@ -318,7 +308,6 @@ let begin_span name =
 let end_span ?(status = Span.Closed) (sp : Span.t) =
   let trace = my_trace () in
   sp.stop_s <- Sys.time ();
-  sp.sim_stop <- sim_now ();
   sp.status <- status;
   (match trace.stack with
   | top :: rest when top == sp -> trace.stack <- rest
@@ -422,7 +411,6 @@ let to_json ?(registry = Registry.default) () =
                      ("depth", Json.Num (float_of_int sp.depth));
                      ("seq", Json.Num (float_of_int sp.seq));
                      ("ms", Json.Num (Span.duration_ms sp));
-                     ("sim_start", Json.Num (float_of_int sp.sim_start));
                      ( "status",
                        Json.Str
                          (match sp.status with Span.Closed -> "closed" | Span.Aborted -> "aborted")

@@ -140,8 +140,6 @@ module Span : sig
     start_s : float;  (** {!Sys.time} at begin. *)
     mutable stop_s : float;
     mutable status : status;
-    sim_start : int;  (** {!Vnl_util.Sim_clock} tick at begin, 0 if unset. *)
-    mutable sim_stop : int;
   }
 
   val duration_ms : t -> float
@@ -164,10 +162,6 @@ val recent_spans : unit -> Span.t list
 
 val set_trace_capacity : int -> unit
 (** Resize (and clear) every domain's completed-span ring.  Default 256. *)
-
-val set_sim_clock : Vnl_util.Sim_clock.t option -> unit
-(** Attach a simulation clock; subsequent spans stamp [sim_start] /
-    [sim_stop] with its ticks. *)
 
 (** {1 Reset and export} *)
 

@@ -1,10 +1,6 @@
 module Buffer_pool = Vnl_storage.Buffer_pool
 module Disk = Vnl_storage.Disk
 
-type plan_cache = ..
-(* Extensible so the cache type (defined above this module's dependants, in
-   Prepared) can live inside the database it serves without a module cycle. *)
-
 type t = {
   pool : Buffer_pool.t;
   catalog : (string, Table.t) Hashtbl.t;
@@ -16,7 +12,6 @@ type t = {
           header.  Double-buffering makes the catalog update atomic — a
           crash mid-save leaves the header pointing at the untouched old
           generation, never at half-written content. *)
-  mutable plan_cache : plan_cache option;
   mutable gens : Catalog.generation list;
       (** Catalog-generation metadata (newest first); empty until the first
           schema evolution.  Mirrored into the serialized catalog so reopen
@@ -34,15 +29,10 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) () =
     order = [];
     catalog_pages = [];
     spare_pages = [];
-    plan_cache = None;
     gens = [];
   }
 
 let pool t = t.pool
-
-let plan_cache t = t.plan_cache
-
-let set_plan_cache t c = t.plan_cache <- Some c
 
 let create_table t name schema =
   (* Reject names the catalog format cannot round-trip now, not at the
@@ -207,7 +197,6 @@ let reopen ?(pool_capacity = 64) disk0 =
       order = [];
       catalog_pages = pages;
       spare_pages = spare;
-      plan_cache = None;
       gens;
     }
   in

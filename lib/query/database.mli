@@ -8,15 +8,6 @@ val create : ?page_size:int -> ?pool_capacity:int -> unit -> t
 
 val pool : t -> Vnl_storage.Buffer_pool.t
 
-type plan_cache = ..
-(** Slot for the prepared-statement cache.  The concrete constructor is
-    added by {!Prepared} (which sits above this module), so the cache can
-    live and die with its database without a dependency cycle. *)
-
-val plan_cache : t -> plan_cache option
-
-val set_plan_cache : t -> plan_cache -> unit
-
 val create_table : t -> string -> Vnl_relation.Schema.t -> Table.t
 (** Raises [Invalid_argument] if the name is taken. *)
 

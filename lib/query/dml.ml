@@ -104,7 +104,7 @@ let delete db ?(params = []) ~table where =
 
 let execute db ?(params = []) (stmt : Ast.statement) =
   match stmt with
-  | Ast.Select _ -> fail "Dml.execute: SELECT belongs to Executor.query"
+  | Ast.Select _ -> fail "Dml.execute: SELECT belongs to Plan.execute"
   | Ast.Insert { table; columns; rows } -> insert db ~params ~table ~columns rows
   | Ast.Update { table; sets; where } -> update db ~params ~table ~sets where
   | Ast.Delete { table; where } -> delete db ~params ~table where

@@ -107,12 +107,6 @@ type access =
   | Unique_probe of Value.t list
   | Index_scan of string * Value.t list  (** Index name and probe values. *)
 
-let describe_access table = function
-  | Full_scan -> Printf.sprintf "%s: full scan" (Table.name table)
-  | Unique_probe _ -> Printf.sprintf "%s: unique-key probe" (Table.name table)
-  | Index_scan (name, _) ->
-    Printf.sprintf "%s: index scan via %s" (Table.name table) name
-
 (* Pick the cheapest applicable access path given equality-bound
    attributes: unique-key probe, then the longest covered secondary index,
    then a scan.  The full WHERE still runs as a residual filter, so the
@@ -182,12 +176,6 @@ let source_rows db ~params (s : Ast.select) =
   in
   product [] plan;
   (List.rev !rows, env_of, bindings)
-
-let explain db ?(params = []) (s : Ast.select) =
-  let plan = plan_of db ~params s in
-  String.concat "\n" (List.map (fun (table, _, access) -> describe_access table access) plan)
-
-let explain_string db ?params src = explain db ?params (Vnl_sql.Parser.parse_select src)
 
 (* Evaluate an expression that may contain aggregates over a group. *)
 let rec eval_agg env_of group (e : Ast.expr) =
@@ -297,17 +285,7 @@ let grouped (s : Ast.select) =
 module Keymap = Map.Make (struct
   type t = Value.t list
 
-  let compare a b =
-    let rec loop xs ys =
-      match (xs, ys) with
-      | [], [] -> 0
-      | [], _ -> -1
-      | _, [] -> 1
-      | x :: xs, y :: ys ->
-        let c = Value.compare x y in
-        if c <> 0 then c else loop xs ys
-    in
-    loop a b
+  let compare = Plan.compare_value_lists
 end)
 
 let dedupe rows =
@@ -321,18 +299,6 @@ let dedupe rows =
         true
       end)
     rows
-
-let compare_value_lists a b =
-  let rec loop xs ys =
-    match (xs, ys) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: xs, y :: ys ->
-      let c = Value.compare x y in
-      if c <> 0 then c else loop xs ys
-  in
-  loop a b
 
 let query db ?(params = []) (s : Ast.select) =
   let rows, env_of, bindings = source_rows db ~params s in
@@ -415,21 +381,3 @@ let query db ?(params = []) (s : Ast.select) =
     | Some (n, m) -> List.filteri (fun i _ -> i >= m && i < m + n) deduped
   in
   { columns; rows = final }
-
-(* The string entry point goes through the prepared-statement cache: parse
-   and compilation are paid once per distinct statement, re-executions run
-   compiled closures.  [query] above remains the interpreter the
-   differential tests compare against. *)
-let query_string db ?params src = Prepared.exec db ?params src
-
-let sort_rows r = { r with rows = List.sort compare_value_lists r.rows }
-
-let result_equal a b =
-  List.equal String.equal a.columns b.columns
-  && List.equal
-       (fun x y -> compare_value_lists x y = 0)
-       (sort_rows a).rows (sort_rows b).rows
-
-let pp_result ppf r =
-  let cells = List.map (List.map Value.to_string) r.rows in
-  Format.pp_print_string ppf (Vnl_util.Ascii_table.render ~header:r.columns cells)

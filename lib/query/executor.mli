@@ -1,15 +1,15 @@
-(** SELECT execution.
+(** The reference interpreter for SELECT.
 
     A straightforward evaluator: FROM (cross product over the named tables),
     WHERE, GROUP BY with aggregates, HAVING, projection, DISTINCT, ORDER BY.
-    A minimal planner picks each table's access path from the equality
-    predicates in WHERE: a unique-key probe when the whole key is bound, the
-    longest covered secondary index otherwise, else a full scan — which is
-    what makes the §4.3 discussion observable: indexes on group-by
-    attributes keep working under the 2VNL rewrite, while a predicate
-    wrapped in the rewrite's CASE can no longer use one.  All data access
-    goes through the buffer pool, so access-path choices show up in the
-    physical I/O counters. *)
+    It picks each table's access path exactly as {!Plan.prepare} does (a
+    unique-key probe when the whole key is bound, the longest covered
+    secondary index otherwise, else a full scan) and reads through the
+    buffer pool, so it touches the same pages as a compiled plan.
+
+    Nothing in the engine calls it: {!Plan} is the one evaluator.  It stays
+    as the oracle the differential tests hold {!Plan} to, and as the
+    [interpreted] baseline of the plan microbenchmarks. *)
 
 exception Query_error of string
 (** Alias of {!Plan.Query_error}: interpreter and compiled plans raise the
@@ -27,29 +27,3 @@ val query :
   result
 (** Execute a SELECT.  Raises {!Query_error} (or {!Eval.Eval_error}) on
     unknown tables/columns or malformed grouping. *)
-
-val query_string :
-  Database.t -> ?params:(string * Vnl_relation.Value.t) list -> string -> result
-(** Execute a SQL string through the prepared-statement cache
-    ({!Prepared.exec}): the statement is parsed and compiled once, then
-    revalidated and re-executed from the cache.  Same results and errors
-    as {!query} — the compiled path mirrors the interpreter exactly. *)
-
-val sort_rows : result -> result
-(** Canonically sort the rows; handy for order-insensitive comparisons in
-    tests and experiment output. *)
-
-val result_equal : result -> result -> bool
-(** Equality on columns and row multisets (order-insensitive). *)
-
-val pp_result : Format.formatter -> result -> unit
-(** Render as an aligned text table. *)
-
-val explain :
-  Database.t -> ?params:(string * Vnl_relation.Value.t) list -> Vnl_sql.Ast.select -> string
-(** One line per FROM table describing the chosen access path (unique-key
-    probe, secondary-index scan, or full scan) without executing the
-    query. *)
-
-val explain_string :
-  Database.t -> ?params:(string * Vnl_relation.Value.t) list -> string -> string

@@ -188,7 +188,7 @@ and unop ctx op a =
   let fa = to_fn ca in
   fold_if [ ca ] (fun rt -> op (fa rt))
 
-(* ---------- group-context compilation (mirrors Executor.eval_agg) ------ *)
+(* ---------- group-context compilation ---------- *)
 
 (* Grouping streams: each row folds into its group's accumulators as it
    arrives, so no group keeps its member rows.  An aggregate compiles to a
@@ -898,3 +898,7 @@ let result_equal a b =
   && List.equal
        (fun x y -> compare_value_lists x y = 0)
        (sort_rows a).rows (sort_rows b).rows
+
+let pp_result ppf r =
+  let cells = List.map (List.map Value.to_string) r.rows in
+  Format.pp_print_string ppf (Vnl_util.Ascii_table.render ~header:r.columns cells)

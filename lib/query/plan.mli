@@ -5,11 +5,14 @@
     subexpressions are folded — and hoists the access-path decision
     (unique-key probe, secondary-index scan, or full scan) out of the
     per-execution path.  [execute] then binds parameters and runs the
-    closures, producing exactly what {!Executor.query} produces: the
-    compiler mirrors the interpreter's semantics down to three-valued
-    logic, lazy error reporting (a bad expression in a query yielding no
-    rows never surfaces), and error-message text.  The differential tests
-    in [test/] hold the two paths to that contract.
+    closures.  Plans are the engine's one SELECT evaluator: the warehouse
+    reader path, the wire server, the shell and the experiments all run
+    through [prepare]/[execute], and the 2VNL reader caches plans per
+    catalog generation.  A reference interpreter in this library gives the
+    same results down to three-valued logic, lazy error reporting (a bad
+    expression in a query yielding no rows never surfaces), and
+    error-message text; the differential tests in [test/] hold plans to
+    that contract.
 
     Compilation changes CPU cost only: a plan touches the same pages
     through the same access paths as the interpreter, so the paper's §6
@@ -72,7 +75,8 @@ val full_scan_only : t -> bool
 
 val explain : t -> string
 (** One line per FROM table describing the access path chosen at prepare
-    time; same format as {!Executor.explain}. *)
+    time: [<table>: unique-key probe], [<table>: index scan via <index>]
+    or [<table>: full scan]. *)
 
 (** {2 Result helpers} *)
 
@@ -84,3 +88,6 @@ val sort_rows : result -> result
 
 val result_equal : result -> result -> bool
 (** Equality on columns and row multisets (order-insensitive). *)
+
+val pp_result : Format.formatter -> result -> unit
+(** Render as an aligned text table. *)

@@ -208,11 +208,6 @@ let tuple_count t = Heap_file.tuple_count t.heap
 
 let page_count t = Heap_file.page_count t.heap
 
-let truncate t =
-  let rids = List.map fst (to_list t) in
-  List.iter (fun rid -> delete t rid) rids
-
-
 let create_index t ~name attrs =
   if attrs = [] then invalid_arg "Table.create_index: empty attribute list";
   Catalog.check_name ~what:"index" name;
@@ -232,13 +227,6 @@ let create_index t ~name attrs =
   Hashtbl.replace t.secondaries name sec;
   t.sec_order <- t.sec_order @ [ name ];
   t.version <- t.version + 1
-
-let drop_index t name =
-  if Hashtbl.mem t.secondaries name then begin
-    Hashtbl.remove t.secondaries name;
-    t.sec_order <- List.filter (fun n -> not (String.equal n name)) t.sec_order;
-    t.version <- t.version + 1
-  end
 
 let indexes t =
   List.map (fun name -> (name, (Hashtbl.find t.secondaries name).attrs)) t.sec_order

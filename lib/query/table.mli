@@ -36,9 +36,8 @@ val heap : t -> Vnl_storage.Heap_file.t
 val has_key : t -> bool
 
 val version : t -> int
-(** Monotone counter bumped by index DDL ({!create_index}, {!drop_index});
-    the prepared-statement cache uses it to detect stale access-path
-    choices (see {!Prepared}). *)
+(** Monotone counter bumped by {!create_index}; {!Plan.valid} uses it to
+    detect stale access-path choices. *)
 
 val insert : ?check:bool -> t -> Vnl_relation.Tuple.t -> Vnl_storage.Heap_file.rid
 (** Raises {!Unique_violation} when the table has a unique key and an equal
@@ -110,16 +109,11 @@ val tuple_count : t -> int
 
 val page_count : t -> int
 
-val truncate : t -> unit
-(** Remove every tuple (used by tests and scenario resets). *)
-
 val create_index : t -> name:string -> string list -> unit
 (** [create_index t ~name attrs] builds and maintains a secondary
     (non-unique) B+-tree index on the given attributes; existing tuples are
     indexed immediately.  Raises [Invalid_argument] on unknown attributes,
     an empty list, or a duplicate index name. *)
-
-val drop_index : t -> string -> unit
 
 val indexes : t -> (string * string list) list
 (** Secondary indexes as (name, attributes), in creation order. *)

@@ -42,8 +42,6 @@ let set_many t updates =
   List.iter (fun (i, v) -> t'.(i) <- v) updates;
   t'
 
-let unsafe_set_many_in_place t updates = List.iter (fun (i, v) -> t.(i) <- v) updates
-
 let unsafe_set_in_place t i v = t.(i) <- v
 
 let values = Array.to_list

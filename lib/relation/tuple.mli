@@ -36,14 +36,11 @@ val set : t -> int -> Value.t -> t
 
 val set_many : t -> (int * Value.t) list -> t
 
-val unsafe_set_many_in_place : t -> (int * Value.t) list -> unit
-(** Write the positions directly, without copying.  Only for engine-internal
+val unsafe_set_in_place : t -> int -> Value.t -> unit
+(** Write the position directly, without copying.  Only for engine-internal
     hot paths where the caller holds the sole reference to the tuple (the
     batched maintenance fold); anywhere else it breaks the immutability
     contract above. *)
-
-val unsafe_set_in_place : t -> int -> Value.t -> unit
-(** Single-position variant of {!unsafe_set_many_in_place}; same contract. *)
 
 val values : t -> Value.t list
 

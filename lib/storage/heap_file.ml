@@ -189,8 +189,6 @@ let latch_acquisitions t = Latch.acquisitions t.latch
 
 let rid_equal a b = a.page = b.page && a.slot = b.slot
 
-let pp_rid ppf rid = Format.fprintf ppf "(%d,%d)" rid.page rid.slot
-
 let buffer_pool t = t.pool
 
 let pages t = List.rev (Atomic.get t.pages)

@@ -93,8 +93,6 @@ val latch_acquisitions : t -> int
 
 val rid_equal : rid -> rid -> bool
 
-val pp_rid : Format.formatter -> rid -> unit
-
 val buffer_pool : t -> Buffer_pool.t
 (** The pool this file performs its I/O through. *)
 

@@ -63,12 +63,6 @@ let used_count l page =
   done;
   !count
 
-let iter_used l page f =
-  for slot = 0 to l.slots - 1 do
-    if Bytes.get page (l.flags_offset + slot) = '\001' then
-      f slot (Bytes.sub page (record_offset l slot) l.record_width)
-  done
-
 let iter_used_offsets l page f =
   for slot = 0 to l.slots - 1 do
     if Bytes.get page (l.flags_offset + slot) = '\001' then f slot (record_offset l slot)

@@ -37,14 +37,10 @@ val first_free_slot : layout -> bytes -> int option
 
 val used_count : layout -> bytes -> int
 
-val iter_used : layout -> bytes -> (int -> bytes -> unit) -> unit
-(** [iter_used l page f] applies [f slot record] to every used slot in slot
-    order. *)
-
 val record_offset : layout -> int -> int
 (** Byte offset of a slot's record within the page image. *)
 
 val iter_used_offsets : layout -> bytes -> (int -> int -> unit) -> unit
-(** Like {!iter_used} but applies [f slot offset] without copying the
-    record bytes; the offsets are only meaningful while the page image is
-    pinned and unmodified. *)
+(** [iter_used_offsets l page f] applies [f slot offset] to every used
+    slot in slot order, without copying the record bytes; the offsets are
+    only meaningful while the page image is pinned and unmodified. *)

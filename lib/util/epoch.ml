@@ -2,15 +2,15 @@
 
    The global epoch is the warehouse's published version number; it only
    moves forward.  A reader {e pins} the epoch for the lifetime of its
-   session by writing it into a private slot; reclaimers (tuple GC, buffer
-   frame recycling) compute the {e horizon} — the minimum pinned epoch —
-   and may free only what was retired strictly before it.  Pin, unpin, and
-   the horizon fold are all lock-free: a slot is one [Atomic.t], acquired
-   by CAS from a shared array that grows by publishing a copy.
+   session by writing it into a private slot; the garbage collector
+   computes the {e horizon} — the minimum pinned epoch — and may discard
+   only versions no pin can still see.  Pin, unpin, and the horizon fold
+   are all lock-free: a slot is one [Atomic.t], acquired by CAS from a
+   shared array that grows by publishing a copy.
 
    The pin protocol closes the classic begin/advance race.  A naive
    "read epoch, then store it" pin can be overtaken: the epoch advances
-   and a reclaimer folds over the slots {e between} the read and the
+   and the collector folds over the slots {e between} the read and the
    store, misses the pin, and frees state the new reader still needs.
    [pin] therefore stores its candidate and then re-reads the epoch,
    retrying until the stored value is the current epoch at some point
@@ -25,21 +25,13 @@ type slot = int Atomic.t
    no "owned but unpinned" state: acquisition and pinning are one CAS. *)
 let available = max_int
 
-type 'a t = {
-  epoch : int Atomic.t;
-  slots : slot array Atomic.t;
-  retired : (int * 'a) list Atomic.t;
-      (** Retire bag: (retire epoch, item), newest first.  An item retired
-          at epoch [e] may be handed out again only once the horizon is
-          strictly past [e]. *)
-}
+type t = { epoch : int Atomic.t; slots : slot array Atomic.t }
 
 let create ?(initial = 0) ?(slots = 16) () =
   if slots < 1 then invalid_arg "Epoch.create: need at least one slot";
   {
     epoch = Atomic.make initial;
     slots = Atomic.make (Array.init slots (fun _ -> Atomic.make available));
-    retired = Atomic.make [];
   }
 
 let current t = Atomic.get t.epoch
@@ -104,32 +96,3 @@ let pinned_epoch slot =
 let min_pinned t =
   let slots = Atomic.get t.slots in
   Array.fold_left (fun acc s -> min acc (Atomic.get s)) (Atomic.get t.epoch) slots
-
-let retire t item =
-  let e = Atomic.get t.epoch in
-  let rec push () =
-    let old = Atomic.get t.retired in
-    if not (Atomic.compare_and_set t.retired old ((e, item) :: old)) then push ()
-  in
-  push ()
-
-let retired_count t = List.length (Atomic.get t.retired)
-
-let reclaim_before t ~horizon =
-  let horizon = min horizon (min_pinned t) in
-  (* Detach the whole bag, hand back what is past the horizon, re-retire
-     the rest under their original epochs. *)
-  let rec detach () =
-    let old = Atomic.get t.retired in
-    if Atomic.compare_and_set t.retired old [] then old else detach ()
-  in
-  let all = detach () in
-  let free, keep = List.partition (fun (e, _) -> e < horizon) all in
-  let rec put_back () =
-    let old = Atomic.get t.retired in
-    if not (Atomic.compare_and_set t.retired old (keep @ old)) then put_back ()
-  in
-  if keep <> [] then put_back ();
-  List.rev_map snd free
-
-let reclaim t = reclaim_before t ~horizon:max_int

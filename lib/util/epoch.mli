@@ -1,39 +1,37 @@
-(** Epoch-based reclamation for latch-free readers.
+(** Epoch pins for latch-free readers.
 
     The global epoch is the warehouse's published version number.  Readers
-    {e pin} it for the lifetime of a session; reclaimers compute the
-    {e horizon} (the minimum pinned epoch, bounded above by the current
-    epoch) and may free only items retired strictly before it.  All
-    operations are lock-free — pinning is one CAS into a slot array that
-    grows by publishing a copy with shared cells — so session open and
-    expiry never serialize readers behind a mutex.
-
-    ['a] is the type of retired items (evicted buffer frames, for the
-    buffer pool's recycling bag); a [t] used only for pinning can
-    instantiate it to [unit]. *)
+    {e pin} it for the lifetime of a session; the garbage collector reads
+    the {e horizon} ({!min_pinned}: the minimum pinned epoch, bounded above
+    by the current epoch) and keeps every version a pin at or above it can
+    still see.  2VNL's collection needs only that horizon — versions live
+    in the tuples themselves — so there is no retire bag.  All operations
+    are lock-free — pinning is one CAS into a slot array that grows by
+    publishing a copy with shared cells — so session open and expiry never
+    serialize readers behind a mutex. *)
 
 type slot
 (** One pin cell.  Owned by a single session between {!pin} and {!unpin};
-    reclaimers read it concurrently. *)
+    {!min_pinned} reads it concurrently. *)
 
-type 'a t
+type t
 
-val create : ?initial:int -> ?slots:int -> unit -> 'a t
+val create : ?initial:int -> ?slots:int -> unit -> t
 (** [initial] is the starting epoch (default 0); [slots] the initial pin
     capacity (default 16, grows on demand).  Raises [Invalid_argument] if
     [slots < 1]. *)
 
-val current : 'a t -> int
+val current : t -> int
 
-val advance : 'a t -> int -> unit
+val advance : t -> int -> unit
 (** Publish epoch [e].  Monotone: an older [e] is a no-op, so concurrent
     publishers cannot move the epoch backwards. *)
 
-val pin : ?current:(unit -> int) -> 'a t -> slot * int
+val pin : ?current:(unit -> int) -> t -> slot * int
 (** Acquire a slot and pin the current epoch, returning the slot and the
     epoch actually pinned.  The protocol is store-then-revalidate: the
     candidate epoch is written into the slot and the current epoch
-    re-read, retrying until they agree — so a reclaimer that advanced the
+    re-read, retrying until they agree — so a collector that advanced the
     epoch and folded over the slots concurrently either saw this pin or
     forced it onto the newer epoch.  [?current] overrides the epoch read
     (the warehouse reads its version state, which owns the authoritative
@@ -45,23 +43,6 @@ val unpin : slot -> unit
 val pinned_epoch : slot -> int option
 (** [None] once unpinned. *)
 
-val min_pinned : 'a t -> int
+val min_pinned : t -> int
 (** The horizon: the minimum pinned epoch across all slots, or the current
     epoch when nothing is pinned. *)
-
-val retire : 'a t -> 'a -> unit
-(** Add an item to the retire bag stamped with the current epoch. *)
-
-val retired_count : 'a t -> int
-
-val reclaim : 'a t -> 'a list
-(** Remove and return every retired item whose retire epoch is strictly
-    below {!min_pinned}; items still covered by a pin stay in the bag.
-    Never returns an item while any pinned epoch is [<=] its retire
-    epoch — the property the QCheck suite drives. *)
-
-val reclaim_before : 'a t -> horizon:int -> 'a list
-(** Like {!reclaim} but additionally bounded by an external horizon: only
-    items retired strictly before [min horizon (min_pinned t)] are freed.
-    Used when pins live in a different epoch domain (the buffer pool's
-    retire bag is gated by the warehouse's minimum session epoch). *)

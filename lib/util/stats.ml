@@ -47,8 +47,4 @@ let summarize xs =
     total = total xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f"
-    s.n s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 let ratio a b = if b = 0.0 then 0.0 else a /. b

@@ -27,9 +27,6 @@ val percentile : float -> float list -> float
 val summarize : float list -> summary
 (** Full summary of a sample. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-(** Render as [n=... mean=... p99=...]. *)
-
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], or 0 when [b = 0]; convenient for overhead
     factors in reports. *)

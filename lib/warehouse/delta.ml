@@ -93,13 +93,6 @@ let net_group_deltas view changes =
          if count = 0 && Array.for_all is_zero sums then None
          else Some { key; agg_delta = Array.to_list sums; count_delta = count })
 
-let pp_change ppf = function
-  | Insert t -> Format.fprintf ppf "insert %s" (String.concat "," (Tuple.to_strings t))
-  | Delete t -> Format.fprintf ppf "delete %s" (String.concat "," (Tuple.to_strings t))
-  | Update (o, n) ->
-    Format.fprintf ppf "update %s -> %s"
-      (String.concat "," (Tuple.to_strings o))
-      (String.concat "," (Tuple.to_strings n))
 
 let change_count changes =
   List.fold_left

@@ -27,7 +27,5 @@ val net_group_deltas : View_def.t -> change list -> group_delta list
     — without this the phantom delta survives netting and smears epsilon
     onto groups the batch never logically changed. *)
 
-val pp_change : Format.formatter -> change -> unit
-
 val change_count : change list -> int * int * int
 (** (inserts, deletes, updates) in the batch. *)

@@ -116,7 +116,7 @@ val end_session : t -> Vnl_core.Twovnl.Session.s -> unit
 
 val query :
   ?params:(string * Vnl_relation.Value.t) list ->
-  t -> Vnl_core.Twovnl.Session.s -> string -> Vnl_query.Executor.result
+  t -> Vnl_core.Twovnl.Session.s -> string -> Vnl_query.Plan.result
 (** Session-consistent SQL over the views (2VNL rewrite), compiled once
     per statement and served from the plan cache thereafter; [params]
     supplies named parameters so value-varying workloads share plans. *)

@@ -15,7 +15,7 @@ module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
 module Schema = Vnl_relation.Schema
 module Dtype = Vnl_relation.Dtype
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Database = Vnl_query.Database
 module Twovnl = Vnl_core.Twovnl
 module Recovery = Vnl_core.Recovery
@@ -134,7 +134,7 @@ let query_pair vnl session city =
       (Twovnl.Session.query vnl session
          ~params:[ ("city", Value.Str city) ]
          "SELECT SUM(total_sales) FROM DailySales WHERE city = :city")
-        .Executor.rows
+        .Plan.rows
     with
     | [ [ Value.Int n ] ] -> n
     | _ -> 0
@@ -144,7 +144,7 @@ let query_pair vnl session city =
        ~params:[ ("city", Value.Str city) ]
        "SELECT product_line, SUM(total_sales) FROM DailySales WHERE city = :city \
         GROUP BY product_line")
-      .Executor.rows
+      .Plan.rows
     |> List.fold_left
          (fun acc row -> match row with [ _; Value.Int n ] -> acc + n | _ -> acc)
          0

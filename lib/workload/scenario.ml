@@ -4,7 +4,6 @@ module Xorshift = Vnl_util.Xorshift
 module Twovnl = Vnl_core.Twovnl
 module Warehouse = Vnl_warehouse.Warehouse
 module Summary = Vnl_warehouse.Summary
-module Executor = Vnl_query.Executor
 module Plan = Vnl_query.Plan
 
 type mode = Offline | Online of int | Dirty
@@ -88,7 +87,7 @@ let sql_total query city =
     (query
        ~params:[ ("city", Value.Str city) ]
        "SELECT SUM(total_sales) FROM DailySales WHERE city = :city")
-      .Executor.rows
+      .Plan.rows
   with
   | [ [ Value.Int n ] ] -> n
   | [ [ Value.Null ] ] -> 0
@@ -100,7 +99,7 @@ let sql_drill_total query city =
        ~params:[ ("city", Value.Str city) ]
        "SELECT product_line, SUM(total_sales) FROM DailySales WHERE city = :city \
         GROUP BY product_line")
-      .Executor.rows
+      .Plan.rows
   in
   List.fold_left
     (fun acc row -> match row with [ _; Value.Int n ] -> acc + n | _ -> acc)

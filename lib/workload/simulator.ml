@@ -89,5 +89,3 @@ let run ?until t =
   in
   loop ();
   t.running <- false
-
-let processes_finished t = t.finished

@@ -32,5 +32,3 @@ val run : ?until:int -> t -> unit
 (** Execute until no events remain (raising {!Stuck} if blocked processes
     never wake) or past time [until] (blocked processes are then abandoned
     silently). *)
-
-val processes_finished : t -> int

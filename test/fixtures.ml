@@ -101,3 +101,7 @@ let base_testable =
   Alcotest.testable
     (Fmt.list ~sep:Fmt.semi (fun ppf t -> Tuple.pp daily_sales ppf t))
     (fun a b -> List.equal Tuple.equal a b)
+
+(* One-shot SQL through the engine's evaluator: parse, compile, run. *)
+let sql db ?params src =
+  Vnl_query.Plan.execute ?params (Vnl_query.Plan.prepare db (Vnl_sql.Parser.parse_select src))

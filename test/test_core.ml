@@ -138,7 +138,7 @@ let test_version_state_is_queryable () =
   (* §4: the state lives in an ordinary single-tuple relation. *)
   let db = Database.create () in
   let _vs = Version_state.install db in
-  let r = Vnl_query.Executor.query_string db "SELECT currentVN, maintenanceActive FROM Version" in
+  let r = Fixtures.sql db "SELECT currentVN, maintenanceActive FROM Version" in
   match r.Vnl_query.Executor.rows with
   | [ [ Value.Int 1; Value.Bool false ] ] -> ()
   | _ -> Alcotest.fail "Version relation not queryable"

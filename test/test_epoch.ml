@@ -1,13 +1,15 @@
-(* Epoch-based reclamation: the safety property the whole latch-free read
-   path leans on.
+(* Epoch pins: the safety property the whole latch-free read path leans
+   on.  The garbage collector keeps every version a live pin can see, so
+   the one number it reads — {!Vnl_util.Epoch.min_pinned}, the horizon —
+   must never rise above a live pin.
 
-   The QCheck property drives random op sequences (advance / pin / unpin /
-   retire / reclaim) against a model and asserts, at every reclaim, that
-   nothing is freed while any pinned epoch is <= its retire epoch — the
-   exact guarantee {!Vnl_util.Epoch.reclaim} documents.  Unit tests nail
-   the store-then-revalidate pin protocol (the begin/advance race), slot
-   growth, and the external-horizon bound; a domain stress checks no item
-   is ever freed twice or lost under real races. *)
+   The QCheck property drives random pin / unpin / advance histories
+   against a model and asserts, after every step, that [min_pinned] equals
+   the model's horizon: the minimum over live pins, or the current epoch
+   when none are live.  Unit tests nail the store-then-revalidate pin
+   protocol (the begin/advance race) and slot growth; a domain race checks
+   that no pin lands on a future epoch and that the horizon returns to the
+   current epoch once everything is unpinned. *)
 
 module Epoch = Vnl_util.Epoch
 module Xorshift = Vnl_util.Xorshift
@@ -21,63 +23,37 @@ type model_pin = { slot : Epoch.slot; pinned : int }
 
 let run_history seed =
   let rng = Xorshift.create seed in
-  let t : int Epoch.t = Epoch.create ~slots:2 () in
+  let t = Epoch.create ~slots:2 () in
   let epoch = ref 0 in
+  (* Live pins, in no particular order: unpin picks any of them. *)
   let pins = ref [] in
-  (* id -> retire epoch for everything retired and not yet freed *)
-  let retired = Hashtbl.create 16 in
-  let next_id = ref 0 in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  for _step = 1 to 60 do
-    match Xorshift.int rng 5 with
+  for step = 1 to 60 do
+    (match Xorshift.int rng 3 with
     | 0 ->
       incr epoch;
       Epoch.advance t !epoch
     | 1 ->
       let slot, pinned = Epoch.pin t in
       if pinned <> !epoch then
-        fail "pin observed epoch %d, current is %d" pinned !epoch;
+        fail "step %d: pin observed epoch %d, current is %d" step pinned !epoch;
       pins := { slot; pinned } :: !pins
-    | 2 -> (
+    | _ -> (
       match !pins with
       | [] -> ()
-      | p :: rest ->
-        Epoch.unpin p.slot;
-        pins := rest)
-    | 3 ->
-      let id = !next_id in
-      incr next_id;
-      Hashtbl.replace retired id !epoch;
-      Epoch.retire t id
-    | _ ->
-      let freed = Epoch.reclaim t in
-      let min_pinned =
-        List.fold_left (fun acc p -> min acc p.pinned) !epoch !pins
-      in
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt retired id with
-          | None -> fail "item %d freed twice (or never retired)" id
-          | Some re ->
-            Hashtbl.remove retired id;
-            (* The property: no pin at or before the retire epoch may
-               still be live when the item is freed. *)
-            if min_pinned <= re then
-              fail "item %d (retired at %d) freed under live pin at %d" id re min_pinned)
-        freed
+      | _ :: _ ->
+        let k = Xorshift.int rng (List.length !pins) in
+        Epoch.unpin (List.nth !pins k).slot;
+        pins := List.filteri (fun i _ -> i <> k) !pins));
+    let model = List.fold_left (fun acc p -> min acc p.pinned) !epoch !pins in
+    let got = Epoch.min_pinned t in
+    if got <> model then fail "step %d: min_pinned %d, model says %d" step got model
   done;
-  (* Drain: with every pin released, everything must eventually free. *)
-  List.iter (fun p -> Epoch.unpin p.slot) !pins;
-  Epoch.advance t (!epoch + 1);
-  let last = Epoch.reclaim t in
-  List.iter (fun id -> Hashtbl.remove retired id) last;
-  if Hashtbl.length retired > 0 then
-    fail "%d items never reclaimed after all pins released" (Hashtbl.length retired);
   List.rev !failures
 
-let qcheck_reclaim_safety =
-  QCheck.Test.make ~name:"epoch reclaim never frees under a live pin" ~count:200
+let qcheck_min_pinned_model =
+  QCheck.Test.make ~name:"epoch min_pinned matches the pin model" ~count:200
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000) ~print:string_of_int)
     (fun seed ->
       match run_history seed with
@@ -92,7 +68,7 @@ let qcheck_reclaim_safety =
    the new epoch — the naive read-then-store design pins 7 here, and GC at
    horizon 8 would free history the session still needs. *)
 let test_pin_revalidates_after_advance () =
-  let t : unit Epoch.t = Epoch.create ~initial:7 () in
+  let t = Epoch.create ~initial:7 () in
   let reads = ref 0 in
   let current () =
     incr reads;
@@ -107,7 +83,7 @@ let test_pin_revalidates_after_advance () =
     (Epoch.pinned_epoch slot)
 
 let test_min_pinned_and_growth () =
-  let t : unit Epoch.t = Epoch.create ~initial:100 ~slots:2 () in
+  let t = Epoch.create ~initial:100 ~slots:2 () in
   (* Exceed the initial slot capacity: the array must grow while earlier
      pins stay visible through the shared cells. *)
   let pins = List.init 20 (fun _ -> fst (Epoch.pin t)) in
@@ -119,75 +95,38 @@ let test_min_pinned_and_growth () =
   Epoch.advance t 103;
   check Alcotest.int "advance is monotone" 105 (Epoch.current t)
 
-let test_external_horizon_bound () =
-  let t : string Epoch.t = Epoch.create ~initial:10 () in
-  Epoch.retire t "a";
-  Epoch.advance t 20;
-  Epoch.retire t "b";
-  check Alcotest.int "both items in the bag" 2 (Epoch.retired_count t);
-  (* No pins, so min_pinned is 20 — but the external horizon (a session
-     epoch domain elsewhere) may be stricter. *)
-  check (Alcotest.list Alcotest.string) "horizon 15 frees only the epoch-10 item"
-    [ "a" ]
-    (Epoch.reclaim_before t ~horizon:15);
-  check Alcotest.int "the epoch-20 item stays retired" 1 (Epoch.retired_count t);
-  Epoch.advance t 21;
-  check (Alcotest.list Alcotest.string) "catching up frees the rest" [ "b" ]
-    (Epoch.reclaim t)
-
 (* --- real domain races ------------------------------------------------- *)
 
-(* Pinners cycle pin/unpin while one domain retires tagged items, advances
-   the epoch, and reclaims.  Exact per-free pin checks need a global clock,
-   but two invariants survive any schedule: every item is freed exactly
-   once, and nothing is freed at the epoch it was retired under while that
-   epoch is still current (reclaim is strict-less-than the horizon). *)
-let test_domain_race_no_double_free () =
-  let t : int Epoch.t = Epoch.create () in
-  let items = 400 in
-  let freed = Array.make items 0 in
-  let counts =
-    Domain_pool.run ~domains:4 (fun ~start rank ->
-        start ();
-        if rank = 0 then begin
-          let total = ref 0 in
-          for i = 0 to items - 1 do
-            Epoch.retire t i;
-            if i mod 16 = 0 then Epoch.advance t (Epoch.current t + 1);
-            List.iter
-              (fun id ->
-                freed.(id) <- freed.(id) + 1;
-                incr total)
-              (Epoch.reclaim t)
-          done;
-          Epoch.advance t (Epoch.current t + 1);
-          (* Pinners may still hold old epochs; drain until empty. *)
-          while Epoch.retired_count t > 0 do
-            Epoch.advance t (Epoch.current t + 1);
-            List.iter
-              (fun id ->
-                freed.(id) <- freed.(id) + 1;
-                incr total)
-              (Epoch.reclaim t);
-            Domain.cpu_relax ()
-          done;
-          !total
-        end
-        else begin
-          let rng = Xorshift.create (42 + rank) in
-          for _ = 1 to 300 do
-            let slot, pinned = Epoch.pin t in
-            if pinned > Epoch.current t then failwith "pinned a future epoch";
-            if Xorshift.chance rng 0.5 then Domain.cpu_relax ();
-            Epoch.unpin slot
-          done;
-          0
-        end)
-  in
-  check Alcotest.int "every item freed exactly once" items counts.(0);
-  Array.iteri
-    (fun id n -> if n <> 1 then Alcotest.failf "item %d freed %d times" id n)
-    freed
+(* Pinners cycle pin/unpin while one domain advances the epoch and reads
+   the horizon.  Two invariants survive any schedule: no pin ever lands on
+   an epoch the publisher has not reached, and the horizon never exceeds
+   the current epoch.  Once every pinner is done, the horizon is the
+   current epoch again — a leaked pin would hold it back for good. *)
+let test_domain_race_pin_vs_advance () =
+  let t = Epoch.create () in
+  let published = 400 in
+  ignore
+    (Domain_pool.run ~domains:4 (fun ~start rank ->
+         start ();
+         if rank = 0 then
+           for e = 1 to published do
+             Epoch.advance t e;
+             if Epoch.min_pinned t > Epoch.current t then
+               failwith "horizon above the current epoch";
+             Domain.cpu_relax ()
+           done
+         else begin
+           let rng = Xorshift.create (42 + rank) in
+           for _ = 1 to 300 do
+             let slot, pinned = Epoch.pin t in
+             if pinned > Epoch.current t then failwith "pinned a future epoch";
+             if Xorshift.chance rng 0.5 then Domain.cpu_relax ();
+             Epoch.unpin slot
+           done
+         end));
+  check Alcotest.int "every advance published" published (Epoch.current t);
+  check Alcotest.int "horizon is the current epoch once all pins drop"
+    (Epoch.current t) (Epoch.min_pinned t)
 
 let suite =
   [
@@ -195,9 +134,7 @@ let suite =
       test_pin_revalidates_after_advance;
     Alcotest.test_case "min_pinned across slot growth; monotone advance" `Quick
       test_min_pinned_and_growth;
-    Alcotest.test_case "reclaim_before respects an external horizon" `Quick
-      test_external_horizon_bound;
-    Alcotest.test_case "domain race: exact-once reclamation" `Quick
-      test_domain_race_no_double_free;
-    QCheck_alcotest.to_alcotest qcheck_reclaim_safety;
+    Alcotest.test_case "domain race: pin never in the future" `Quick
+      test_domain_race_pin_vs_advance;
+    QCheck_alcotest.to_alcotest qcheck_min_pinned_model;
   ]

@@ -9,7 +9,7 @@ module Schema = Vnl_relation.Schema
 module Tuple = Vnl_relation.Tuple
 module Database = Vnl_query.Database
 module Table = Vnl_query.Table
-module Executor = Vnl_query.Executor
+module Plan = Vnl_query.Plan
 module Twovnl = Vnl_core.Twovnl
 module Rewrite = Vnl_core.Rewrite
 module Xorshift = Vnl_util.Xorshift
@@ -97,7 +97,7 @@ let test_index_errors () =
 let test_planner_chooses_paths () =
   let db, t = loaded_table () in
   Table.create_index t ~name:"idx_city" [ "city" ];
-  let explain sql = Executor.explain_string db sql in
+  let explain sql = Plan.explain (Plan.prepare db (Vnl_sql.Parser.parse_select sql)) in
   check Alcotest.string "unique probe" "T: unique-key probe"
     (explain "SELECT v FROM T WHERE id = 5");
   check Alcotest.string "index scan" "T: index scan via idx_city"
@@ -111,23 +111,23 @@ let test_planner_chooses_paths () =
 
 let test_planner_results_equal_scan () =
   let db, t = loaded_table () in
-  let before = Executor.query_string db "SELECT id FROM T WHERE city = 'sj' ORDER BY id" in
+  let before = Fixtures.sql db "SELECT id FROM T WHERE city = 'sj' ORDER BY id" in
   Table.create_index t ~name:"idx_city" [ "city" ];
-  let after = Executor.query_string db "SELECT id FROM T WHERE city = 'sj' ORDER BY id" in
-  Alcotest.(check bool) "same result" true (Executor.result_equal before after)
+  let after = Fixtures.sql db "SELECT id FROM T WHERE city = 'sj' ORDER BY id" in
+  Alcotest.(check bool) "same result" true (Plan.result_equal before after)
 
 let test_planner_param_probe () =
   let db, t = loaded_table () in
   Table.create_index t ~name:"idx_city" [ "city" ];
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       ~params:[ ("c", Value.Str "sj") ]
       "SELECT COUNT(*) FROM T WHERE city = :c"
   in
   let via_scan = ref 0 in
   Table.scan t (fun _ tuple ->
       if Value.equal (Tuple.get tuple 1) (Value.Str "sj") then incr via_scan);
-  match r.Executor.rows with
+  match r.Plan.rows with
   | [ [ Value.Int n ] ] -> check Alcotest.int "param-bound index probe" !via_scan n
   | _ -> Alcotest.fail "shape"
 
@@ -144,9 +144,7 @@ let test_rewrite_preserves_index_use () =
   let rewritten sql =
     Rewrite.reader_select ~lookup:(Twovnl.lookup wh) (Vnl_sql.Parser.parse_select sql)
   in
-  let explain sql =
-    Executor.explain db ~params:[ ("sessionVN", Value.Int 1) ] (rewritten sql)
-  in
+  let explain sql = Plan.explain (Plan.prepare db (rewritten sql)) in
   check Alcotest.string "group-by attribute predicate keeps the index"
     "DailySales: index scan via idx_city"
     (explain "SELECT SUM(total_sales) FROM DailySales WHERE city = 'San Jose'");
@@ -158,7 +156,7 @@ let test_rewrite_preserves_index_use () =
   let r =
     Twovnl.Session.query wh s "SELECT SUM(total_sales) FROM DailySales WHERE city = 'San Jose'"
   in
-  match r.Executor.rows with
+  match r.Plan.rows with
   | [ [ Value.Int 10000 ] ] -> ()
   | _ -> Alcotest.fail "wrong answer through index"
 

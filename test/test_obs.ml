@@ -237,7 +237,7 @@ let run_differential () =
   let r2 = Warehouse.query wh s analyst in
   Warehouse.end_session wh s;
   let db = Warehouse.database wh in
-  let render r = Format.asprintf "%a" Vnl_query.Executor.pp_result r in
+  let render r = Format.asprintf "%a" Vnl_query.Plan.pp_result r in
   (render r1, render r2, Database.io_stats db, Disk.stats (Database.disk db))
 
 let test_disabled_is_identical () =

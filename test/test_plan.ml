@@ -1,6 +1,6 @@
 (* Differential and cache tests for the compiled query path.
 
-   The contract under test: Plan/Prepared may change CPU cost only.  So the
+   The contract under test: Plan may change CPU cost only.  So the
    compiled path must (1) agree with the interpreter on every query —
    results, output labels, and failure/success — over randomized schemas,
    data, and queries; (2) never serve a stale plan across catalog changes;
@@ -14,7 +14,6 @@ module Database = Vnl_query.Database
 module Table = Vnl_query.Table
 module Executor = Vnl_query.Executor
 module Plan = Vnl_query.Plan
-module Prepared = Vnl_query.Prepared
 module Parser = Vnl_sql.Parser
 module Ast = Vnl_sql.Ast
 module Pp = Vnl_sql.Pp
@@ -199,19 +198,18 @@ let qcheck_compiled_matches_interpreter =
       match (interp, compiled) with
       | Error _, Error _ -> true
       | Ok a, Ok b ->
-        if a.Executor.columns = b.Executor.columns && a.Executor.rows = b.Executor.rows then
-          true
+        if a.Plan.columns = b.Plan.columns && a.Plan.rows = b.Plan.rows then true
         else
           QCheck.Test.fail_reportf "results differ:\ninterpreter:\n%a\ncompiled:\n%a"
-            Executor.pp_result a Executor.pp_result b
+            Plan.pp_result a Plan.pp_result b
       | Ok _, Error e ->
         QCheck.Test.fail_reportf "compiled failed where interpreter succeeded: %s" e
       | Error e, Ok _ ->
         QCheck.Test.fail_reportf "interpreter failed where compiled succeeded: %s" e)
 
-(* The same differential over parsed SQL text through the public entry
-   points: query_string (prepared cache) vs query (interpreter). *)
-let test_query_string_matches_query () =
+(* The same differential over SQL text: a one-shot parse + prepare +
+   execute against the interpreter. *)
+let test_one_shot_plan_matches_query () =
   let case =
     {
       sel = Ast.select_all "t_a";
@@ -223,11 +221,11 @@ let test_query_string_matches_query () =
   let db = setup_diff_db case in
   List.iter
     (fun src ->
-      let via_cache = Executor.query_string db src in
+      let via_plan = Fixtures.sql db src in
       let via_interp = Executor.query db (Parser.parse_select src) in
       Alcotest.(check bool) (Printf.sprintf "agree on %s" src) true
-        (via_cache.Executor.columns = via_interp.Executor.columns
-        && via_cache.Executor.rows = via_interp.Executor.rows))
+        (via_plan.Plan.columns = via_interp.Plan.columns
+        && via_plan.Plan.rows = via_interp.Plan.rows))
     [
       "SELECT * FROM t_a";
       "SELECT c_a, c_b FROM t_a WHERE c_b IS NOT NULL ORDER BY c_a DESC";
@@ -293,7 +291,7 @@ let check_agrees ~expect_ok src =
     | _ -> false
   in
   let show = function
-    | Ok r -> Fmt.str "%a" Executor.pp_result r
+    | Ok r -> Fmt.str "%a" Plan.pp_result r
     | Error e -> "error: " ^ e
   in
   Alcotest.(check bool) (src ^ ": interpreter outcome as expected") expect_ok (Result.is_ok interp);
@@ -337,7 +335,7 @@ let test_accumulators_match_interpreter () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Prepared-statement cache behaviour.                                 *)
+(* Plan revalidation across catalog changes.                          *)
 (* ------------------------------------------------------------------ *)
 
 let sales_schema =
@@ -360,42 +358,24 @@ let sales_db () =
     ];
   db
 
-let test_cache_hits_and_misses () =
-  let db = sales_db () in
-  let sql = "SELECT SUM(total_sales) FROM DailySales WHERE city = :city" in
-  let run () =
-    Executor.query_string db ~params:[ ("city", Value.Str "San Jose") ] sql
-  in
-  let r1 = run () in
-  let s = Prepared.stats db in
-  check Alcotest.int "first run misses" 1 s.Prepared.misses;
-  check Alcotest.int "first run hits" 0 s.Prepared.hits;
-  let r2 = run () in
-  check Alcotest.int "second run hits" 1 (Prepared.stats db).Prepared.hits;
-  check Alcotest.int "still one plan" 1 (Prepared.size db);
-  Alcotest.(check bool) "same answer" true (Executor.result_equal r1 r2);
-  (match r1.Executor.rows with
-  | [ [ Value.Int 11500 ] ] -> ()
-  | _ -> Alcotest.fail "wrong sum")
-
 let test_cache_invalidation_on_index_ddl () =
   let db = sales_db () in
-  let sql = "SELECT total_sales FROM DailySales WHERE city = 'San Jose' ORDER BY day" in
-  let p1 = Prepared.prepare db sql in
+  let sel =
+    Parser.parse_select "SELECT total_sales FROM DailySales WHERE city = 'San Jose' ORDER BY day"
+  in
+  let p1 = Plan.prepare db sel in
   Alcotest.(check bool) "starts as a full scan" true (Plan.full_scan_only p1);
-  (* Index DDL bumps the table version: the cached plan must not survive. *)
+  Alcotest.(check bool) "fresh plan is valid" true (Plan.valid db p1);
+  (* Index DDL bumps the table version: the held plan must not survive. *)
   Table.create_index (Database.table_exn db "DailySales") ~name:"by_city" [ "city" ];
   Alcotest.(check bool) "old plan invalidated" false (Plan.valid db p1);
-  let inv_before = (Prepared.stats db).Prepared.invalidations in
-  let r = Executor.query_string db sql in
-  check Alcotest.int "revalidation rejected the entry" (inv_before + 1)
-    (Prepared.stats db).Prepared.invalidations;
-  let p2 = Prepared.prepare db sql in
+  let p2 = Plan.prepare db sel in
+  Alcotest.(check bool) "re-prepared plan is valid" true (Plan.valid db p2);
   Alcotest.(check bool) "new plan uses the index" false (Plan.full_scan_only p2);
   Alcotest.(check bool) "explains differ" true (Plan.explain p1 <> Plan.explain p2);
-  (match r.Executor.rows with
+  match (Plan.execute p2).Plan.rows with
   | [ [ Value.Int 10000 ]; [ Value.Int 1500 ] ] -> ()
-  | _ -> Alcotest.fail "index plan returned wrong rows")
+  | _ -> Alcotest.fail "index plan returned wrong rows"
 
 let test_cache_invalidation_on_drop_recreate () =
   let db = Database.create () in
@@ -403,40 +383,18 @@ let test_cache_invalidation_on_drop_recreate () =
   let t = Database.create_table db "t" s in
   ignore (Table.insert t (Tuple.make s [ Value.Int 1 ]));
   ignore (Table.insert t (Tuple.make s [ Value.Int 2 ]));
-  let sql = "SELECT a FROM t ORDER BY a" in
-  let r1 = Executor.query_string db sql in
-  check Alcotest.int "old table rows" 2 (List.length r1.Executor.rows);
+  let sel = Parser.parse_select "SELECT a FROM t ORDER BY a" in
+  let p1 = Plan.prepare db sel in
+  check Alcotest.int "old table rows" 2 (List.length (Plan.execute p1).Plan.rows);
   Database.drop_table db "t";
   let t' = Database.create_table db "t" s in
   ignore (Table.insert t' (Tuple.make s [ Value.Int 7 ]));
-  (* The cached plan still points at the dropped table's heap; serving it
+  (* The old plan still points at the dropped table's heap; executing it
      would silently read stale pages. *)
-  let r2 = Executor.query_string db sql in
-  (match r2.Executor.rows with
+  Alcotest.(check bool) "plan over the dropped table invalidated" false (Plan.valid db p1);
+  match (Plan.execute (Plan.prepare db sel)).Plan.rows with
   | [ [ Value.Int 7 ] ] -> ()
-  | _ -> Alcotest.fail "stale plan served after drop/recreate");
-  Alcotest.(check bool) "invalidation counted" true
-    ((Prepared.stats db).Prepared.invalidations >= 1)
-
-let test_cache_lru_eviction () =
-  let db = sales_db () in
-  ignore (Prepared.cache ~capacity:2 db);
-  ignore (Executor.query_string db "SELECT city FROM DailySales");
-  ignore (Executor.query_string db "SELECT day FROM DailySales");
-  ignore (Executor.query_string db "SELECT total_sales FROM DailySales");
-  check Alcotest.int "capacity respected" 2 (Prepared.size db);
-  (* The least-recently-used statement was the first one. *)
-  let misses = (Prepared.stats db).Prepared.misses in
-  ignore (Executor.query_string db "SELECT day FROM DailySales");
-  check Alcotest.int "recent entry still cached" misses (Prepared.stats db).Prepared.misses;
-  ignore (Executor.query_string db "SELECT city FROM DailySales");
-  check Alcotest.int "evicted entry recompiled" (misses + 1) (Prepared.stats db).Prepared.misses
-
-let test_cache_never_caches_failures () =
-  let db = sales_db () in
-  (try ignore (Executor.query_string db "SELECT FROM WHERE") with _ -> ());
-  (try ignore (Executor.query_string db "SELECT * FROM Nope") with _ -> ());
-  check Alcotest.int "no failed entries" 0 (Prepared.size db)
+  | _ -> Alcotest.fail "fresh plan did not read the new table"
 
 (* ------------------------------------------------------------------ *)
 (* Physical I/O parity: compilation is CPU-only.                       *)
@@ -469,7 +427,7 @@ let io_parity ~name db select params =
   Database.reset_io_stats db;
   let via_plan = Plan.execute ~params plan in
   let s2 = Database.io_stats db in
-  Alcotest.(check bool) (name ^ ": same rows") true (Executor.result_equal via_interp via_plan);
+  Alcotest.(check bool) (name ^ ": same rows") true (Plan.result_equal via_interp via_plan);
   check Alcotest.int (name ^ ": same logical reads")
     s1.Vnl_storage.Buffer_pool.logical_reads s2.Vnl_storage.Buffer_pool.logical_reads;
   check Alcotest.int (name ^ ": same physical reads") s1.Vnl_storage.Buffer_pool.misses
@@ -497,16 +455,13 @@ let test_io_parity_key_probe () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_compiled_matches_interpreter;
-    Alcotest.test_case "query_string = query on SQL text" `Quick test_query_string_matches_query;
+    Alcotest.test_case "one-shot plan = query on SQL text" `Quick test_one_shot_plan_matches_query;
     Alcotest.test_case "group accumulators = interpreter" `Quick
       test_accumulators_match_interpreter;
-    Alcotest.test_case "cache hit/miss accounting" `Quick test_cache_hits_and_misses;
     Alcotest.test_case "index DDL invalidates cached plan" `Quick
       test_cache_invalidation_on_index_ddl;
     Alcotest.test_case "drop/recreate invalidates cached plan" `Quick
       test_cache_invalidation_on_drop_recreate;
-    Alcotest.test_case "LRU eviction at capacity" `Quick test_cache_lru_eviction;
-    Alcotest.test_case "failures are never cached" `Quick test_cache_never_caches_failures;
     Alcotest.test_case "I/O parity: full scan" `Quick test_io_parity_full_scan;
     Alcotest.test_case "I/O parity: index scan" `Quick test_io_parity_index_scan;
     Alcotest.test_case "I/O parity: key probe" `Quick test_io_parity_key_probe;

@@ -254,7 +254,7 @@ let qcheck_session_query_matches_interpreter =
                   (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup wh)
                      (Vnl_sql.Parser.parse_select src))
               in
-              Vnl_query.Executor.result_equal via_session via_interp)
+              Vnl_query.Plan.result_equal via_session via_interp)
             queries)
         [ s1; s2 ])
 

@@ -110,14 +110,14 @@ let test_db_duplicate_table () =
 
 let test_select_star () =
   let db = fresh_db () in
-  let r = Executor.query_string db "SELECT * FROM DailySales" in
+  let r = Fixtures.sql db "SELECT * FROM DailySales" in
   check Alcotest.int "rows" 4 (List.length r.Executor.rows);
   check Alcotest.int "columns" 5 (List.length r.Executor.columns)
 
 let test_select_where () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db "SELECT total_sales FROM DailySales WHERE city = 'San Jose'"
+    Fixtures.sql db "SELECT total_sales FROM DailySales WHERE city = 'San Jose'"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "values" [ [ 10000 ]; [ 1500 ] ] (int_rows r)
 
@@ -125,7 +125,7 @@ let test_select_where () =
 let test_select_group_by_paper () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city, state, SUM(total_sales) FROM DailySales GROUP BY city, state \
        ORDER BY city"
   in
@@ -146,7 +146,7 @@ let test_select_group_by_paper () =
 let test_select_drill_down_paper () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT product_line, SUM(total_sales) FROM DailySales \
        WHERE city = 'San Jose' AND state = 'CA' GROUP BY product_line"
   in
@@ -155,7 +155,7 @@ let test_select_drill_down_paper () =
   | _ -> Alcotest.fail "drill-down mismatch");
   (* Consistency: drill-down must add up to the city total. *)
   let total =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT SUM(total_sales) FROM DailySales WHERE city = 'San Jose' AND state = 'CA'"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "sum matches" [ [ 11500 ] ] (int_rows total)
@@ -163,7 +163,7 @@ let test_select_drill_down_paper () =
 let test_select_aggregates () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT COUNT(*), MIN(total_sales), MAX(total_sales), AVG(total_sales) FROM DailySales"
   in
   match r.Executor.rows with
@@ -173,13 +173,13 @@ let test_select_aggregates () =
 
 let test_select_count_empty () =
   let db = fresh_db () in
-  let r = Executor.query_string db "SELECT COUNT(*) FROM DailySales WHERE city = 'Nowhere'" in
+  let r = Fixtures.sql db "SELECT COUNT(*) FROM DailySales WHERE city = 'Nowhere'" in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "zero" [ [ 0 ] ] (int_rows r)
 
 let test_select_sum_empty_is_null () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db "SELECT SUM(total_sales) FROM DailySales WHERE city = 'Nowhere'"
+    Fixtures.sql db "SELECT SUM(total_sales) FROM DailySales WHERE city = 'Nowhere'"
   in
   match r.Executor.rows with
   | [ [ Value.Null ] ] -> ()
@@ -188,7 +188,7 @@ let test_select_sum_empty_is_null () =
 let test_select_having () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city, SUM(total_sales) FROM DailySales GROUP BY city \
        HAVING SUM(total_sales) > 10000 ORDER BY city"
   in
@@ -198,7 +198,7 @@ let test_select_having () =
 let test_select_order_desc () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db "SELECT total_sales FROM DailySales ORDER BY total_sales DESC"
+    Fixtures.sql db "SELECT total_sales FROM DailySales ORDER BY total_sales DESC"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "descending"
     [ [ 12000 ]; [ 10000 ]; [ 8000 ]; [ 1500 ] ]
@@ -207,7 +207,7 @@ let test_select_order_desc () =
 let test_order_by_aggregate () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city FROM DailySales GROUP BY city ORDER BY SUM(total_sales) DESC"
   in
   let cities = List.map (fun row -> Value.to_string (List.hd row)) r.Executor.rows in
@@ -216,41 +216,41 @@ let test_order_by_aggregate () =
 
 let test_global_having () =
   let db = fresh_db () in
-  let keeps = Executor.query_string db "SELECT SUM(total_sales) FROM DailySales HAVING COUNT(*) > 2" in
+  let keeps = Fixtures.sql db "SELECT SUM(total_sales) FROM DailySales HAVING COUNT(*) > 2" in
   check Alcotest.int "kept" 1 (List.length keeps.Executor.rows);
   let drops =
-    Executor.query_string db "SELECT SUM(total_sales) FROM DailySales HAVING COUNT(*) > 99"
+    Fixtures.sql db "SELECT SUM(total_sales) FROM DailySales HAVING COUNT(*) > 99"
   in
   check Alcotest.int "dropped" 0 (List.length drops.Executor.rows)
 
 let test_limit_offset () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT total_sales FROM DailySales ORDER BY total_sales DESC LIMIT 2"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "top 2" [ [ 12000 ]; [ 10000 ] ] (int_rows r);
   let r2 =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT total_sales FROM DailySales ORDER BY total_sales DESC LIMIT 2 OFFSET 2"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "next 2" [ [ 8000 ]; [ 1500 ] ] (int_rows r2);
-  let r3 = Executor.query_string db "SELECT total_sales FROM DailySales LIMIT 0" in
+  let r3 = Fixtures.sql db "SELECT total_sales FROM DailySales LIMIT 0" in
   check Alcotest.int "limit 0" 0 (List.length r3.Executor.rows);
   let r4 =
-    Executor.query_string db "SELECT total_sales FROM DailySales LIMIT 99 OFFSET 3"
+    Fixtures.sql db "SELECT total_sales FROM DailySales LIMIT 99 OFFSET 3"
   in
   check Alcotest.int "offset past end" 1 (List.length r4.Executor.rows)
 
 let test_select_distinct () =
   let db = fresh_db () in
-  let r = Executor.query_string db "SELECT DISTINCT state FROM DailySales" in
+  let r = Fixtures.sql db "SELECT DISTINCT state FROM DailySales" in
   check Alcotest.int "one state" 1 (List.length r.Executor.rows)
 
 let test_select_params () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       ~params:[ ("min_sales", Value.Int 9000) ]
       "SELECT city FROM DailySales WHERE total_sales >= :min_sales ORDER BY city"
   in
@@ -261,7 +261,7 @@ let test_select_unbound_param () =
   let db = fresh_db () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Executor.query_string db "SELECT city FROM DailySales WHERE total_sales > :x");
+       ignore (Fixtures.sql db "SELECT city FROM DailySales WHERE total_sales > :x");
        false
      with Eval.Eval_error _ -> true)
 
@@ -269,7 +269,7 @@ let test_select_unknown_table () =
   let db = fresh_db () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Executor.query_string db "SELECT * FROM Nope");
+       ignore (Fixtures.sql db "SELECT * FROM Nope");
        false
      with Executor.Query_error _ -> true)
 
@@ -277,7 +277,7 @@ let test_select_unknown_column () =
   let db = fresh_db () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Executor.query_string db "SELECT nonsense FROM DailySales");
+       ignore (Fixtures.sql db "SELECT nonsense FROM DailySales");
        false
      with Eval.Eval_error _ -> true)
 
@@ -289,7 +289,7 @@ let test_select_cross_product_join () =
   let t = Database.create_table db "Regions" regions in
   ignore (Table.insert t (Tuple.make regions [ Value.Str "CA"; Value.Str "west" ]));
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT d.city, r.region FROM DailySales d, Regions r WHERE d.state = r.state"
   in
   check Alcotest.int "joined rows" 4 (List.length r.Executor.rows)
@@ -303,14 +303,14 @@ let test_select_ambiguous_column () =
   ignore (Table.insert t (Tuple.make regions [ Value.Str "CA"; Value.Str "west" ]));
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Executor.query_string db "SELECT state FROM DailySales, Regions");
+       ignore (Fixtures.sql db "SELECT state FROM DailySales, Regions");
        false
      with Eval.Eval_error _ -> true)
 
 let test_case_expression_eval () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city, CASE WHEN total_sales >= 10000 THEN 'big' ELSE 'small' END AS size \
        FROM DailySales ORDER BY city"
   in
@@ -324,31 +324,31 @@ let test_null_three_valued_logic () =
   ignore (Table.insert t (Tuple.make s [ Value.Int 1 ]));
   ignore (Table.insert t (Tuple.make s [ Value.Null ]));
   (* NULL = NULL is unknown, so the row must not match. *)
-  let r = Executor.query_string db "SELECT a FROM t WHERE a = a" in
+  let r = Fixtures.sql db "SELECT a FROM t WHERE a = a" in
   check Alcotest.int "null row filtered" 1 (List.length r.Executor.rows);
-  let r2 = Executor.query_string db "SELECT a FROM t WHERE a IS NULL" in
+  let r2 = Fixtures.sql db "SELECT a FROM t WHERE a IS NULL" in
   check Alcotest.int "is null matches" 1 (List.length r2.Executor.rows)
 
 let test_in_between_like_eval () =
   let db = fresh_db () in
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city FROM DailySales WHERE city IN ('Berkeley', 'Novato') ORDER BY city"
   in
   check Alcotest.int "IN matches" 2 (List.length r.Executor.rows);
   let r2 =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT city FROM DailySales WHERE total_sales BETWEEN 8000 AND 12000 ORDER BY city"
   in
   check Alcotest.int "BETWEEN matches" 3 (List.length r2.Executor.rows);
-  let r3 = Executor.query_string db "SELECT city FROM DailySales WHERE city LIKE 'San%'" in
+  let r3 = Fixtures.sql db "SELECT city FROM DailySales WHERE city LIKE 'San%'" in
   check Alcotest.int "LIKE prefix" 2 (List.length r3.Executor.rows);
-  let r4 = Executor.query_string db "SELECT city FROM DailySales WHERE city LIKE '%o%'" in
+  let r4 = Fixtures.sql db "SELECT city FROM DailySales WHERE city LIKE '%o%'" in
   check Alcotest.int "LIKE infix" 3 (List.length r4.Executor.rows);
-  let r5 = Executor.query_string db "SELECT city FROM DailySales WHERE city LIKE 'N_vato'" in
+  let r5 = Fixtures.sql db "SELECT city FROM DailySales WHERE city LIKE 'N_vato'" in
   check Alcotest.int "LIKE underscore" 1 (List.length r5.Executor.rows);
   let r6 =
-    Executor.query_string db "SELECT city FROM DailySales WHERE city NOT IN ('San Jose')"
+    Fixtures.sql db "SELECT city FROM DailySales WHERE city NOT IN ('San Jose')"
   in
   check Alcotest.int "NOT IN" 2 (List.length r6.Executor.rows)
 
@@ -359,11 +359,11 @@ let test_in_null_semantics () =
   ignore (Table.insert t (Tuple.make s [ Value.Int 1 ]));
   ignore (Table.insert t (Tuple.make s [ Value.Null ]));
   (* 1 IN (2, NULL) is unknown, not false; NULL IN (...) is unknown. *)
-  let r = Executor.query_string db "SELECT a FROM t WHERE a IN (2, NULL)" in
+  let r = Fixtures.sql db "SELECT a FROM t WHERE a IN (2, NULL)" in
   check Alcotest.int "unknown filters out" 0 (List.length r.Executor.rows);
-  let r2 = Executor.query_string db "SELECT a FROM t WHERE NOT (a IN (2, NULL))" in
+  let r2 = Fixtures.sql db "SELECT a FROM t WHERE NOT (a IN (2, NULL))" in
   check Alcotest.int "NOT unknown is still unknown" 0 (List.length r2.Executor.rows);
-  let r3 = Executor.query_string db "SELECT a FROM t WHERE a IN (1, NULL)" in
+  let r3 = Fixtures.sql db "SELECT a FROM t WHERE a IN (1, NULL)" in
   check Alcotest.int "match wins over null" 1 (List.length r3.Executor.rows)
 
 let test_dml_insert () =
@@ -380,7 +380,7 @@ let test_dml_insert_named_columns_null_fill () =
   let s = Schema.make [ Schema.attr "a" Dtype.Int; Schema.attr "b" Dtype.Int ] in
   ignore (Database.create_table db "t" s);
   ignore (Dml.execute_string db "INSERT INTO t (b) VALUES (7)");
-  let r = Executor.query_string db "SELECT a, b FROM t" in
+  let r = Fixtures.sql db "SELECT a, b FROM t" in
   match r.Executor.rows with
   | [ [ Value.Null; Value.Int 7 ] ] -> ()
   | _ -> Alcotest.fail "null fill"
@@ -395,7 +395,7 @@ let test_dml_update_paper () =
   in
   check Alcotest.int "matched" 1 out.Dml.matched;
   let r =
-    Executor.query_string db
+    Fixtures.sql db
       "SELECT total_sales FROM DailySales WHERE city = 'San Jose' AND date = DATE '10/14/96'"
   in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "updated" [ [ 11000 ] ] (int_rows r)
@@ -407,7 +407,7 @@ let test_dml_update_sees_old_values () =
   ignore (Table.insert t (Tuple.make s [ Value.Int 1; Value.Int 2 ]));
   (* Swap via simultaneous assignment: both RHS see the old tuple. *)
   ignore (Dml.execute_string db "UPDATE t SET a = b, b = a");
-  let r = Executor.query_string db "SELECT a, b FROM t" in
+  let r = Fixtures.sql db "SELECT a, b FROM t" in
   check (Alcotest.list (Alcotest.list Alcotest.int)) "swapped" [ [ 2; 1 ] ] (int_rows r)
 
 let test_dml_delete () =
@@ -434,7 +434,7 @@ let qcheck_sum_matches_scan =
       List.iteri
         (fun i v -> ignore (Table.insert t (Tuple.make s [ Value.Int i; Value.Int v ])))
         values;
-      let r = Executor.query_string db "SELECT SUM(v) FROM t" in
+      let r = Fixtures.sql db "SELECT SUM(v) FROM t" in
       match (r.Executor.rows, values) with
       | [ [ Value.Null ] ], [] -> true
       | [ [ Value.Int total ] ], _ -> total = List.fold_left ( + ) 0 values

@@ -151,7 +151,7 @@ let test_save_reopen_roundtrip () =
   check Alcotest.int "secondary index rebuilt" 1
     (List.length (Table.index_lookup t2 ~name:"idx_city" [ Value.Str "Berkeley" ]));
   (* And the reopened database is fully usable. *)
-  let r = Executor.query_string db2 "SELECT COUNT(*) FROM T" in
+  let r = Fixtures.sql db2 "SELECT COUNT(*) FROM T" in
   match r.Executor.rows with
   | [ [ Value.Int 3 ] ] -> ()
   | _ -> Alcotest.fail "count after reopen"

@@ -82,6 +82,28 @@ let test_session_expires_when_next_txn_begins () =
     (try ignore (city_total wh s "San Jose"); false with Twovnl.Expired _ -> true);
   Twovnl.Txn.commit m2
 
+(* The §4.1 check twice: as SQL over the Version relation
+   ([Rewrite.session_valid]) and as the engine's arithmetic
+   ([Session.is_valid]).  At n = 2 they must agree at every point of a
+   session's life, and both must say what the paper says. *)
+let test_sql_validity_agrees_with_session () =
+  let db, wh = fresh () in
+  let s = Twovnl.Session.begin_ wh in
+  let expect label want =
+    let via_sql = Vnl_core.Rewrite.session_valid db ~session_vn:(Twovnl.Session.vn s) in
+    check Alcotest.bool (label ^ ": Session.is_valid") want (Twovnl.Session.is_valid wh s);
+    check Alcotest.bool (label ^ ": Rewrite.session_valid") want via_sql
+  in
+  expect "fresh session" true;
+  let m1 = Twovnl.Txn.begin_ wh in
+  expect "during the first txn" true;
+  Twovnl.Txn.commit m1;
+  expect "after one commit" true;
+  let m2 = Twovnl.Txn.begin_ wh in
+  expect "during the second txn" false;
+  Twovnl.Txn.commit m2;
+  expect "after two commits" false
+
 let test_single_maintenance_txn () =
   let _db, wh = fresh () in
   let m = Twovnl.Txn.begin_ wh in
@@ -264,6 +286,8 @@ let suite =
       test_reader_isolated_from_active_txn;
     Alcotest.test_case "session expires at next txn begin" `Quick
       test_session_expires_when_next_txn_begins;
+    Alcotest.test_case "SQL validity check = Session.is_valid" `Quick
+      test_sql_validity_agrees_with_session;
     Alcotest.test_case "single maintenance txn" `Quick test_single_maintenance_txn;
     Alcotest.test_case "txn use after commit rejected" `Quick test_txn_use_after_commit_rejected;
     Alcotest.test_case "no-log rollback restores state" `Quick test_rollback_restores_visible_state;
