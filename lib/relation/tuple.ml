@@ -52,6 +52,13 @@ let key_of schema t = project t (Schema.key_indices schema)
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
 
+let hash t =
+  let h = ref (Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash t.(i)
+  done;
+  !h land max_int
+
 let compare a b =
   let rec loop i =
     if i >= Array.length a && i >= Array.length b then 0

@@ -52,6 +52,10 @@ val key_of : Schema.t -> t -> Value.t list
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** Non-negative hash consistent with {!equal}, combined from
+    {!Value.hash} position by position. *)
+
 val compare : t -> t -> int
 (** Lexicographic by position using {!Value.compare}. *)
 

@@ -136,7 +136,15 @@ let read t pid =
 (* A write is sequential when the head is already positioned: the page
    follows (or repeats) the previously written one.  Anything else pays a
    seek and counts as random — what the page-ordered batched apply is
-   designed to avoid. *)
+   designed to avoid.
+
+   The image is copied into the page's existing bytes rather than into a
+   fresh copy: a 4 KiB block is past the minor heap's size limit, so a
+   fresh copy per physical write would be a major-heap allocation, and the
+   block it replaced garbage for the sweeper.  Overwriting in place is safe
+   because no page image ever leaves this module: [read] and [read_into]
+   copy out, [clone] deep-copies, and every caller already serializes disk
+   traffic under the buffer pool's mutex. *)
 let write t pid img =
   check t pid;
   if Bytes.length img <> t.page_size then
@@ -157,20 +165,13 @@ let write t pid img =
        before the write; [torn_prefix = page_size] a crash just after it
        completed (checksum included). *)
     let prefix = max 0 (min t.fault.torn_prefix t.page_size) in
-    if prefix = t.page_size then begin
-      t.pages.(pid) <- Bytes.copy img;
-      if t.checksums then t.sums.(pid) <- crc32 img
-    end
-    else if prefix > 0 then begin
-      let torn = Bytes.copy t.pages.(pid) in
-      Bytes.blit img 0 torn 0 prefix;
-      t.pages.(pid) <- torn
-    end;
+    Bytes.blit img 0 t.pages.(pid) 0 prefix;
+    if prefix = t.page_size && t.checksums then t.sums.(pid) <- crc32 img;
     if !Obs.enabled then Obs.Counter.incr m_crashes;
     raise (Crash (Printf.sprintf "injected crash at write %d (page %d, %d/%d bytes applied)"
                     t.fault_writes pid prefix t.page_size))
   | Some _ | None -> ());
-  t.pages.(pid) <- Bytes.copy img;
+  Bytes.blit img 0 t.pages.(pid) 0 t.page_size;
   if t.checksums then t.sums.(pid) <- crc32 img
 
 let verify t pid =

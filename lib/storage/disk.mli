@@ -81,10 +81,12 @@ val read_into : t -> int -> bytes -> unit
     buffer pool reads a miss into its eviction victim's bytes this way. *)
 
 val write : t -> int -> bytes -> unit
-(** [write t pid img] replaces the page image (copied) and counts one
-    physical write.  [img] must be exactly [page_size] bytes.  Raises
-    {!Crash} when the fault policy's write count is reached, after applying
-    [torn_prefix] bytes of the image. *)
+(** [write t pid img] replaces the page image and counts one physical
+    write.  [img] must be exactly [page_size] bytes.  The image is copied
+    into the disk's own bytes for the page, so the call allocates nothing
+    and the caller may reuse [img] at once.  Raises {!Crash} when the fault
+    policy's write count is reached, after applying [torn_prefix] bytes of
+    the image. *)
 
 val verify : t -> int -> bool
 (** [verify t pid] checks the page against its checksum without counting a

@@ -38,7 +38,12 @@ type acc = { sums : Value.t array; mags : float array; mutable count : int }
 let residue_eps = 1e-12
 
 let net_group_deltas view changes =
-  let acc = Key_tbl.create 1024 and order = ref [] in
+  (* Sized from the batch: a change touches at most two groups and the
+     table doubles only past two entries per bucket, so it never resizes.
+     A small batch's table then stays under the minor heap's 256-word
+     limit; a fixed 1024 buckets would make every refresh, however small,
+     start with a major-heap allocation. *)
+  let acc = Key_tbl.create (List.length changes) and order = ref [] in
   let add_row sign row =
     let key = View_def.group_key view row in
     let contrib = View_def.contribution view row in

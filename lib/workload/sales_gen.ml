@@ -66,9 +66,12 @@ let gen_sale rng ~day =
 
 let gen_batch rng source ~day ~inserts ~updates ~deletes =
   let ins = List.init inserts (fun _ -> Delta.Insert (gen_sale rng ~day)) in
+  (* One snapshot per batch: the source does not change while the batch is
+     generated, so each victim is an array index (the same [Xorshift.int]
+     draw over the same oldest-first rows) instead of an O(rows) walk. *)
+  let live = Array.of_list (Source.rows source) in
   let pick_existing () =
-    let rows = Source.rows source in
-    match rows with [] -> None | _ -> Some (Xorshift.pick_list rng rows)
+    if Array.length live = 0 then None else Some (Xorshift.pick rng live)
   in
   (* Corrections (amount restated) and returns (sale removed) against rows
      already at the source.  Victims are drawn without tracking collisions;

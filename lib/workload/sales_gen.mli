@@ -45,7 +45,8 @@ val gen_batch :
   deletes:int ->
   Vnl_warehouse.Delta.change list
 (** A day's source batch: [inserts] new sales plus corrections and returns
-    applied to rows currently in [source] (fewer if the source is small). *)
+    applied to rows currently in [source] (fewer if the source is small).
+    O(rows) per batch: the live rows are snapshotted once. *)
 
 val initial_load : Vnl_util.Xorshift.t -> days:int -> sales_per_day:int -> Vnl_warehouse.Delta.change list
 (** Pure-insert batch used to populate the warehouse before an

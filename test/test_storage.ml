@@ -122,6 +122,43 @@ let test_disk_clone_independent () =
   check Alcotest.char "original has new image" 'y' (Bytes.get (Disk.read d p) 0);
   Alcotest.(check bool) "clone verifies" true (Disk.verify c p)
 
+(* [write] copies into the page's existing image instead of a fresh one.
+   The disk must still own its bytes: a caller reusing its buffer, a clone
+   on either side of the write, and a later torn write all see exactly what
+   a copying write would give them, and the I/O counters count as before. *)
+let test_disk_write_in_place () =
+  let d = Disk.create ~page_size:64 () in
+  let p0 = Disk.alloc d and p1 = Disk.alloc d in
+  let buf = Bytes.make 64 'a' in
+  Disk.write d p0 buf;
+  Bytes.fill buf 0 64 'z';
+  check Alcotest.char "caller's buffer not aliased" 'a' (Bytes.get (Disk.read d p0) 0);
+  Disk.write d p0 buf;
+  let c = Disk.clone d in
+  Disk.write d p0 (Bytes.make 64 'b');
+  check Alcotest.char "clone before write keeps its image" 'z' (Bytes.get (Disk.read c p0) 0);
+  Disk.write c p0 (Bytes.make 64 'c');
+  check Alcotest.char "write to clone stays there" 'b' (Bytes.get (Disk.read d p0) 0);
+  check Alcotest.char "clone has its own write" 'c' (Bytes.get (Disk.read c p0) 0);
+  Disk.write d p1 (Bytes.make 64 'e');
+  let s = Disk.stats d in
+  check Alcotest.int "reads" 2 s.Disk.reads;
+  check Alcotest.int "writes" 4 s.Disk.writes;
+  check Alcotest.int "seq writes" 4 s.Disk.seq_writes;
+  check Alcotest.int "rand writes" 0 s.Disk.rand_writes;
+  Disk.write d p0 (Bytes.make 64 'f');
+  check Alcotest.int "back to page 0 seeks" 1 (Disk.stats d).Disk.rand_writes;
+  (* Page 0 has been overwritten in place several times; a tear on it must
+     still be caught by its checksum. *)
+  Disk.set_faults d { Disk.no_faults with crash_at_write = Some 1; torn_prefix = 10 };
+  Alcotest.(check bool) "torn write crashes" true
+    (match Disk.write d p0 (Bytes.make 64 'g') with () -> false | exception Disk.Crash _ -> true);
+  Disk.clear_faults d;
+  Alcotest.(check bool) "torn page fails verify" false (Disk.verify d p0);
+  Alcotest.(check bool) "torn page detected on read" true
+    (match Disk.read d p0 with _ -> false | exception Disk.Corrupt_page _ -> true);
+  check Alcotest.char "clone untouched by the tear" 'c' (Bytes.get (Disk.read c p0) 0)
+
 let test_disk_checksums_off () =
   let d = Disk.create ~page_size:64 ~checksums:false () in
   let p = Disk.alloc d in
@@ -827,6 +864,7 @@ let suite =
       test_disk_full_prefix_write_is_complete;
     Alcotest.test_case "disk injected read failure" `Quick test_disk_injected_read_failure;
     Alcotest.test_case "disk clone independent" `Quick test_disk_clone_independent;
+    Alcotest.test_case "disk write copies in place" `Quick test_disk_write_in_place;
     Alcotest.test_case "disk checksums off" `Quick test_disk_checksums_off;
     Alcotest.test_case "disk first write after reset_stats" `Quick
       test_disk_first_write_after_reset;

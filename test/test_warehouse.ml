@@ -252,6 +252,122 @@ let qcheck_incremental_equals_recompute =
       done;
       !ok)
 
+(* ---------- The indexed Source against the list it replaced ---------- *)
+
+(* The reference model is the newest-first row list the Source used to be:
+   an insert conses, a delete or update removes the first equal row (the
+   newest), and a batch that names an absent row changes nothing. *)
+let model_remove row rows =
+  let rec loop acc = function
+    | [] -> None
+    | r :: rest -> if Tuple.equal r row then Some (List.rev_append acc rest) else loop (r :: acc) rest
+  in
+  loop [] rows
+
+let model_apply model changes =
+  List.fold_left
+    (fun m change ->
+      match (m, change) with
+      | None, _ -> None
+      | Some m, Delta.Insert row -> Some (row :: m)
+      | Some m, Delta.Delete row -> model_remove row m
+      | Some m, Delta.Update (old_row, new_row) -> Option.map (List.cons new_row) (model_remove old_row m))
+    (Some model) changes
+
+(* A domain of 24 distinct rows, so equal rows are common. *)
+let small_sale rng =
+  sale
+    (Xorshift.pick rng [| "San Jose"; "Berkeley" |])
+    (Xorshift.pick rng [| "tennis"; "golf equip" |])
+    (Xorshift.int rng 2)
+    (1 + Xorshift.int rng 3)
+
+(* One batch against the newest-first model [m]: inserts, and deletes and
+   updates of rows the batch has not consumed yet, biased towards growth
+   or shrinkage.  Some deletes are blind (any row of the domain, present or
+   not) and some batches end on a row that is never present, so failed
+   batches come both early and late. *)
+let gen_source_batch rng m ~growing =
+  let m = ref m and batch = ref [] in
+  let p_insert = if growing then 0.7 else 0.25 in
+  for _ = 1 to 1 + Xorshift.int rng 20 do
+    let change =
+      if !m = [] || Xorshift.chance rng p_insert then Delta.Insert (small_sale rng)
+      else if Xorshift.chance rng 0.05 then Delta.Delete (small_sale rng)
+      else
+        let victim = Xorshift.pick_list rng !m in
+        if Xorshift.bool rng then Delta.Delete victim
+        else Delta.Update (victim, small_sale rng)
+    in
+    (match model_apply !m [ change ] with Some m' -> m := m' | None -> ());
+    batch := change :: !batch
+  done;
+  if Xorshift.chance rng 0.1 then batch := Delta.Delete (sale "Fresno" "camping" 3 10) :: !batch;
+  List.rev !batch
+
+let source_matches_list_model seed =
+  let rng = Xorshift.create seed in
+  let src = Source.create Sales_gen.sales_schema in
+  let model = ref [] and failures = ref 0 in
+  (* Alternating phases of 25 batches grow the row arrays past their
+     initial 16 slots and then delete until tombstones outnumber live rows,
+     several times over. *)
+  for b = 0 to 299 do
+    let batch = gen_source_batch rng !model ~growing:(b / 25 mod 2 = 0) in
+    let before = Source.rows src in
+    let applied =
+      match Source.apply src batch with () -> true | exception Invalid_argument _ -> false
+    in
+    (match (model_apply !model batch, applied) with
+    | Some m, true -> model := m
+    | None, false ->
+      incr failures;
+      if not (List.equal Tuple.equal before (Source.rows src)) then
+        QCheck.Test.fail_reportf "batch %d: failed batch changed the rows" b
+    | Some _, false -> QCheck.Test.fail_reportf "batch %d: rejected a valid batch" b
+    | None, true -> QCheck.Test.fail_reportf "batch %d: accepted an invalid batch" b);
+    let expected = List.rev !model in
+    if not (List.equal Tuple.equal expected (Source.rows src)) then
+      QCheck.Test.fail_reportf "batch %d: rows differ from the list model" b;
+    if Source.row_count src <> List.length expected then
+      QCheck.Test.fail_reportf "batch %d: row_count %d, model %d" b (Source.row_count src)
+        (List.length expected);
+    (* The recompute over a fresh, insert-only copy of the model's rows. *)
+    let fresh = Source.create Sales_gen.sales_schema in
+    Source.apply fresh (List.map (fun r -> Delta.Insert r) expected);
+    if not (List.equal Tuple.equal (Source.compute_view fresh view) (Source.compute_view src view))
+    then QCheck.Test.fail_reportf "batch %d: compute_view differs" b
+  done;
+  !failures > 0
+
+let qcheck_source_matches_list_model =
+  QCheck.Test.make ~name:"indexed source = newest-first list model" ~count:25
+    (QCheck.make QCheck.Gen.(int_range 1 1_000_000) ~print:string_of_int)
+    source_matches_list_model
+
+(* A failing batch whose inserts outgrow the row arrays before it fails:
+   the rollback must restore rows, order and count, and a later delete of a
+   duplicated row must still take the newest copy. *)
+let test_source_failed_growth_restores () =
+  let src = Source.create Sales_gen.sales_schema in
+  let dup = sale "San Jose" "golf equip" 0 100 and other = sale "Berkeley" "tennis" 1 75 in
+  Source.apply src [ Insert dup; Insert other; Insert dup ];
+  let before = Source.rows src in
+  let batch =
+    (Delta.Delete dup :: List.init 200 (fun i -> Delta.Insert (sale "Novato" "tennis" (i mod 3) (i + 1))))
+    @ [ Delta.Update (other, dup); Delta.Delete (sale "Fresno" "camping" 3 10) ]
+  in
+  Alcotest.(check bool) "absent row rejected" true
+    (match Source.apply src batch with () -> false | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "rows restored in order" true (List.equal Tuple.equal before (Source.rows src));
+  check Alcotest.int "row_count restored" 3 (Source.row_count src);
+  Source.apply src [ Delete dup ];
+  Alcotest.(check bool) "delete takes the newest copy" true
+    (List.equal Tuple.equal [ dup; other ] (Source.rows src));
+  Source.apply src [ Update (dup, other); Insert dup ];
+  Alcotest.(check bool) "update's new row goes last" true
+    (List.equal Tuple.equal [ other; other; dup ] (Source.rows src))
+
 let suite =
   [
     Alcotest.test_case "view target schema" `Quick test_view_target_schema;
@@ -274,4 +390,7 @@ let suite =
     Alcotest.test_case "reader isolated during refresh" `Quick
       test_reader_isolated_during_refresh;
     QCheck_alcotest.to_alcotest qcheck_incremental_equals_recompute;
+    Alcotest.test_case "source: failed growing batch restores" `Quick
+      test_source_failed_growth_restores;
+    QCheck_alcotest.to_alcotest qcheck_source_matches_list_model;
   ]
