@@ -22,28 +22,29 @@ type outcome = {
 (* Per-key fold state: the record image as the batch's operations on this
    key leave it, before any storage write. *)
 type entry = {
-  key : Value.t list;
-  mutable rid : Heap_file.rid option;  (** Existing record, resolved once. *)
-  mutable orig : Tuple.t option;  (** Stored image as fetched, for [~old]. *)
-  mutable cur : Tuple.t option;  (** In-memory image; [None] = absent. *)
+  mutable stored : (Heap_file.rid * Tuple.t) option;
+      (** Existing record and its image as fetched (for [~old]), resolved
+          once. *)
+  mutable cur : Tuple.t option;
+      (** In-memory image; [None] = absent.  Never aliases the stored
+          image (it starts as a copy), so the transitions mutate it in
+          place. *)
   mutable over_delete : bool;
-      (** This transaction re-inserted the key over an older logical delete
-          (Table 2 row 1) — earlier in the transaction or during this
-          fold; governs the Table 4 row 2 correction. *)
-  mutable owned : bool;
-      (** [cur] no longer aliases [orig] (a transition already copied it),
-          so further transitions may mutate it in place. *)
-  mutable touched : int;
+      (** This fold re-inserted the key over an older logical delete
+          (Table 2 row 1); with [was_insert_over_delete] for earlier
+          statements of the transaction, governs the Table 4 row 2
+          correction. *)
 }
 
 (* The write plan a [stage] pass produces: every physical action decided,
    nothing written.  Updates and deletes are already rid-sorted, inserts
    are extended tuples in first-touch order — [apply_staged] just executes
-   the lists, which is what lets the pipelined path stage every partition
-   up front and apply them on worker domains. *)
+   them, which is what lets the pipelined path stage every partition up
+   front and apply them on worker domains. *)
 type staged = {
-  s_updates : (Heap_file.rid * Tuple.t option * Tuple.t) list;
-  s_deletes : Heap_file.rid list;
+  s_updates : (Heap_file.rid * Tuple.t) array;
+  s_olds : Tuple.t array;  (** Stored image of each [s_updates] record. *)
+  s_deletes : (Heap_file.rid * Tuple.t) list;  (** With the stored image. *)
   s_inserts : Tuple.t list;
   s_logical : int;
   s_distinct : int;
@@ -81,93 +82,89 @@ let stage_keyless ?stats ext ~vn ops =
       ops
   in
   {
-    s_updates = [];
+    s_updates = [||];
+    s_olds = [||];
     s_deletes = [];
     s_inserts = inserts;
     s_logical = List.length inserts;
     s_distinct = List.length inserts;
   }
 
-let stage ?stats ?resolve ?(prenetted = false) ?(on_over_delete = fun _ -> ())
+let fresh_entry () = { stored = None; cur = None; over_delete = false }
+
+let by_rid (a : Heap_file.rid) (b : Heap_file.rid) =
+  let c = Int.compare a.Heap_file.page b.Heap_file.page in
+  if c <> 0 then c else Int.compare a.Heap_file.slot b.Heap_file.slot
+
+let stage ?stats ?resolved ?(on_over_delete = fun _ -> ())
     ?(was_insert_over_delete = fun _ -> false) ext table ~vn ops =
   if not (Table.has_key table) then stage_keyless ?stats ext ~vn ops
   else begin
     let base = Schema_ext.base ext in
     let key_positions = Schema.key_indices base in
     let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
-    (* 1. Net-effect grouping: collect each key's operations, in order,
-       before any storage access.  A caller that already folded the batch
-       to one operation per key (the pipelined refresh stages the output
-       of {!net_group_deltas} classification) promises so via [prenetted]
-       and the hash-grouping pass degenerates to entry construction. *)
-    let entries : entry Key_tbl.t =
-      Key_tbl.create (if prenetted then 0 else max 64 (List.length ops))
-    in
-    let order = ref [] and distinct = ref 0 and logical = ref 0 in
-    let grouped =
+    let ops = Array.of_list ops in
+    let n = Array.length ops in
+    (match resolved with
+    | Some r when Array.length r <> n -> invalid_arg "Batch.stage: resolved/ops length mismatch"
+    | Some _ | None -> ());
+    (* 1. Net-effect grouping: [entry_of.(i)] is the entry of [ops.(i)]'s
+       key and [order] the distinct entries in first-touch order, built
+       before any storage access.  A caller that already netted the batch
+       to one operation per key and resolved each key (the refresh stages
+       the output of its classification pass) passes [resolved]: entries
+       are then positional and no key is hashed. *)
+    let entry_of, order, keys =
       Obs.with_span "batch.group" @@ fun () ->
-      List.map
-        (fun op ->
-          incr logical;
-          (match op with
+      Array.iter
+        (function
           | Update (_, assignments) ->
             List.iter
               (fun (j, _) ->
                 if List.mem j key_positions then
                   invalid_arg "Batch.apply: assignment to a key attribute")
               assignments
-          | Insert _ | Delete _ -> ());
-          let key = op_key base op in
-          let fresh () =
-            let e =
-              {
-                key;
-                rid = None;
-                orig = None;
-                cur = None;
-                over_delete = false;
-                owned = false;
-                touched = 0;
-              }
-            in
-            order := e :: !order;
-            incr distinct;
-            e
-          in
-          let entry =
-            if prenetted then fresh ()
-            else
-              match Key_tbl.find_opt entries key with
+          | Insert _ | Delete _ -> ())
+        ops;
+      match resolved with
+      | Some _ ->
+        let entries = Array.init n (fun _ -> fresh_entry ()) in
+        (entries, entries, [||])
+      | None ->
+        let tbl : entry Key_tbl.t = Key_tbl.create (max 64 n) in
+        let order = ref [] and keys = ref [] in
+        let entry_of =
+          Array.map
+            (fun op ->
+              let key = op_key base op in
+              match Key_tbl.find_opt tbl key with
               | Some e -> e
               | None ->
-                let e = fresh () in
-                Key_tbl.add entries key e;
-                e
-          in
-          (entry, op))
-        ops
+                let e = fresh_entry () in
+                Key_tbl.add tbl key e;
+                order := e :: !order;
+                keys := key :: !keys;
+                e)
+            ops
+        in
+        (entry_of, Array.of_list (List.rev !order), Array.of_list (List.rev !keys))
     in
-    let order = List.rev !order in
-    (* 2. One sorted pass over the key index resolves every key -> rid and
-       fetches the hit records in ascending (page, slot) order.  A caller
-       that already resolved these keys against the same table state (the
-       pipelined refresh classifies the whole batch first) passes
-       [resolve] and the index pass is skipped. *)
-    let keys = Array.of_list (List.map (fun e -> e.key) order) in
+    (* 2. Resolve every key -> stored record: one sorted pass over the key
+       index that fetches the hit records in ascending (page, slot) order,
+       unless the caller resolved them already against the same table
+       state.  The fold works on a private copy of each stored record,
+       made once here, so every Tables 2-4 transition writes its cells in
+       place; [orig] stays the stored image the apply passes as [~old]. *)
     let found =
       Obs.with_span "batch.resolve" (fun () ->
-          match resolve with
-          | Some f -> Array.map f keys
-          | None -> Table.find_many_by_key table keys)
+          match resolved with Some r -> r | None -> Table.find_many_by_key table keys)
     in
-    List.iteri
+    Array.iteri
       (fun i e ->
         match found.(i) with
-        | Some (rid, tuple) ->
-          e.rid <- Some rid;
-          e.orig <- Some tuple;
-          e.cur <- Some tuple;
-          e.over_delete <- was_insert_over_delete rid
+        | Some (_, tuple) as stored ->
+          e.stored <- stored;
+          e.cur <- Some (Tuple.copy tuple)
         | None -> ())
       order;
     (* 3. Fold each operation through the Tables 2-4 transitions on the
@@ -176,65 +173,67 @@ let stage ?stats ?resolve ?(prenetted = false) ?(on_over_delete = fun _ -> ())
        operation (Op.Impossible, non-updatable assignment) leaves the table
        untouched. *)
     Obs.with_span "batch.fold" (fun () ->
-    List.iter
-      (fun (e, op) ->
-        e.touched <- e.touched + 1;
-        match op with
-        | Insert b ->
-          st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
-          let fire () =
-            e.over_delete <- true;
-            match e.rid with
-            | Some rid -> on_over_delete rid
-            | None -> assert false (* Table 2 row 1 needs an existing record *)
-          in
-          e.cur <- Some (Maintenance.insert_tuple ~on_over_delete:fire ~own:e.owned ext ~vn e.cur b);
-          e.owned <- true
-        | Update (_, assignments) -> (
-          st.Maintenance.logical_updates <- st.Maintenance.logical_updates + 1;
-          match e.cur with
-          | None -> invalid_arg "Batch.apply: update of an absent key"
-          | Some existing ->
-            e.cur <- Some (Maintenance.update_tuple ~own:e.owned ext ~vn existing assignments);
-            e.owned <- true)
-        | Delete _ -> (
-          st.Maintenance.logical_deletes <- st.Maintenance.logical_deletes + 1;
-          match e.cur with
-          | None -> invalid_arg "Batch.apply: delete of an absent key"
-          | Some existing ->
-            e.cur <-
-              Maintenance.delete_tuple ~insert_over_delete:e.over_delete ~own:e.owned ext ~vn
-                existing;
-            e.owned <- true))
-      grouped);
-    (* 4. Order the write plan: one physical action per touched key,
-       existing records in ascending (page, slot) order, then fresh inserts
-       in first-touch order (matching the slots per-op application would
-       have assigned them). *)
+        Array.iteri
+          (fun i op ->
+            let e = entry_of.(i) in
+            match op with
+            | Insert b ->
+              st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
+              let fire () =
+                e.over_delete <- true;
+                match e.stored with
+                | Some (rid, _) -> on_over_delete rid
+                | None -> assert false (* Table 2 row 1 needs an existing record *)
+              in
+              e.cur <-
+                Some (Maintenance.insert_tuple ~on_over_delete:fire ~own:true ext ~vn e.cur b)
+            | Update (_, assignments) -> (
+              st.Maintenance.logical_updates <- st.Maintenance.logical_updates + 1;
+              match e.cur with
+              | None -> invalid_arg "Batch.apply: update of an absent key"
+              | Some existing ->
+                e.cur <- Some (Maintenance.update_tuple ~own:true ext ~vn existing assignments))
+            | Delete _ -> (
+              st.Maintenance.logical_deletes <- st.Maintenance.logical_deletes + 1;
+              match e.cur with
+              | None -> invalid_arg "Batch.apply: delete of an absent key"
+              | Some existing ->
+                (* Only a delete asks whether the transaction re-inserted
+                   this key over an older delete, so only a delete pays for
+                   the lookup. *)
+                let insert_over_delete =
+                  e.over_delete
+                  || match e.stored with Some (rid, _) -> was_insert_over_delete rid | None -> false
+                in
+                e.cur <-
+                  Maintenance.delete_tuple ~insert_over_delete ~own:true ext ~vn existing))
+          ops);
+    (* 4. Order the write plan: one physical action per key, existing
+       records in ascending (page, slot) order, then fresh inserts in
+       first-touch order (matching the slots per-op application would have
+       assigned them). *)
     let updates = ref [] and deletes = ref [] and inserts = ref [] in
-    List.iter
-      (fun e ->
-        if e.touched > 0 then
-          match (e.rid, e.cur) with
-          | Some rid, Some t -> updates := (rid, e.orig, t) :: !updates
-          | Some rid, None -> deletes := rid :: !deletes
-          | None, Some t -> inserts := t :: !inserts
-          | None, None -> () (* net nothing: fresh insert cancelled by delete *))
-      order;
-    let by_rid (a : Heap_file.rid) (b : Heap_file.rid) =
-      let c = Int.compare a.Heap_file.page b.Heap_file.page in
-      if c <> 0 then c else Int.compare a.Heap_file.slot b.Heap_file.slot
-    in
+    for i = Array.length order - 1 downto 0 do
+      let e = order.(i) in
+      match (e.stored, e.cur) with
+      | Some (rid, orig), Some t -> updates := (rid, orig, t) :: !updates
+      | Some stored, None -> deletes := stored :: !deletes
+      | None, Some t -> inserts := t :: !inserts
+      | None, None -> () (* net nothing: fresh insert cancelled by delete *)
+    done;
+    let updates = Array.of_list !updates in
+    Array.stable_sort (fun (a, _, _) (b, _, _) -> by_rid a b) updates;
     {
-      s_updates = List.sort (fun (a, _, _) (b, _, _) -> by_rid a b) !updates;
-      s_deletes = List.sort by_rid !deletes;
-      s_inserts = List.rev !inserts;
-      s_logical = !logical;
-      s_distinct = !distinct;
+      s_updates = Array.map (fun (rid, _, t) -> (rid, t)) updates;
+      s_olds = Array.map (fun (_, orig, _) -> orig) updates;
+      s_deletes = List.sort (fun (a, _) (b, _) -> by_rid a b) !deletes;
+      s_inserts = !inserts;
+      s_logical = n;
+      s_distinct = Array.length order;
     }
   end
 
-let staged_ops s = List.length s.s_updates + List.length s.s_deletes + List.length s.s_inserts
+let staged_ops s = Array.length s.s_updates + List.length s.s_deletes + List.length s.s_inserts
 
 let staged_outcome s =
   {
@@ -242,27 +241,24 @@ let staged_outcome s =
     distinct_keys = s.s_distinct;
     folded_ops = s.s_logical - staged_ops s;
     physical_inserts = List.length s.s_inserts;
-    physical_updates = List.length s.s_updates;
+    physical_updates = Array.length s.s_updates;
     physical_deletes = List.length s.s_deletes;
   }
 
 let apply_updates ?stats table s =
   let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
   Obs.with_span "batch.apply" @@ fun () ->
-  List.map
-    (fun (rid, old, t) ->
-      st.Maintenance.physical_updates <- st.Maintenance.physical_updates + 1;
-      Table.update_in_place ?old table rid t;
-      rid)
-    s.s_updates
+  st.Maintenance.physical_updates <- st.Maintenance.physical_updates + Array.length s.s_updates;
+  Table.update_many ~olds:s.s_olds table s.s_updates;
+  Array.fold_right (fun (rid, _) acc -> rid :: acc) s.s_updates []
 
 let apply_structural ?stats table s =
   let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
   Obs.with_span "batch.apply" @@ fun () ->
   List.iter
-    (fun rid ->
+    (fun (rid, old) ->
       st.Maintenance.physical_deletes <- st.Maintenance.physical_deletes + 1;
-      Table.delete table rid)
+      Table.delete ~old table rid)
     s.s_deletes;
   (* Keys were resolved absent by the sorted index pass and are distinct
      per entry, so the duplicate probe is redundant and the index entries
@@ -270,7 +266,7 @@ let apply_structural ?stats table s =
   st.Maintenance.physical_inserts <-
     st.Maintenance.physical_inserts + List.length s.s_inserts;
   let inserted = Table.insert_many ~check:false table s.s_inserts in
-  s.s_deletes @ inserted
+  List.map fst s.s_deletes @ inserted
 
 let apply_staged ?stats table s =
   let updated = apply_updates ?stats table s in
@@ -280,11 +276,6 @@ let apply_staged ?stats table s =
 let apply ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops =
   let s = stage ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops in
   fst (apply_staged ?stats table s)
-
-let key_table_of_pairs pairs =
-  let tbl = Key_tbl.create (max 16 (List.length pairs)) in
-  List.iter (fun (k, v) -> Key_tbl.replace tbl k v) pairs;
-  fun key -> Option.join (Key_tbl.find_opt tbl key)
 
 let pp_outcome ppf o =
   Format.fprintf ppf "logical=%d keys=%d folded=%d phys(i/u/d)=%d/%d/%d" o.logical_ops

@@ -70,10 +70,7 @@ type staged
 
 val stage :
   ?stats:Maintenance.stats ->
-  ?resolve:
-    (Vnl_relation.Value.t list ->
-    (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option) ->
-  ?prenetted:bool ->
+  ?resolved:(Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array ->
   ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->
   ?was_insert_over_delete:(Vnl_storage.Heap_file.rid -> bool) ->
   Schema_ext.t ->
@@ -82,38 +79,34 @@ val stage :
   op list ->
   staged
 (** Group, resolve, and fold a batch at maintenance version [vn] without
-    writing.  [resolve], when given, replaces the sorted index pass: it must
-    return each key's stored record exactly as {!Vnl_query.Table.find_many_by_key}
-    would against the {e same} table state (raw, including logically
-    deleted records) — the pipelined refresh passes the lookups its
-    classification pass already performed.  [prenetted] promises the batch
-    already carries at most one operation per key (e.g. it came out of a
-    net-effect classification), which lets grouping skip its hash table; a
-    false promise stages one physical action per duplicate and corrupts
-    the net effect.  [on_over_delete] and
+    writing.  [resolved], when given, replaces grouping and the sorted
+    index pass: [resolved.(i)] is the stored record of the [i]-th
+    operation's key, exactly as {!Vnl_query.Table.find_many_by_key} would
+    return it against the {e same} table state (raw, including logically
+    deleted records), and passing it promises the batch carries at most
+    one operation per key (e.g. it came out of a net-effect
+    classification).  The refresh passes the lookups its classification
+    pass already performed; a false promise stages one physical action per
+    duplicate and corrupts the net effect.  Raises [Invalid_argument] if
+    its length differs from the batch's.  [on_over_delete] and
     [was_insert_over_delete] carry the transaction-level bookkeeping for
     inserts over older logical deletes (exactly as in
     {!Maintenance.apply_insert} / [apply_delete]); within the batch that
     bookkeeping is tracked automatically.  [stats] receives the logical
     counts.  A rejected operation (impossible transition, assignment to a
-    key or non-updatable attribute) raises here, before any write. *)
+    key or non-updatable attribute) raises here, before any write.
 
-val key_table_of_pairs :
-  (Vnl_relation.Value.t list * (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option) list ->
-  Vnl_relation.Value.t list ->
-  (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option
-(** Build a [resolve] function from already-performed lookups (one
-    [(key, found)] pair per key, later pairs winning).  Keys absent from
-    the pairs resolve to [None], so the pairs must cover every key the
-    staged operations touch. *)
+    Each stored record is copied once, and the Tables 2-4 transitions then
+    write that private image in place. *)
 
 val apply_updates :
   ?stats:Maintenance.stats -> Vnl_query.Table.t -> staged -> Vnl_storage.Heap_file.rid list
-(** Execute only the plan's in-place updates (rid order); returns the rids
-    written.  Updates never change keys or slot occupancy, so — when the
-    plan's index footprint is empty — this phase is safe to run on a worker
-    domain concurrently with other partitions' update phases: the heap
-    latch serializes the byte writes and no shared index is touched. *)
+(** Execute only the plan's in-place updates, in rid order, as page runs
+    ({!Vnl_query.Table.update_many}); returns the rids written.  Updates
+    never change keys or slot occupancy, so — when the plan's index
+    footprint is empty — this phase is safe to run on a worker domain
+    concurrently with other partitions' update phases: the heap latch
+    serializes the byte writes and no shared index is touched. *)
 
 val apply_structural :
   ?stats:Maintenance.stats -> Vnl_query.Table.t -> staged -> Vnl_storage.Heap_file.rid list

@@ -275,7 +275,7 @@ let apply_delete ?stats ?(was_insert_over_delete = fun _ -> false) ext table ~vn
     with
     | None ->
       count (fun s -> s.physical_deletes <- s.physical_deletes + 1) stats;
-      Table.delete table rid
+      Table.delete ~old:existing table rid
     | Some t ->
       count (fun s -> s.physical_updates <- s.physical_updates + 1) stats;
       Table.update_in_place ~old:existing table rid t)

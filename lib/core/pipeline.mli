@@ -46,28 +46,28 @@ type report = {
   base_vn : int;  (** currentVN when the round began. *)
 }
 
-type resolver =
-  Vnl_relation.Value.t list ->
-  (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option
+type resolved = (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
+(** One relation's pre-round key lookups, aligned with its operations (see
+    {!Batch.stage}'s [resolved]). *)
 
 type phase = [ `Fold | `Apply | `Token ]
 (** A stripe worker's three phases, in execution order. *)
 
 val plan :
   ?on_phase:(phase -> stripe:int -> unit) ->
-  ?resolvers:(string * resolver) list ->
-  ?prenetted:bool ->
+  ?resolved:(string * resolved) list ->
   Twovnl.t ->
   workers:int ->
   (string * Batch.op list) list ->
   plan
 (** Partition each relation's batch (at most [min workers (n - 1)]
     partitions), begin the round, and make the raised maintenance flag
-    durable.  No tuple is written yet.  [resolvers] optionally replays
+    durable.  No tuple is written yet.  [resolved] optionally hands over
     per-relation key lookups a classification pass already performed
-    against the pre-round state (see {!Batch.stage}'s [resolve]), sparing
-    every stripe a second index pass; [prenetted] likewise promises one
-    operation per key ({!Batch.stage}).  Raises [Invalid_argument] when
+    against the pre-round state, aligned with that relation's operations,
+    and promises one operation per key (see {!Batch.stage}'s [resolved]):
+    each stripe gets its partition's share and skips grouping and the
+    second index pass.  Raises [Invalid_argument] when
     [workers < 1], a relation is unregistered, or maintenance is already
     active; if beginning the round fails after the flag write, the round
     is aborted before the exception escapes.

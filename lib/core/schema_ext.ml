@@ -141,9 +141,6 @@ let fresh_insert t ~vn base_tuple =
   List.iteri (fun j v -> values.(base_index t j) <- v) (Tuple.values base_tuple);
   Tuple.of_array ext values
 
-let current_values t tuple =
-  List.init (base_arity t) (fun j -> Tuple.get tuple (base_index t j))
-
 (* Validation-free projections for the reader hot path: the source tuple
    was decoded from a stored record, so its values already match the
    schema and re-checking them per extraction would only burn CPU. *)

@@ -78,13 +78,10 @@ val fresh_insert : t -> vn:int -> Vnl_relation.Tuple.t -> Vnl_relation.Tuple.t
 (** Extended tuple for a newly inserted base tuple: slot 1 = (vn, insert,
     null pre-values), all other slots unused. *)
 
-val current_values : t -> Vnl_relation.Tuple.t -> Vnl_relation.Value.t list
-(** The base-attribute values of the extended tuple (the current version's
-    content). *)
-
 val current_tuple : t -> Vnl_relation.Tuple.t -> Vnl_relation.Tuple.t
-(** The current version as a base tuple — {!current_values} without list
-    building or re-validation; the reader's per-tuple fast path. *)
+(** The current version (the base-attribute values of the extended tuple)
+    as a base tuple, without re-validation: the reader's per-tuple fast
+    path and the refresh's classification. *)
 
 val pre_update_tuple : t -> slot:int -> Vnl_relation.Tuple.t -> Vnl_relation.Tuple.t
 (** The version a session older than [slot]'s VN must read: slot's

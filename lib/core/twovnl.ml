@@ -804,7 +804,7 @@ module Txn = struct
     let h = txn_handle_exn m name in
     match Table.find_by_key h.table key with
     | Some (_, tuple) when Maintenance.is_logically_live h.ext tuple ->
-      Some (Tuple.make (Schema_ext.base h.ext) (Schema_ext.current_values h.ext tuple))
+      Some (Schema_ext.current_tuple h.ext tuple)
     | Some _ | None -> None
 
   let update_by_key m ~table:name ~key ~set =

@@ -27,25 +27,31 @@ let create ?(order = 32) () =
   if order < 4 then invalid_arg "Bptree.create: order must be >= 4";
   { order; root = Leaf [||]; length = 0 }
 
-(* Number of children of [Inner] whose subtree may contain [key]. *)
-let child_index seps key =
-  let rec loop i =
-    if i >= Array.length seps then i
-    else if Key.compare key seps.(i) < 0 then i
-    else loop (i + 1)
-  in
-  loop 0
+(* The child of [Inner] whose subtree may contain [key]: the first [i]
+   with [key < seps.(i)], or [Array.length seps].  Binary search: a node
+   holds up to [order] separators and each comparison walks a key list.
+   The searches are top-level recursions, not local closures, so a probe
+   allocates nothing on the way down. *)
+let rec child_search seps key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Key.compare key (Array.unsafe_get seps mid) < 0 then child_search seps key lo mid
+    else child_search seps key (mid + 1) hi
+
+let child_index seps key = child_search seps key 0 (Array.length seps)
+
+let rec leaf_find entries key lo hi =
+  if lo >= hi then (lo, false)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Key.compare key (fst (Array.unsafe_get entries mid)) in
+    if c = 0 then (mid, true)
+    else if c < 0 then leaf_find entries key lo mid
+    else leaf_find entries key (mid + 1) hi
 
 (* Position of [key] in a sorted entry array, or the insertion point. *)
-let leaf_search entries key =
-  let rec loop lo hi =
-    if lo >= hi then (lo, false)
-    else
-      let mid = (lo + hi) / 2 in
-      let c = Key.compare key (fst entries.(mid)) in
-      if c = 0 then (mid, true) else if c < 0 then loop lo mid else loop (mid + 1) hi
-  in
-  loop 0 (Array.length entries)
+let leaf_search entries key = leaf_find entries key 0 (Array.length entries)
 
 let array_insert arr i x =
   let n = Array.length arr in

@@ -5,6 +5,8 @@ type t = {
   positions : (string, int) Hashtbl.t;
   dtypes : Dtype.t array;  (** [attrs.(i).dtype], cached for decode loops. *)
   cell_offsets : int array;  (** Byte offset of each attribute's cell. *)
+  width : int;  (** Sum of the cell widths. *)
+  key_indices : int list;  (** Key positions, ascending; shared by every caller. *)
 }
 
 let attr ?(updatable = false) ?(key = false) name dtype = { name; dtype; updatable; key }
@@ -29,7 +31,8 @@ let make attrs =
       cell_offsets.(i) <- !off;
       off := !off + Dtype.width dt)
     dtypes;
-  { attrs = arr; positions; dtypes; cell_offsets }
+  let key_indices = List.filter (fun i -> arr.(i).key) (List.init (Array.length arr) Fun.id) in
+  { attrs = arr; positions; dtypes; cell_offsets; width = !off; key_indices }
 
 let attributes t = Array.to_list t.attrs
 
@@ -57,7 +60,7 @@ let mem t name = Hashtbl.mem t.positions name
 
 let names t = Array.to_list (Array.map (fun a -> a.name) t.attrs)
 
-let width t = Array.fold_left (fun acc a -> acc + Dtype.width a.dtype) 0 t.attrs
+let width t = t.width
 
 let indices_where pred t =
   let rec loop i acc =
@@ -65,11 +68,11 @@ let indices_where pred t =
   in
   loop (Array.length t.attrs - 1) []
 
-let key_indices = indices_where (fun a -> a.key)
+let key_indices t = t.key_indices
 
 let updatable_indices = indices_where (fun a -> a.updatable)
 
-let has_unique_key t = key_indices t <> []
+let has_unique_key t = t.key_indices <> []
 
 let pp_attribute ppf a =
   Format.fprintf ppf "%s : %a%s%s" a.name Dtype.pp a.dtype

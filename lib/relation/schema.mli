@@ -57,11 +57,13 @@ val mem : t -> string -> bool
 val names : t -> string list
 
 val width : t -> int
-(** Total physical tuple width in bytes (sum of attribute widths). *)
+(** Total physical tuple width in bytes (sum of attribute widths), computed
+    once at {!make}. *)
 
 val key_indices : t -> int list
 (** Positions of key attributes, in schema order; empty when the relation
-    has no unique key. *)
+    has no unique key.  The list is the schema's own, built once at
+    {!make}: calling this allocates nothing. *)
 
 val updatable_indices : t -> int list
 (** Positions of updatable attributes, in schema order. *)

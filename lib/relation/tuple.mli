@@ -36,6 +36,10 @@ val set : t -> int -> Value.t -> t
 
 val set_many : t -> (int * Value.t) list -> t
 
+val copy : t -> t
+(** A fresh tuple with the same values, which the caller then owns (see
+    {!unsafe_set_in_place}). *)
+
 val unsafe_set_in_place : t -> int -> Value.t -> unit
 (** Write the position directly, without copying.  Only for engine-internal
     hot paths where the caller holds the sole reference to the tuple (the
@@ -59,8 +63,19 @@ val hash : t -> int
 val compare : t -> t -> int
 (** Lexicographic by position using {!Value.compare}. *)
 
+val encode_into : Schema.t -> t -> bytes -> int -> unit
+(** [encode_into schema t buf off] writes [t]'s fixed-width physical record
+    over the [Schema.width schema] bytes of [buf] at [off].  The whole
+    tuple is validated first (arity, and {!Value.matches} per cell, as
+    {!make} checks), so on [Invalid_argument] — a rejected tuple, or a
+    record that does not fit — no byte of [buf] has changed.  Every byte
+    of the record is written, so the target need not be blank: heap files
+    encode straight into the page slot, over the old record. *)
+
 val encode : Schema.t -> t -> bytes
-(** Fixed-width physical record of exactly [Schema.width] bytes. *)
+(** [encode_into] a fresh buffer of exactly [Schema.width] bytes.  Record
+    writes use {!encode_into}; this allocating form is for callers that
+    need the record as a value. *)
 
 val decode : Schema.t -> bytes -> t
 (** Inverse of [encode]; reads from offset 0. *)

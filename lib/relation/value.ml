@@ -97,27 +97,38 @@ let pp ppf v = Format.pp_print_string ppf (to_string v)
 let int_null = Int32.min_int
 let date_null = Int32.min_int
 
-let set_i32 buf off v =
-  Bytes.set_int32_le buf off v
+let mismatch dt v =
+  invalid_arg
+    (Printf.sprintf "Value.encode: %s does not match %s" (to_string v) (Dtype.to_string dt))
+
+(* Writes every byte of the cell: a record is re-encoded over its old image
+   in the page, so a short string's tail must be zeroed here, not assumed. *)
+let write_cell dt v buf off =
+  match (dt, v) with
+  | Dtype.Int, Int n -> Bytes.set_int32_le buf off (Int32.of_int n)
+  | Dtype.Int, Null -> Bytes.set_int32_le buf off int_null
+  | Dtype.Float, Float f -> Bytes.set_int64_le buf off (Int64.bits_of_float f)
+  | Dtype.Float, Null -> Bytes.set_int64_le buf off (Int64.bits_of_float nan)
+  | Dtype.Str n, Str s ->
+    let len = String.length s in
+    Bytes.blit_string s 0 buf off len;
+    Bytes.fill buf (off + len) (n - len) '\000'
+  | Dtype.Str n, Null -> Bytes.fill buf off n '\xff'
+  | Dtype.Date, Date d -> Bytes.set_int32_le buf off (Int32.of_int d)
+  | Dtype.Date, Null -> Bytes.set_int32_le buf off date_null
+  | Dtype.Bool, Bool b -> Bytes.set buf off (if b then '\001' else '\000')
+  | Dtype.Bool, Null -> Bytes.set buf off '\002'
+  | _ -> mismatch dt v
+
+let encode_into dt v buf off =
+  if not (matches dt v) then mismatch dt v;
+  if off < 0 || off > Bytes.length buf - Dtype.width dt then
+    invalid_arg "Value.encode_into: cell out of bounds";
+  write_cell dt v buf off
 
 let encode dt v =
-  if not (matches dt v) then
-    invalid_arg
-      (Printf.sprintf "Value.encode: %s does not match %s" (to_string v) (Dtype.to_string dt));
-  let w = Dtype.width dt in
-  let buf = Bytes.make w '\000' in
-  (match (dt, v) with
-  | Dtype.Int, Int n -> set_i32 buf 0 (Int32.of_int n)
-  | Dtype.Int, Null -> set_i32 buf 0 int_null
-  | Dtype.Float, Float f -> Bytes.set_int64_le buf 0 (Int64.bits_of_float f)
-  | Dtype.Float, Null -> Bytes.set_int64_le buf 0 (Int64.bits_of_float nan)
-  | Dtype.Str _, Str s -> Bytes.blit_string s 0 buf 0 (String.length s)
-  | Dtype.Str _, Null -> Bytes.fill buf 0 w '\xff'
-  | Dtype.Date, Date d -> set_i32 buf 0 (Int32.of_int d)
-  | Dtype.Date, Null -> set_i32 buf 0 date_null
-  | Dtype.Bool, Bool b -> Bytes.set buf 0 (if b then '\001' else '\000')
-  | Dtype.Bool, Null -> Bytes.set buf 0 '\002'
-  | _ -> assert false);
+  let buf = Bytes.make (Dtype.width dt) '\000' in
+  encode_into dt v buf 0;
   buf
 
 let decode dt buf off =

@@ -407,49 +407,49 @@ let max_optimistic_attempts = 3
    maintenance is what the mutex was protecting, and hot pages are kept
    resident by the misses and mutations that do touch.  [cold] only
    decides where a miss's frame enters the recency list. *)
-let optimistic t ~cold pid f =
-  let fallback () =
-    Obs.Counter.incr t.m.opt_fallbacks;
-    Obs.Counter.record g_opt_fallbacks 1;
-    pinned t ~exclusive:false ~cold pid f
-  in
-  let retry () =
-    Obs.Counter.incr t.m.opt_retries;
-    Obs.Counter.record g_opt_retries 1
-  in
-  let rec attempt n =
-    if n >= max_optimistic_attempts then fallback ()
-    else
-      match map_lookup t pid with
-      | None -> fallback ()  (* not resident: the miss needs the mutex + disk *)
-      | Some frame ->
+let optimistic_fallback t ~cold pid f =
+  Obs.Counter.incr t.m.opt_fallbacks;
+  Obs.Counter.record g_opt_fallbacks 1;
+  pinned t ~exclusive:false ~cold pid f
+
+let optimistic_retry t =
+  Obs.Counter.incr t.m.opt_retries;
+  Obs.Counter.record g_opt_retries 1
+
+(* Top-level rather than local closures: every page read of a refresh or
+   a scan comes through here, and local helpers would be allocated per
+   call. *)
+let rec optimistic_attempt t ~cold pid f n =
+  if n >= max_optimistic_attempts then optimistic_fallback t ~cold pid f
+  else
+    match map_lookup t pid with
+    | None -> optimistic_fallback t ~cold pid f  (* not resident: the miss needs the mutex + disk *)
+    | Some frame ->
+      Sched.yield ();
+      let s0 = Atomic.get frame.stamp in
+      if s0 land 1 = 1 then begin
+        (* A mutator is mid-write (or the frame was evicted): reading
+           now could only be wasted work. *)
+        optimistic_retry t;
+        optimistic_attempt t ~cold pid f (n + 1)
+      end
+      else begin
+        let result = match f frame.image with v -> Ok v | exception e -> Error e in
         Sched.yield ();
-        let s0 = Atomic.get frame.stamp in
-        if s0 land 1 = 1 then begin
-          (* A mutator is mid-write (or the frame was evicted): reading
-             now could only be wasted work. *)
-          retry ();
-          attempt (n + 1)
+        if Atomic.get frame.stamp = s0 then begin
+          Obs.Counter.incr t.m.logical_reads;
+          Obs.Counter.incr t.m.hits;
+          Obs.Counter.record g_hits 1;
+          Obs.Counter.incr t.m.opt_reads;
+          match result with Ok v -> v | Error e -> raise e
         end
         else begin
-          let result =
-            match f frame.image with v -> Ok v | exception e -> Error e
-          in
-          Sched.yield ();
-          if Atomic.get frame.stamp = s0 then begin
-            Obs.Counter.incr t.m.logical_reads;
-            Obs.Counter.incr t.m.hits;
-            Obs.Counter.record g_hits 1;
-            Obs.Counter.incr t.m.opt_reads;
-            match result with Ok v -> v | Error e -> raise e
-          end
-          else begin
-            retry ();
-            attempt (n + 1)
-          end
+          optimistic_retry t;
+          optimistic_attempt t ~cold pid f (n + 1)
         end
-  in
-  attempt 0
+      end
+
+let optimistic t ~cold pid f = optimistic_attempt t ~cold pid f 0
 
 let read_page t pid f = optimistic t ~cold:false pid f
 

@@ -37,11 +37,11 @@ let read_slot l page slot =
     invalid_arg (Printf.sprintf "Page.read_slot: slot %d is free" slot);
   Bytes.sub page (record_offset l slot) l.record_width
 
-let write_slot l page slot record =
+(* The flag goes up only after [write] returns: a writer that rejects its
+   record before touching the page leaves a free slot free. *)
+let write_slot_with l page slot write =
   check_slot l slot;
-  if Bytes.length record <> l.record_width then
-    invalid_arg "Page.write_slot: record width mismatch";
-  Bytes.blit record 0 page (record_offset l slot) l.record_width;
+  write page (record_offset l slot);
   Bytes.set page (l.flags_offset + slot) '\001'
 
 let clear_slot l page slot =

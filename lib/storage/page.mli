@@ -26,9 +26,13 @@ val slot_used : layout -> bytes -> int -> bool
 val read_slot : layout -> bytes -> int -> bytes
 (** Copy of the record bytes in a used slot. *)
 
-val write_slot : layout -> bytes -> int -> bytes -> unit
-(** Store record bytes into a slot and mark it used (an insert or an
-    in-place update).  Record must be exactly [record_width] bytes. *)
+val write_slot_with : layout -> bytes -> int -> (bytes -> int -> unit) -> unit
+(** [write_slot_with l page slot write] runs [write page off] with the
+    slot's record offset, then marks the slot used (an insert or an
+    in-place update).  [write] must fill exactly [record_width] bytes at
+    [off]; heap files pass {!Vnl_relation.Tuple.encode_into}, so a record
+    is encoded straight into the page.  If [write] raises, the slot's flag
+    is left as it was. *)
 
 val clear_slot : layout -> bytes -> int -> unit
 (** Mark a slot free. *)

@@ -15,47 +15,56 @@ type outcome = {
    group is inserted, a present one has its aggregates adjusted, and a
    group whose support count drops to zero is deleted.  Net deltas carry
    one entry per key, so classifying every delta against the pre-batch
-   state is equivalent to classifying as the batch applies. *)
+   state is equivalent to classifying as the batch applies.  Each
+   operation comes tagged with its delta's index; deltas that cancel out
+   on an absent group produce none. *)
 let classify view deltas current =
   let target = View_def.target_schema view in
-  let agg_names = List.map fst (View_def.aggregates view) in
   let key_arity = List.length (View_def.group_by view) in
+  let has_count = View_def.has_count view in
   let inserted = ref 0 and updated = ref 0 and deleted = ref 0 in
+  (* The support count, when kept, is the last aggregate. *)
+  let rec support = function
+    | [ (_, Value.Int c) ] -> c
+    | _ :: rest -> support rest
+    | [] -> invalid_arg "Summary: corrupt row_count"
+  in
+  let classify_one i ({ Delta.key; agg_delta; count_delta } as d) =
+    match current i d with
+    | None ->
+      if count_delta < 0 then invalid_arg "Summary: negative delta for absent group";
+      if count_delta > 0 then begin
+        incr inserted;
+        Some (i, Batch.Insert (Tuple.make target (key @ agg_delta)))
+      end
+      else None
+    | Some current ->
+      let assignments =
+        List.mapi
+          (fun a v ->
+            let j = key_arity + a in
+            (j, Value.add (Tuple.get current j) v))
+          agg_delta
+      in
+      if has_count && support assignments <= 0 then begin
+        incr deleted;
+        Some (i, Batch.Delete key)
+      end
+      else begin
+        incr updated;
+        Some (i, Batch.Update (key, assignments))
+      end
+  in
   let ops =
     Vnl_obs.Obs.with_span "summary.classify" @@ fun () ->
-    List.filter_map Fun.id
-    @@ List.mapi
-         (fun i ({ Delta.key; agg_delta; count_delta } as d) ->
-           match current i d with
-           | None ->
-             if count_delta < 0 then
-               invalid_arg "Summary: negative delta for absent group";
-             if count_delta > 0 then begin
-               incr inserted;
-               Some (Batch.Insert (Tuple.make target (key @ agg_delta)))
-             end
-             else None
-           | Some current ->
-             let old_aggs =
-               List.mapi (fun i _ -> Tuple.get current (key_arity + i)) agg_names
-             in
-             let new_aggs = List.map2 Value.add old_aggs agg_delta in
-             let support =
-               if View_def.has_count view then
-                 match List.rev new_aggs with
-                 | Value.Int c :: _ -> Some c
-                 | _ -> invalid_arg "Summary: corrupt row_count"
-               else None
-             in
-             (match support with
-             | Some c when c <= 0 ->
-               incr deleted;
-               Some (Batch.Delete key)
-             | Some _ | None ->
-               incr updated;
-               let assignments = List.mapi (fun i v -> (key_arity + i, v)) new_aggs in
-               Some (Batch.Update (key, assignments))))
-         deltas
+    let rec go i acc = function
+      | [] -> List.rev acc
+      | d :: rest -> (
+        match classify_one i d with
+        | Some op -> go (i + 1) (op :: acc) rest
+        | None -> go (i + 1) acc rest)
+    in
+    go 0 [] deltas
   in
   (ops, { groups_inserted = !inserted; groups_updated = !updated; groups_deleted = !deleted })
 
@@ -70,14 +79,14 @@ let apply_batch txn view changes =
   let ops, outcome =
     classify view deltas (fun _ d -> Twovnl.Txn.read_current txn ~table ~key:d.Delta.key)
   in
-  ignore (Twovnl.Txn.apply_batch txn ~table ops);
+  ignore (Twovnl.Txn.apply_batch txn ~table (List.map snd ops));
   outcome
 
 (* Classification without a transaction, for {!Warehouse.refresh}: raw
-   index probes ({!Vnl_query.Table.find_by_key}) whose results are kept and
-   replayed into the round's {!Batch.stage}, so each distinct key is
-   resolved once per refresh.  Must run against the pre-round table state
-   (before any stripe applies). *)
+   index probes ({!Vnl_query.Table.find_by_key}) whose results are handed,
+   aligned with the operations, to the round's {!Batch.stage}, so each
+   distinct key is resolved once per refresh.  Must run against the
+   pre-round table state (before any stripe applies). *)
 let plan_batch vnl view changes =
   let module Schema_ext = Vnl_core.Schema_ext in
   let h = Twovnl.handle_exn vnl (View_def.name view) in
@@ -93,14 +102,12 @@ let plan_batch vnl view changes =
         | Some (_, tuple) when Vnl_core.Maintenance.is_logically_live ext tuple ->
           (* Base schema, not the view template's target: an evolved view's
              base is wider (added columns at the end), and the positional
-             aggregate reads address the shared prefix either way. *)
-          Some (Tuple.make (Schema_ext.base ext) (Schema_ext.current_values ext tuple))
+             aggregate reads address the shared prefix either way.  The
+             record was decoded from storage, so it needs no re-check. *)
+          Some (Schema_ext.current_tuple ext tuple)
         | Some _ | None -> None)
   in
-  let resolve =
-    Batch.key_table_of_pairs (List.mapi (fun i d -> (d.Delta.key, found.(i))) deltas)
-  in
-  (ops, resolve, outcome)
+  (List.map snd ops, Array.of_list (List.map (fun (i, _) -> found.(i)) ops), outcome)
 
 (* Union-view merge for the sharded warehouse: each shard materializes its
    own instance of the template, and the logical view is the key-merge of

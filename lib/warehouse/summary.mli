@@ -26,19 +26,18 @@ val plan_batch :
   View_def.t ->
   Delta.change list ->
   Vnl_core.Batch.op list
-  * (Vnl_relation.Value.t list ->
-    (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option)
+  * (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
   * outcome
 (** Classify the batch's net group deltas against the view table's current
     state {e without} applying anything, through the same classifier as
     {!apply_batch} (absent group → insert, present → aggregate adjust,
     support to zero → delete), with the raw lookups kept.  Returns the
-    logical operation list for {!Warehouse.refresh}'s round, a [resolve]
-    function replaying the pass's raw lookups (for {!Vnl_core.Batch.stage},
-    so the stripes do not resolve the same keys a second time), and the
-    outcome the refresh reports once the round has published.  Must be
-    called outside any maintenance mutation (it reads the pre-refresh
-    state). *)
+    logical operation list (one per key) for {!Warehouse.refresh}'s round,
+    the pass's raw lookup for each operation, aligned with the list (for
+    {!Vnl_core.Batch.stage}'s [resolved], so the stripes do not resolve the
+    same keys a second time), and the outcome the refresh reports once the
+    round has published.  Must be called outside any maintenance mutation
+    (it reads the pre-refresh state). *)
 
 val merge_union : View_def.t -> Vnl_relation.Tuple.t list list -> Vnl_relation.Tuple.t list
 (** Merge per-shard instances of one view template into the logical union

@@ -82,12 +82,15 @@ let target_schema t =
   in
   Schema.make (key_attrs @ agg_attrs)
 
-let group_key t row = List.map (fun pos -> Tuple.get row pos) t.group_positions
+(* A top-level recursion, not [List.map] with a closure: this runs once
+   per source row of every refresh. *)
+let rec values_at row = function [] -> [] | pos :: rest -> Tuple.get row pos :: values_at row rest
 
-let contribution t row =
-  List.map
-    (function None -> Value.Int 1 | Some pos -> Tuple.get row pos)
-    t.sum_positions
+let group_key t row = values_at row t.group_positions
+
+let group_positions t = t.group_positions
+
+let sum_positions t = t.sum_positions
 
 let zero_contribution t =
   List.map

@@ -56,9 +56,14 @@ val target_schema : t -> Vnl_relation.Schema.t
 val group_key : t -> Vnl_relation.Tuple.t -> Vnl_relation.Value.t list
 (** Key values of the group a source row belongs to. *)
 
-val contribution : t -> Vnl_relation.Tuple.t -> Vnl_relation.Value.t list
-(** Per-aggregate contribution of one source row (the SUM attribute's
-    value, or 1 for COUNT), in [aggregates] order. *)
+val group_positions : t -> int list
+(** Source positions of the group-by attributes, in [group_by] order:
+    [group_key t row] is the row's values at these positions. *)
+
+val sum_positions : t -> int option list
+(** Where each aggregate's per-row contribution comes from, in
+    [aggregates] order: the source position a SUM adds, [None] for COUNT
+    (which adds 1). *)
 
 val zero_contribution : t -> Vnl_relation.Value.t list
 (** Identity element per aggregate (0). *)

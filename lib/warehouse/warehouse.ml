@@ -149,8 +149,8 @@ let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
             drained)
     in
     let p =
-      Pipeline.plan t.vnl ?on_phase ~workers ~prenetted:true
-        ~resolvers:(List.map (fun (name, (_, resolve, _)) -> (name, resolve)) classified)
+      Pipeline.plan t.vnl ?on_phase ~workers
+        ~resolved:(List.map (fun (name, (_, resolved, _)) -> (name, resolved)) classified)
         (List.map (fun (name, (ops, _, _)) -> (name, ops)) classified)
     in
     plan := Some p;

@@ -198,6 +198,79 @@ let qcheck_range_equals_filter =
       in
       List.rev !via_range = via_filter)
 
+(* Every tree operation against a linear-scan reference: a sorted
+   association list searched front to back, so no binary search (inner
+   separators or leaves) can agree with it by sharing a bug.  Composite
+   keys over a small domain at order 4 give many splits, replacements and
+   removals of present and absent keys. *)
+let qcheck_vs_linear_scan =
+  let open QCheck in
+  let key_gen = Gen.(map2 (fun a s -> [ Value.Int a; Value.Str s ]) (int_range 0 40) (oneofl [ "a"; "b"; "cc" ])) in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (5, map2 (fun key v -> `Insert (key, v)) key_gen (int_range 0 999));
+          (2, map (fun key -> `Remove key) key_gen);
+          (2, map (fun key -> `Find key) key_gen);
+          (1, map (fun keys -> `Find_batch keys) (list_size (0 -- 12) key_gen));
+          (1, map2 (fun a b -> `Range (a, b)) key_gen key_gen);
+        ])
+  in
+  let print_key key = String.concat "/" (List.map Value.to_string key) in
+  let print = function
+    | `Insert (key, v) -> Printf.sprintf "insert %s %d" (print_key key) v
+    | `Remove key -> "remove " ^ print_key key
+    | `Find key -> "find " ^ print_key key
+    | `Find_batch keys -> "find_batch " ^ String.concat "," (List.map print_key keys)
+    | `Range (a, b) -> Printf.sprintf "range %s %s" (print_key a) (print_key b)
+  in
+  Test.make ~name:"tree = linear-scan reference (order 4)" ~count:300
+    (make ~print:(Print.list print) Gen.(list_size (0 -- 300) op_gen))
+    (fun ops ->
+      let t = Bptree.create ~order:4 () in
+      let model = ref [] in
+      let cmp = Bptree.compare_keys in
+      let find_model key =
+        let rec scan = function
+          | [] -> None
+          | (k', v) :: rest -> if cmp k' key = 0 then Some v else scan rest
+        in
+        scan !model
+      in
+      let rec insert_model key v = function
+        | [] -> [ (key, v) ]
+        | ((k', _) as e) :: rest ->
+          let c = cmp key k' in
+          if c = 0 then (key, v) :: rest
+          else if c < 0 then (key, v) :: e :: rest
+          else e :: insert_model key v rest
+      in
+      let step = function
+        | `Insert (key, v) ->
+          Bptree.insert t key v;
+          model := insert_model key v !model;
+          true
+        | `Remove key ->
+          let expected = find_model key <> None in
+          model := List.filter (fun (k', _) -> cmp k' key <> 0) !model;
+          Bptree.remove t key = expected
+        | `Find key -> Bptree.find t key = find_model key
+        | `Find_batch keys ->
+          let keys = Array.of_list (List.sort cmp keys) in
+          Bptree.find_batch t keys = Array.map find_model keys
+        | `Range (a, b) ->
+          let lo, hi = if cmp a b <= 0 then (a, b) else (b, a) in
+          let seen = ref [] in
+          Bptree.range t ~lo ~hi (fun key v -> seen := (key, v) :: !seen);
+          List.rev !seen
+          = List.filter (fun (key, _) -> cmp key lo >= 0 && cmp key hi <= 0) !model
+      in
+      List.for_all step ops
+      && Bptree.to_list t = !model
+      && Bptree.length t = List.length !model
+      && match Bptree.check_invariants t with Ok _ -> true | Error _ -> false)
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -215,4 +288,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_insert_batch_vs_sequential;
     QCheck_alcotest.to_alcotest qcheck_vs_map;
     QCheck_alcotest.to_alcotest qcheck_range_equals_filter;
+    QCheck_alcotest.to_alcotest qcheck_vs_linear_scan;
   ]

@@ -246,6 +246,92 @@ let qcheck_value_hash_consistent =
          Printf.sprintf "%s %s" (Value.to_string a) (Value.to_string b)))
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* [Tuple.encode_into] over a buffer full of garbage, at a non-zero
+   offset, writes exactly [Tuple.encode]'s bytes and nothing outside the
+   record: every cell is written in full (a string's tail zeroed), since a
+   page slot holds the previous record, not zeros.  Schemas are random,
+   every dtype draws [Null] sometimes and strings often run to full
+   width. *)
+let gen_dtype =
+  QCheck.Gen.(
+    oneof
+      [
+        return Dtype.Int;
+        return Dtype.Float;
+        map (fun n -> Dtype.Str n) (int_range 1 12);
+        return Dtype.Date;
+        return Dtype.Bool;
+      ])
+
+let gen_cell dt =
+  let open QCheck.Gen in
+  let value =
+    match dt with
+    | Dtype.Float -> map (fun f -> Value.Float f) (float_range (-1e6) 1e6)
+    | Dtype.Str n ->
+      oneof
+        [
+          map (fun s -> Value.Str s) (string_size ~gen:(char_range 'a' 'z') (return n));
+          gen_value_for dt;
+        ]
+    | _ -> gen_value_for dt
+  in
+  frequency [ (4, value); (1, return Value.Null) ]
+
+let gen_schema_and_tuple =
+  let open QCheck.Gen in
+  let* dts = list_size (int_range 1 8) gen_dtype in
+  let* cells = flatten_l (List.map gen_cell dts) in
+  let schema =
+    Schema.make (List.mapi (fun i dt -> Schema.attr (Printf.sprintf "a%d" i) dt) dts)
+  in
+  let* off = int_range 1 9 in
+  return (schema, Tuple.make schema cells, off)
+
+let qcheck_encode_into =
+  QCheck.Test.make ~name:"tuple encode_into at an offset = encode, over garbage" ~count:500
+    (QCheck.make gen_schema_and_tuple ~print:(fun (schema, t, off) ->
+         Format.asprintf "%a | %s @%d" Schema.pp schema (String.concat "," (Tuple.to_strings t)) off))
+    (fun (schema, t, off) ->
+      let w = Schema.width schema in
+      let buf = Bytes.make (off + w + 5) '\xab' in
+      Tuple.encode_into schema t buf off;
+      Bytes.equal (Bytes.sub buf off w) (Tuple.encode schema t)
+      && Bytes.equal (Bytes.sub buf 0 off) (Bytes.make off '\xab')
+      && Bytes.equal (Bytes.sub buf (off + w) 5) (Bytes.make 5 '\xab')
+      && Tuple.equal t (Tuple.decode_from schema buf off))
+
+(* A short string written over a longer one: the cell's tail is zeroed,
+   so the record decodes to the short string, not a splice of both. *)
+let test_encode_into_short_over_long () =
+  let schema =
+    Schema.make [ Schema.attr "s" (Dtype.Str 10); Schema.attr "n" Dtype.Int ]
+  in
+  let buf = Tuple.encode schema (Tuple.make schema [ Value.Str "longerword"; Value.Int 7 ]) in
+  Tuple.encode_into schema (Tuple.make schema [ Value.Str "ab"; Value.Int 7 ]) buf 0;
+  check Alcotest.string "tail zeroed" ("ab" ^ String.make 8 '\000') (Bytes.sub_string buf 0 10);
+  check Alcotest.string "decodes to the short string" "ab"
+    (Value.to_string (Tuple.get (Tuple.decode schema buf) 0))
+
+(* A type mismatch in the last cell is caught before the first byte
+   lands: the target buffer is exactly as it was. *)
+let test_encode_into_rejects_before_writing () =
+  let buf = Tuple.encode daily_sales sample_tuple in
+  let before = Bytes.copy buf in
+  let bad =
+    Tuple.unsafe_of_array
+      [|
+        Value.Str "Palo Alto"; Value.Str "CA"; Value.Str "tennis"; Value.date_of_mdy 1 2 97;
+        Value.Str "not an int";
+      |]
+  in
+  Alcotest.(check bool) "raises" true
+    (try
+       Tuple.encode_into daily_sales bad buf 0;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "buffer untouched" true (Bytes.equal buf before)
+
 (* Decoding through a scan dictionary gives the plain decode's values, and
    repeated string cells come back as one shared value. *)
 let test_intern_decode () =
@@ -294,6 +380,11 @@ let suite =
     Alcotest.test_case "tuple encode roundtrip" `Quick test_tuple_encode_roundtrip;
     Alcotest.test_case "tuple roundtrip with nulls" `Quick test_tuple_encode_roundtrip_with_nulls;
     QCheck_alcotest.to_alcotest qcheck_tuple_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_encode_into;
+    Alcotest.test_case "encode_into: short string over long zeroes the tail" `Quick
+      test_encode_into_short_over_long;
+    Alcotest.test_case "encode_into: mismatch raises before writing" `Quick
+      test_encode_into_rejects_before_writing;
     QCheck_alcotest.to_alcotest qcheck_value_compare_total_order;
     QCheck_alcotest.to_alcotest qcheck_value_hash_consistent;
     Alcotest.test_case "intern decode = decode, strings shared" `Quick test_intern_decode;
