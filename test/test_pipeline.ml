@@ -129,13 +129,14 @@ let qcheck_partition_laws =
                     true)
                 p.Sched_batch.ops)
             (List.mapi (fun i p -> (i, p)) parts))
-      (* Counts are truthful. *)
+      (* Counts are truthful, and positions name each operation's place
+         in the input, ascending. *)
       && List.for_all
            (fun p ->
+             let positions = Array.to_list p.Sched_batch.positions in
              p.Sched_batch.op_count = List.length p.Sched_batch.ops
-             && p.Sched_batch.key_count
-                = List.length
-                    (List.sort_uniq compare (List.map op_key p.Sched_batch.ops)))
+             && List.equal ( == ) (List.map (List.nth ops) positions) p.Sched_batch.ops
+             && List.sort_uniq Int.compare positions = positions)
            parts)
 
 (* A secondary index is a shared structure: updates assigning an indexed
