@@ -1,5 +1,4 @@
 module Database = Vnl_query.Database
-module Table = Vnl_query.Table
 module Buffer_pool = Vnl_storage.Buffer_pool
 module Disk = Vnl_storage.Disk
 module Heap_file = Vnl_storage.Heap_file
@@ -48,10 +47,6 @@ type plan = {
       (** Pre-round key lookups by relation, aligned with its operations
           and handed to {!Batch.stage} so stripes skip the grouping and
           the second index pass. *)
-  tables : Twovnl.handle array;
-  page_counts : int array;
-      (** Per-[tables] heap page counts as last made durable; compared and
-          updated only inside token sections, so plain mutation is safe. *)
   staged_done : int Atomic.t;
   published : int Atomic.t;
   failure : exn option Atomic.t;
@@ -102,13 +97,15 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
         List.fold_left (fun a p -> a + p.Sched_batch.op_count) acc ps)
       0 parted
   in
-  let stripe_ops i =
-    List.fold_left
-      (fun acc (_, ps) ->
-        match List.nth_opt ps i with Some p -> acc + p.Sched_batch.op_count | None -> acc)
-      0 parted
-  in
-  if total_ops > 0 then begin
+  (* Gated as a whole: with observability off a round neither walks the
+     stripes for their skew nor takes the histogram's mutex. *)
+  if !Obs.enabled && total_ops > 0 then begin
+    let stripe_ops i =
+      List.fold_left
+        (fun acc (_, ps) ->
+          match List.nth_opt ps i with Some p -> acc + p.Sched_batch.op_count | None -> acc)
+        0 parted
+    in
     let heaviest = ref 0 in
     for i = 0 to count - 1 do
       heaviest := max !heaviest (stripe_ops i)
@@ -120,8 +117,8 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
   Obs.Counter.record m_stripes count;
   let round = Twovnl.Round.begin_ t ~count in
   (* §7 durability point 1 (see {!Recovery.run_maintenance}): the raised
-     flag and current catalog reach disk before any worker writes a
-     tuple. *)
+     flag, every other dirty frame and, if it changed since the last save,
+     the catalog reach disk before any worker writes a tuple. *)
   (try Obs.with_span "maintenance.flag" (fun () -> Database.save (Twovnl.database t))
    with e ->
      Recovery.abort_subordinate ~context:"the flag save" (fun () -> Twovnl.Round.abort round);
@@ -143,9 +140,6 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
     round;
     stripes;
     resolved;
-    tables = Array.of_list (List.map fst handles);
-    page_counts =
-      Array.of_list (List.map (fun (h, _) -> Table.page_count (Twovnl.table h)) handles);
     staged_done = Atomic.make 0;
     published = Atomic.make 0;
     failure = Atomic.make None;
@@ -200,7 +194,8 @@ let pages_of rids = List.map (fun (r : Heap_file.rid) -> r.Heap_file.page) rids
       and unique-index mutations — serialized, so slot assignment is
       byte-identical to the serial reference), then the stripe's §7
       durability ladder: targeted flush of every page it wrote, catalog
-      save when a heap grew, VN publish, flush of the Version page. *)
+      save (a write only when a heap grew), VN publish, flush of the
+      Version page. *)
 let fold_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Fold i;
@@ -252,16 +247,8 @@ let token_stripe (p : plan) i update_pages =
       Obs.with_span "maintenance.flush" (fun () ->
           (* [flush_pages] sorts and dedupes the page list itself. *)
           Buffer_pool.flush_pages pool (update_pages @ structural_pages);
-          let grew = ref false in
-          Array.iteri
-            (fun j h ->
-              let pc = Table.page_count (Twovnl.table h) in
-              if pc <> p.page_counts.(j) then begin
-                p.page_counts.(j) <- pc;
-                grew := true
-              end)
-            p.tables;
-          if !grew then Database.save ~mode:`Catalog_only db);
+          (* Writes the catalog only if a heap grew since the last save. *)
+          Database.save ~mode:`Catalog_only db);
       Obs.with_span "maintenance.publish" (fun () ->
           Twovnl.Round.publish p.round ~vn:stripe.vn;
           Buffer_pool.flush_pages pool [ Version_state.storage_page (Twovnl.version_state t) ]);

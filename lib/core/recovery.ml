@@ -25,6 +25,12 @@ type outcome = {
    3. the commit publish (currentVN := vn, maintenanceActive := false) is
       written.
 
+   A save writes the catalog only when it changed, so a commit that grows
+   no heap and stages no DDL writes no catalog page.  The flag's save still
+   flushes every dirty frame, not just the Version page: a collection's
+   physical deletes dirty pages outside maintenance, and a publish that
+   overtook one could revive a collected record beside its re-insert.
+
    Under this ordering the surviving disk image is always one of: clean
    pre-txn (crash before 1 completed), in-maintenance (flag set, any subset
    of mutations durable — §7 repair reverts the subset from the tuples' own
@@ -56,15 +62,16 @@ let run_maintenance db vnl f =
   let txn = Twovnl.Txn.begin_ vnl in
   let result =
     try
-      (* Durability point 1: the flag (and current catalog) on disk before
-         any maintenance mutation exists, so a crash during apply is
+      (* Durability point 1: the flag (with every dirty frame, and the
+         catalog if it changed since the last save) on disk before any
+         maintenance mutation exists, so a crash during apply is
          detectable. *)
       Obs.with_span "maintenance.flag" (fun () -> Database.save db);
       let result = Obs.with_span "maintenance.apply" (fun () -> f txn) in
       (* Durability point 2: mutated data pages, then the catalog naming
-         any pages the transaction allocated.  [save] serializes the
-         catalog and flushes every dirty frame, giving exactly apply ->
-         flush -> catalog-write. *)
+         any pages the transaction allocated or any DDL it staged.  [save]
+         flushes every dirty frame and writes the catalog only if it
+         changed, giving exactly apply -> flush -> catalog-write. *)
       Obs.with_span "maintenance.flush" (fun () ->
           Buffer_pool.flush_all (Database.pool db);
           Database.save db);

@@ -16,6 +16,9 @@ type t = {
       (** Catalog-generation metadata (newest first); empty until the first
           schema evolution.  Mirrored into the serialized catalog so reopen
           can rebuild every retained generation. *)
+  mutable durable : (Catalog.generation list * (string * Table.t * int list * int) list) option;
+      (** Fingerprint of the catalog the on-disk header names ([None] until
+          the first [save]); see [fingerprint]. *)
 }
 
 let create ?(page_size = 4096) ?(pool_capacity = 64) () =
@@ -30,6 +33,7 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) () =
     catalog_pages = [];
     spare_pages = [];
     gens = [];
+    durable = None;
   }
 
 let pool t = t.pool
@@ -68,7 +72,9 @@ let rename_table t old_name new_name =
 
 let generations_meta t = t.gens
 
-let set_generations_meta t gens = t.gens <- gens
+(* An equal list keeps the old one, so a rebuild that changes nothing (a
+   reopen's [attach_generations]) leaves the catalog fingerprint alone. *)
+let set_generations_meta t gens = if gens <> t.gens then t.gens <- gens
 
 let table_exn t name =
   match table t name with
@@ -105,6 +111,29 @@ let entries t =
       })
     (tables t)
 
+let m_catalog_writes = Vnl_obs.Obs.Registry.counter "catalog.writes"
+
+(* What [Catalog.serialize] reads, by physical identity where the source is
+   immutable: the generation metadata, and per table in order its name, the
+   table itself (so its schema), its heap's page list (replaced on every
+   allocation) and its index DDL version.  Equal fingerprints mean equal
+   catalog text; unequal ones may still serialize alike, which costs only a
+   redundant write. *)
+let fingerprint t =
+  ( t.gens,
+    List.map
+      (fun name ->
+        let tbl = Hashtbl.find t.catalog name in
+        (name, tbl, Vnl_storage.Heap_file.pages_rev (Table.heap tbl), Table.version tbl))
+      t.order )
+
+let same_fingerprint (g, ts) (g', ts') =
+  g == g'
+  && List.equal
+       (fun (n, tbl, p, v) (n', tbl', p', v') ->
+         String.equal n n' && tbl == tbl' && p == p' && v = v')
+       ts ts'
+
 (* Crash-safe save: the new catalog generation is written to the spare page
    set and flushed {e before} the single-page header flips to it, so the
    on-disk header always points at fully written content.  A crash anywhere
@@ -113,49 +142,63 @@ let entries t =
    which could otherwise silently mis-parse (a cut "pages 5 12" line reads
    as "pages 5 1").  The first flush also carries every other dirty frame,
    which is exactly the apply -> flush -> catalog-write -> publish ordering
-   {!Vnl_core.Recovery} relies on. *)
+   {!Vnl_core.Recovery} relies on.
+
+   When the fingerprint matches the catalog the header already names,
+   there is nothing to write but data: [`Full] still flushes every dirty
+   frame (the caller's durability point — the Version page, and pages a
+   collection dirtied outside maintenance), [`Catalog_only] nothing. *)
 let save ?(mode = `Full) t =
-  let text = Catalog.serialize ~generations:t.gens (entries t) in
-  let page_size = Disk.page_size (disk t) in
-  let needed = max 1 ((String.length text + page_size - 1) / page_size) in
-  while List.length t.spare_pages < needed do
-    t.spare_pages <- t.spare_pages @ [ Buffer_pool.alloc_page t.pool ]
-  done;
-  List.iteri
-    (fun i pid ->
-      Buffer_pool.with_page_mut t.pool pid (fun img ->
-          Bytes.fill img 0 page_size '\000';
-          let off = i * page_size in
-          if off < String.length text then begin
-            let len = min page_size (String.length text - off) in
-            Bytes.blit_string text off img 0 len
-          end))
-    t.spare_pages;
-  (* [`Full] doubles as the caller's data-durability point (every dirty
-     frame reaches disk before the header flip).  [`Catalog_only] flushes
-     just the catalog content pages — the pipelined path has already made
-     its partition's data pages durable with a targeted blocking flush and
-     must not sweep up other in-flight partitions' half-applied pages. *)
-  (match mode with
-  | `Full -> Buffer_pool.flush_all t.pool
-  | `Catalog_only -> Buffer_pool.flush_pages t.pool t.spare_pages);
-  (* Header page 0: magic, content length, content page ids, then the
-     retired generation's pages so a reopened database keeps reusing them. *)
-  let live = t.spare_pages and retired = t.catalog_pages in
-  Buffer_pool.with_page_mut t.pool 0 (fun img ->
-      Bytes.fill img 0 page_size '\000';
-      let ids pids = String.concat " " (List.map string_of_int pids) in
-      let header =
-        Printf.sprintf "%s %d %s\nspare %s\n" magic (String.length text) (ids live)
-          (ids retired)
-      in
-      if String.length header > page_size then failwith "Database.save: header overflow";
-      Bytes.blit_string header 0 img 0 (String.length header));
-  (match mode with
-  | `Full -> Buffer_pool.flush_all t.pool
-  | `Catalog_only -> Buffer_pool.flush_pages t.pool [ 0 ]);
-  t.catalog_pages <- live;
-  t.spare_pages <- retired
+  let now = fingerprint t in
+  let unchanged = match t.durable with Some d -> same_fingerprint d now | None -> false in
+  if unchanged then begin
+    match mode with `Full -> Buffer_pool.flush_all t.pool | `Catalog_only -> ()
+  end
+  else begin
+    Vnl_obs.Obs.Counter.record m_catalog_writes 1;
+    let text = Catalog.serialize ~generations:t.gens (entries t) in
+    let page_size = Disk.page_size (disk t) in
+    let needed = max 1 ((String.length text + page_size - 1) / page_size) in
+    while List.length t.spare_pages < needed do
+      t.spare_pages <- t.spare_pages @ [ Buffer_pool.alloc_page t.pool ]
+    done;
+    List.iteri
+      (fun i pid ->
+        Buffer_pool.with_page_mut t.pool pid (fun img ->
+            Bytes.fill img 0 page_size '\000';
+            let off = i * page_size in
+            if off < String.length text then begin
+              let len = min page_size (String.length text - off) in
+              Bytes.blit_string text off img 0 len
+            end))
+      t.spare_pages;
+    (* [`Full] doubles as the caller's data-durability point (every dirty
+       frame reaches disk before the header flip).  [`Catalog_only] flushes
+       just the catalog content pages — the pipelined path has already made
+       its partition's data pages durable with a targeted blocking flush and
+       must not sweep up other in-flight partitions' half-applied pages. *)
+    (match mode with
+    | `Full -> Buffer_pool.flush_all t.pool
+    | `Catalog_only -> Buffer_pool.flush_pages t.pool t.spare_pages);
+    (* Header page 0: magic, content length, content page ids, then the
+       retired generation's pages so a reopened database keeps reusing them. *)
+    let live = t.spare_pages and retired = t.catalog_pages in
+    Buffer_pool.with_page_mut t.pool 0 (fun img ->
+        Bytes.fill img 0 page_size '\000';
+        let ids pids = String.concat " " (List.map string_of_int pids) in
+        let header =
+          Printf.sprintf "%s %d %s\nspare %s\n" magic (String.length text) (ids live)
+            (ids retired)
+        in
+        if String.length header > page_size then failwith "Database.save: header overflow";
+        Bytes.blit_string header 0 img 0 (String.length header));
+    (match mode with
+    | `Full -> Buffer_pool.flush_all t.pool
+    | `Catalog_only -> Buffer_pool.flush_pages t.pool [ 0 ]);
+    t.catalog_pages <- live;
+    t.spare_pages <- retired;
+    t.durable <- Some now
+  end
 
 let reopen ?(pool_capacity = 64) disk0 =
   let pool = Buffer_pool.create ~capacity:pool_capacity disk0 in
@@ -198,6 +241,7 @@ let reopen ?(pool_capacity = 64) disk0 =
       catalog_pages = pages;
       spare_pages = spare;
       gens;
+      durable = None;
     }
   in
   List.iter
@@ -209,4 +253,5 @@ let reopen ?(pool_capacity = 64) disk0 =
       Hashtbl.add t.catalog e.Catalog.table table;
       t.order <- e.Catalog.table :: t.order)
     entries;
+  t.durable <- Some (fingerprint t);
   t

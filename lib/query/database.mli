@@ -30,7 +30,8 @@ val generations_meta : t -> Catalog.generation list
 
 val set_generations_meta : t -> Catalog.generation list -> unit
 (** Replace the generation metadata.  Serialized by the next {!save}; owned
-    by the evolution machinery in [Vnl_core.Twovnl]. *)
+    by the evolution machinery in [Vnl_core.Twovnl].  A list equal to the
+    current one is ignored, so it does not count as a catalog change. *)
 
 val tables : t -> Table.t list
 (** In creation order. *)
@@ -51,11 +52,15 @@ val save : ?mode:[ `Full | `Catalog_only ] -> t -> unit
     so a crash mid-save leaves either the old or the new catalog on disk,
     never a mixture (see {!Vnl_core.Recovery}).
 
-    [`Full] (the default) flushes {e every} dirty page around the header
-    flip, doubling as the caller's data-durability point.  [`Catalog_only]
-    flushes only the catalog content pages and the header: the pipelined
-    maintenance path uses it after targeted data flushes, when a full
-    sweep would entangle other partitions' in-flight pages. *)
+    The catalog is written only if it changed since the last save or
+    {!reopen}, judged by a conservative fingerprint (tables in order, their
+    heap page lists and index DDL, generation metadata); otherwise only the
+    data part below runs.  [`Full] (the default) flushes {e every} dirty page,
+    doubling as the caller's data-durability point.  [`Catalog_only]
+    flushes only the catalog content pages and the header (nothing, when
+    the catalog is unchanged): the pipelined maintenance path uses it after
+    targeted data flushes, when a full sweep would entangle other
+    partitions' in-flight pages. *)
 
 val disk : t -> Vnl_storage.Disk.t
 

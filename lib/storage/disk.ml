@@ -19,6 +19,7 @@ type stats = {
   writes : int;
   seq_writes : int;
   rand_writes : int;
+  last_write : int;
   allocations : int;
 }
 
@@ -199,6 +200,7 @@ let stats t =
     writes = t.writes;
     seq_writes = t.seq_writes;
     rand_writes = t.rand_writes;
+    last_write = t.last_write;
     allocations = t.allocations;
   }
 

@@ -25,6 +25,7 @@ type stats = {
           page 0, so the first post-reset write is sequential iff it lands
           on page 0. *)
   rand_writes : int;  (** Writes that moved the head: [writes - seq_writes]. *)
+  last_write : int;  (** Page of the latest write, a crashing one included; [-1] if none. *)
   allocations : int;
 }
 

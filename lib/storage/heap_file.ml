@@ -233,6 +233,8 @@ let buffer_pool t = t.pool
 
 let pages t = List.rev (Atomic.get t.pages)
 
+let pages_rev t = Atomic.get t.pages
+
 let attach pool schema ~pages =
   let t = create pool schema in
   Atomic.set t.pages (List.rev pages);

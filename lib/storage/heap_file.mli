@@ -119,6 +119,10 @@ val pages : t -> int list
 (** Page ids in scan (allocation) order; what a catalog must persist to
     re-attach the file after a restart. *)
 
+val pages_rev : t -> int list
+(** The pages newest first, in O(1): an immutable list, replaced exactly
+    when the file allocates, so physical equality tells growth. *)
+
 val attach : Buffer_pool.t -> Vnl_relation.Schema.t -> pages:int list -> t
 (** Re-open a heap file over existing pages (in scan order): occupancy and
     free-space tracking are rebuilt by scanning the pages.  The page images

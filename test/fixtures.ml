@@ -105,3 +105,92 @@ let base_testable =
 (* One-shot SQL through the engine's evaluator: parse, compile, run. *)
 let sql db ?params src =
   Vnl_query.Plan.execute ?params (Vnl_query.Plan.prepare db (Vnl_sql.Parser.parse_select src))
+
+(* ---------- crash-sweep helpers ---------- *)
+
+module Disk = Vnl_storage.Disk
+
+(* Parse a saved image's catalog off the platter, as reopen does: the
+   header's text length and live content pages, then the text.  Returns the
+   text and the catalog page set (header, live and spare pages). *)
+let catalog_of disk =
+  let raw = Bytes.to_string (Disk.read disk 0) in
+  let first, rest =
+    match String.split_on_char '\n' raw with
+    | first :: rest -> (first, rest)
+    | [] -> Alcotest.fail "empty catalog header"
+  in
+  let length, live =
+    match String.split_on_char ' ' first with
+    | _magic :: len :: pids -> (int_of_string len, List.filter_map int_of_string_opt pids)
+    | _ -> Alcotest.fail "bad catalog header"
+  in
+  let spare =
+    match rest with
+    | line :: _ when String.length line >= 5 && String.sub line 0 5 = "spare" ->
+      List.filter_map int_of_string_opt
+        (String.split_on_char ' ' (String.sub line 5 (String.length line - 5)))
+    | _ -> []
+  in
+  let buf = Buffer.create length in
+  List.iter
+    (fun pid ->
+      let img = Disk.read disk pid in
+      Buffer.add_subbytes buf img 0 (min (Bytes.length img) (length - Buffer.length buf)))
+    live;
+  (Buffer.contents buf, List.sort_uniq compare (0 :: live @ spare))
+
+type ladder = {
+  writes : int;  (** Physical writes of the commit. *)
+  catalog_changed : bool;  (** Whether the on-disk catalog text changed. *)
+  first_data : int;  (** 1-based write point of the first data write. *)
+}
+
+(* The §7 ladder read off a commit's write sequence.  [setup] prepares a
+   fresh clone of [base] (a reopen, say) and [run] drives the commit; one
+   fault-free run gives the write count and the catalog before and after,
+   then each write point k is replayed with the disk armed to crash at k
+   and the crashing write's page read off [Disk.stats].  The flag's
+   Version-page write must come first and a publish's last, with a data
+   write between; each of the [publishes] VN publishes (one per stripe)
+   writes the Version page once more; the header (page 0) and the catalog
+   content pages are written exactly when the catalog text changed. *)
+let check_ladder ?(publishes = 1) ~ctx base ~setup ~run =
+  let d = Disk.clone base in
+  let vnl = setup d in
+  let catalog_before, _ = catalog_of d in
+  Disk.reset_stats d;
+  run vnl;
+  let writes = (Disk.stats d).Disk.writes in
+  let catalog_after, catalog_pages = catalog_of d in
+  let catalog_changed = not (String.equal catalog_before catalog_after) in
+  let version_page =
+    Vnl_core.Version_state.storage_page (Vnl_core.Twovnl.version_state vnl)
+  in
+  let pids =
+    List.init writes (fun k ->
+        let d = Disk.clone base in
+        let vnl = setup d in
+        Disk.set_faults d { Disk.no_faults with crash_at_write = Some (k + 1) };
+        Disk.reset_stats d;
+        (try run vnl with Disk.Crash _ -> ());
+        let s = Disk.stats d in
+        if s.Disk.writes <> k + 1 then Alcotest.failf "%s: no crash at write %d" ctx (k + 1);
+        s.Disk.last_write)
+  in
+  let is_data pid = pid <> version_page && not (List.mem pid catalog_pages) in
+  let count p = List.length (List.filter p pids) in
+  if List.nth_opt pids 0 <> Some version_page then
+    Alcotest.failf "%s: the first write is not the flag's Version page" ctx;
+  if List.nth_opt pids (writes - 1) <> Some version_page then
+    Alcotest.failf "%s: the last write is not the publish's Version page" ctx;
+  Alcotest.(check int) (ctx ^ ": Version-page writes (flag + publishes)") (1 + publishes)
+    (count (Int.equal version_page));
+  Alcotest.(check bool) (ctx ^ ": header written iff the catalog changed") catalog_changed
+    (List.mem 0 pids);
+  Alcotest.(check bool) (ctx ^ ": catalog pages written iff the catalog changed")
+    catalog_changed
+    (count (fun pid -> pid <> 0 && List.mem pid catalog_pages) > 0);
+  match List.find_index is_data pids with
+  | Some i -> { writes; catalog_changed; first_data = i + 1 }
+  | None -> Alcotest.failf "%s: no data write between the flag and the publish" ctx

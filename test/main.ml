@@ -34,4 +34,5 @@ let () =
       ("net", Test_net.suite);
       ("catalog-evolve", Test_catalog_evolve.suite);
       ("reader-path", Test_reader_path.suite);
+      ("durability", Test_durability.suite);
     ]

@@ -384,7 +384,14 @@ let sweep_evolution ?(tear = true) seed =
     ((pre : Tuple.t list), visible vnl, (Disk.stats d).Disk.writes)
   in
   Alcotest.(check bool) "evolution changed the state" false (same pre post);
-  Alcotest.(check bool) "the ladder writes enough to sweep" true (writes > 5);
+  (* The ladder's shape, read off the write sequence: the evolution
+     rewrites the catalog, so its content and header writes must appear
+     between the flag and the publish. *)
+  let ladder =
+    Fixtures.check_ladder ~ctx:"evolution" base ~setup:(fun d -> fst (reopen d)) ~run:run_evolution
+  in
+  Alcotest.(check bool) "the evolution changed the catalog" true ladder.Fixtures.catalog_changed;
+  check Alcotest.int "the ladder's writes" ladder.Fixtures.writes writes;
   let n_pre = ref 0 and n_post = ref 0 and torn_detected = ref 0 and torn_ok = ref 0 in
   let rng = Xorshift.create (seed * 7919) in
   let clean_crash k prefix =

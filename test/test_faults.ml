@@ -109,6 +109,12 @@ let run_refresh vnl ops =
 
 let same = List.equal Tuple.equal
 
+(* The refresh's write sequence must have the §7 ladder's shape. *)
+let ladder base ops =
+  Fixtures.check_ladder ~ctx:"refresh" base
+    ~setup:(fun d -> fst (reopen d))
+    ~run:(fun vnl -> run_refresh vnl ops)
+
 (* Run the whole sweep for one seed; returns (write points, #pre, #post,
    #torn detected, #torn recovered). *)
 let sweep ?(tear = true) seed =
@@ -126,7 +132,7 @@ let sweep ?(tear = true) seed =
     (pre, visible vnl, w)
   in
   Alcotest.(check bool) "batch changed the state" false (same pre post);
-  Alcotest.(check bool) "protocol writes enough to sweep" true (writes > 5);
+  check Alcotest.int "the ladder's writes" (ladder base ops).Fixtures.writes writes;
   let n_pre = ref 0 and n_post = ref 0 and torn_detected = ref 0 and torn_ok = ref 0 in
   let rng = Xorshift.create (seed * 7919) in
   (* Clean crash point: either write k never reaches the platter
@@ -193,10 +199,12 @@ let test_sweep () =
 let test_reader_consistency_after_recovery () =
   let base = build_base () in
   let ops = gen_ops 7 in
+  let first_data = (ladder base ops).Fixtures.first_data in
   let d = Disk.clone base in
   let vnl, _ = reopen d in
   let pre = visible vnl in
-  Disk.set_faults d { Disk.no_faults with crash_at_write = Some 6 };
+  (* Crash on the first data write: the flag is durable, the batch not. *)
+  Disk.set_faults d { Disk.no_faults with crash_at_write = Some first_data };
   (try run_refresh vnl ops with Disk.Crash _ -> ());
   Disk.clear_faults d;
   let vnl2, out = reopen d in

@@ -313,15 +313,25 @@ let test_crash_under_readers () =
   let rng = Xorshift.create 77 in
   let live = ref (List.concat_map (fun g -> [ key_of g ~day:13; key_of g ~day:14 ]) groups) in
   let ops = gen_batch rng ~live ~fresh_day:(ref 20) in
+  let refresh vnl =
+    ignore
+      (Recovery.run_maintenance (Twovnl.database vnl) vnl (fun txn ->
+           ignore (Twovnl.Txn.apply_batch txn ~table:table_name ops)))
+  in
   (* Reference pre/post states from a fault-free twin. *)
   let pre, post =
     let d = Disk.clone base in
     let vnl, _ = Recovery.reopen ~pool_capacity:4 d ~tables in
     let pre = visible vnl in
-    ignore
-      (Recovery.run_maintenance (Twovnl.database vnl) vnl (fun txn ->
-           ignore (Twovnl.Txn.apply_batch txn ~table:table_name ops)));
+    refresh vnl;
     (pre, visible vnl)
+  in
+  (* The crash point below: the refresh's first data write. *)
+  let first_data =
+    (Fixtures.check_ladder ~ctx:"refresh" base
+       ~setup:(fun d -> fst (Recovery.reopen ~pool_capacity:4 d ~tables))
+       ~run:refresh)
+      .Fixtures.first_data
   in
   let d = Disk.clone base in
   let vnl, _ = Recovery.reopen ~pool_capacity:4 d ~tables in
@@ -338,12 +348,10 @@ let test_crash_under_readers () =
           while Atomic.get warmed < 2 do
             Domain.cpu_relax ()
           done;
-          Disk.set_faults d { Disk.no_faults with crash_at_write = Some 4 };
+          Disk.set_faults d { Disk.no_faults with crash_at_write = Some first_data };
           let crashed =
             try
-              ignore
-                (Recovery.run_maintenance (Twovnl.database vnl) vnl (fun txn ->
-                     ignore (Twovnl.Txn.apply_batch txn ~table:table_name ops)));
+              refresh vnl;
               false
             with Disk.Crash _ -> true
           in
