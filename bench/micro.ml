@@ -25,6 +25,7 @@ module Maintenance = Vnl_core.Maintenance
 module Rewrite = Vnl_core.Rewrite
 module Twovnl = Vnl_core.Twovnl
 module Bptree = Vnl_index.Bptree
+module Hash_index = Vnl_index.Hash_index
 module Version_pool = Vnl_txn.Version_pool
 
 let daily_sales =
@@ -110,6 +111,22 @@ let bptree_probe =
 
 let bench_bptree_probe =
   Test.make ~name:"B+-tree key probe (10k keys)" (Staged.stage bptree_probe)
+
+(* The same probe stream against the unique-key index tables use. *)
+let hash_probe =
+  let index = Hash_index.create () in
+  let () =
+    for i = 0 to 9999 do
+      Hash_index.replace index [ Value.Int i ] i
+    done
+  in
+  let i = ref 0 in
+  fun () ->
+    i := (!i + 7919) mod 10000;
+    Hash_index.find index [ Value.Int !i ]
+
+let bench_hash_probe =
+  Test.make ~name:"unique-key index probe (10k keys)" (Staged.stage hash_probe)
 
 let pool_fetch =
   let disk = Vnl_storage.Disk.create () in
@@ -334,6 +351,7 @@ let tests =
        bench_parse_and_rewrite;
        bench_maintenance_update;
        bench_bptree_probe;
+       bench_hash_probe;
        bench_pool_fetch;
        bench_group_by_query;
      ]
@@ -351,6 +369,7 @@ let smoke () =
       ("parse + rewrite + print", fun () -> ignore (parse_and_rewrite ()));
       ("maintenance update", fun () -> maintenance_update ());
       ("B+-tree key probe", fun () -> ignore (bptree_probe ()));
+      ("unique-key index probe", fun () -> ignore (hash_probe ()));
       ("version-pool fetch", fun () -> ignore (pool_fetch ()));
       ("group-by query", fun () -> ignore (group_by_query ()));
     ]

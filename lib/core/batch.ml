@@ -54,17 +54,10 @@ let op_key base = function
   | Insert t -> Tuple.key_of base t
   | Update (key, _) | Delete key -> key
 
-(* Specialized hashtable over key-value lists: the grouping pass does one
-   lookup per logical operation, and the generic structural equality/hash
-   are measurably slower than the value-specialized ones. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-
-  (* One runtime structural-hash traversal beats per-element calls. *)
-  let hash (k : t) = Hashtbl.hash k
-end)
+(* The grouping pass nets operations by key with the unique index's own
+   key equality and hash, so [Int n] and [Float (float n)] are one key
+   here as they are in the table. *)
+module Key_tbl = Vnl_index.Hash_index.Key_tbl
 
 (* Tables without a unique key admit only inserts (there is no key to net
    over), each necessarily fresh: stage them directly, in order. *)

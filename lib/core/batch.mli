@@ -9,9 +9,9 @@
       in-memory record image — a key touched k times costs k (cheap, pure)
       transitions but exactly one physical action, instead of k probe +
       decode + rewrite cycles.
-    + {b One sorted key pass}: every key→rid lookup is resolved in a single
-      sorted sweep over the unique index ({!Vnl_index.Bptree.find_batch}),
-      and the hit records are fetched in ascending (page, slot) order.
+    + {b One key probe per key}: every key→rid lookup is one probe of the
+      unique-key hash index ({!Vnl_query.Table.find_many_by_key}), and the
+      hit records are fetched in ascending (page, slot) order.
     + {b Page-ordered apply}: the per-key physical actions are applied in
       ascending (page, slot) order (fresh inserts last, in first-touch
       order), so a small buffer pool sees near-sequential page access

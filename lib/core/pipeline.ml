@@ -185,7 +185,8 @@ let pages_of rids = List.map (fun (r : Heap_file.rid) -> r.Heap_file.page) rids
       applies, enforced by the barrier; key-disjoint partitions make the
       pre-round reads exact regardless of the other stripes' later
       writes).  Reads race only reads, which the optimistic page path and
-      the immutable-during-phase B+-tree support.
+      the unique-key hash index (immutable chains, no writer during the
+      phase) support.
    2. apply: in-place updates, concurrently across workers.  Safe because
       partitions are key-disjoint (no shared rid), updates never move
       slots or touch the unique index, and the partitioner merged any two

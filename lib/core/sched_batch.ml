@@ -1,5 +1,4 @@
 module Schema = Vnl_relation.Schema
-module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
 module Table = Vnl_query.Table
 
@@ -17,13 +16,7 @@ let key_of_op base = function
   | Batch.Insert t -> Tuple.key_of base t
   | Batch.Update (key, _) | Batch.Delete key -> key
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-
-  let hash (k : t) = Hashtbl.hash k
-end)
+module Key_tbl = Vnl_index.Hash_index.Key_tbl
 
 let partition ext table ~max_parts ops =
   if ops = [] then []

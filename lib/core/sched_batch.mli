@@ -10,8 +10,8 @@
       index — an update assigning an indexed attribute, and every
       structural insert/delete, "touches" each index over those attributes,
       and partitions sharing a touched index are merged (the in-memory
-      B+-trees take no latches, so tree exclusivity {e is} the safety
-      argument);
+      secondary B+-trees take no latches, so tree exclusivity {e is} the
+      safety argument);
     - {b order-preserving}: each partition is a stable filter of the input,
       so per-key operation order is intact and a forced single partition is
       the original batch verbatim.

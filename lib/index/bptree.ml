@@ -117,220 +117,6 @@ let rec find_node node key =
 
 let find t key = find_node t.root key
 
-(* One root-to-leaf pass shared across a sorted batch of keys: at each inner
-   node the (still sorted) key range is partitioned among the children, so
-   upper levels are visited once per child interval instead of once per key.
-   Cost is O(nodes overlapping the key range + batch size) against
-   O(batch size * height) for independent probes. *)
-let find_batch t keys =
-  let n = Array.length keys in
-  let out = Array.make n None in
-  (* First index in [lo, hi) whose key is >= sep (binary search). *)
-  let partition_point lo hi sep =
-    let lo = ref lo and hi = ref hi in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Key.compare keys.(mid) sep < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let rec go node lo hi =
-    match node with
-    | Leaf entries ->
-      for i = lo to hi - 1 do
-        let j, found = leaf_search entries keys.(i) in
-        if found then out.(i) <- Some (snd entries.(j))
-      done
-    | Inner (seps, children) ->
-      (* Visit only the children that hold keys: pick the child of the next
-         unresolved key, split its interval off by binary search, recurse.
-         The keys are sorted, so the child index is monotone across
-         intervals and the separator scan resumes where it left off —
-         each separator is examined at most once per node visit. *)
-      let nsep = Array.length seps in
-      let start = ref lo and ci = ref 0 in
-      while !start < hi do
-        while !ci < nsep && Key.compare keys.(!start) seps.(!ci) >= 0 do
-          incr ci
-        done;
-        let stop = if !ci = nsep then hi else partition_point (!start + 1) hi seps.(!ci) in
-        go children.(!ci) !start stop;
-        start := stop
-      done
-  in
-  (for i = 1 to n - 1 do
-     if Key.compare keys.(i - 1) keys.(i) > 0 then
-       invalid_arg "Bptree.find_batch: keys not sorted"
-   done);
-  go t.root 0 n;
-  out
-
-let compare_keys = Key.compare
-
-let rec first_key = function
-  | Leaf entries -> fst entries.(0)
-  | Inner (_, children) -> first_key children.(0)
-
-(* One root-to-leaf pass inserting a sorted batch of pairs: like
-   {!find_batch}, the separator scans and the path copies that per-key
-   inserts would repeat per key happen once per touched node.  A node
-   receiving many keys may fan out into several siblings; the parent
-   separates them by first key, which bounds them exactly like a promoted
-   separator would.  The resulting tree can differ in shape from the one
-   per-key inserts build, but holds the same entries and the same
-   invariants. *)
-let insert_batch t pairs =
-  let n = Array.length pairs in
-  if n > 0 then begin
-    for i = 1 to n - 1 do
-      if Key.compare (fst pairs.(i - 1)) (fst pairs.(i)) >= 0 then
-        invalid_arg "Bptree.insert_batch: keys not sorted or not distinct"
-    done;
-    let order = t.order in
-    let added = ref 0 in
-    (* First index in [lo, hi) whose key is >= sep. *)
-    let partition_point lo hi sep =
-      let lo = ref lo and hi = ref hi in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Key.compare (fst pairs.(mid)) sep < 0 then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    (* Split [arr] into [k] nearly equal contiguous chunks. *)
-    let chunk_array mk arr k =
-      let len = Array.length arr in
-      let sz = (len + k - 1) / k in
-      List.init k (fun c -> mk (Array.sub arr (c * sz) (min sz (len - (c * sz)))))
-    in
-    (* Replace [node] with one or more siblings holding its entries plus
-       pairs[lo..hi); each sibling respects the node capacity. *)
-    let rec go node lo hi =
-      match node with
-      | Leaf entries ->
-        (* Binary-search each key's slot, then build the merged array with
-           positional copies only — no comparisons during the copy. *)
-        let m = Array.length entries and k = hi - lo in
-        let pos = Array.make k 0 and repl = Array.make k false in
-        let fresh = ref 0 in
-        for x = 0 to k - 1 do
-          let i, found = leaf_search entries (fst pairs.(lo + x)) in
-          pos.(x) <- i;
-          repl.(x) <- found;
-          if not found then incr fresh
-        done;
-        added := !added + !fresh;
-        let total = m + !fresh in
-        let merged = Array.make total pairs.(lo) in
-        let w = ref 0 and e = ref 0 in
-        for x = 0 to k - 1 do
-          while !e < pos.(x) do
-            merged.(!w) <- entries.(!e);
-            incr w;
-            incr e
-          done;
-          merged.(!w) <- pairs.(lo + x);
-          incr w;
-          if repl.(x) then incr e (* the old entry is replaced, skip it *)
-        done;
-        while !e < m do
-          merged.(!w) <- entries.(!e);
-          incr w;
-          incr e
-        done;
-        if total <= order then [ Leaf merged ]
-        else chunk_array (fun a -> Leaf a) merged ((total + order - 1) / order)
-      | Inner (seps, children) ->
-        let nsep = Array.length seps in
-        (* Resolve the touched children first; (child index, replacements)
-           in reverse order. *)
-        let repls = ref [] and split = ref false in
-        let start = ref lo and ci = ref 0 in
-        while !start < hi do
-          while !ci < nsep && Key.compare (fst pairs.(!start)) seps.(!ci) >= 0 do
-            incr ci
-          done;
-          let stop = if !ci = nsep then hi else partition_point (!start + 1) hi seps.(!ci) in
-          let r = go children.(!ci) !start stop in
-          (match r with [ _ ] -> () | _ -> split := true);
-          repls := (!ci, r) :: !repls;
-          start := stop
-        done;
-        if not !split then begin
-          (* No child fanned out: one flat copy with the replacements
-             written over it — the common steady-state path. *)
-          let children = Array.copy children in
-          List.iter
-            (fun (i, r) -> match r with [ c ] -> children.(i) <- c | _ -> assert false)
-            !repls;
-          [ Inner (seps, children) ]
-        end
-        else begin
-          (* Children in reverse, with the separator *preceding* each child
-             except the leftmost alongside it. *)
-          let acc = ref [] in
-          let add ~sep c = acc := (sep, c) :: !acc in
-          let copied = ref 0 in
-          let copy_until upto =
-            for i = !copied to upto - 1 do
-              add ~sep:(if i = 0 then None else Some seps.(i - 1)) children.(i)
-            done;
-            copied := upto
-          in
-          List.iter
-            (fun (i, r) ->
-              copy_until i;
-              (match r with
-              | [] -> assert false
-              | repl :: rest ->
-                add ~sep:(if i = 0 then None else Some seps.(i - 1)) repl;
-                List.iter (fun n -> add ~sep:(Some (first_key n)) n) rest);
-              copied := i + 1)
-            (List.rev !repls);
-          copy_until (nsep + 1);
-          let packed = Array.of_list (List.rev !acc) in
-          let new_children = Array.map snd packed in
-          let new_seps =
-            Array.init
-              (Array.length packed - 1)
-              (fun i ->
-                match fst packed.(i + 1) with Some s -> s | None -> assert false)
-          in
-          if Array.length new_seps <= order then [ Inner (new_seps, new_children) ]
-          else begin
-            (* Fan out into sibling inners of <= order separators; boundary
-               separators are dropped — the parent re-separates by first
-               key. *)
-            let len = Array.length new_children in
-            let k = (len + order) / (order + 1) in
-            let sz = (len + k - 1) / k in
-            List.init k (fun c ->
-                let off = c * sz in
-                let cnt = min sz (len - off) in
-                Inner (Array.sub new_seps off (cnt - 1), Array.sub new_children off cnt))
-          end
-        end
-    in
-    (* Group sibling lists under new roots until a single root remains. *)
-    let rec build = function
-      | [ one ] -> one
-      | nodes ->
-        let arr = Array.of_list nodes in
-        let len = Array.length arr in
-        let k = (len + order) / (order + 1) in
-        let sz = (len + k - 1) / k in
-        build
-          (List.init k (fun c ->
-               let off = c * sz in
-               let cnt = min sz (len - off) in
-               let children = Array.sub arr off cnt in
-               let seps = Array.init (cnt - 1) (fun i -> first_key children.(i + 1)) in
-               Inner (seps, children)))
-    in
-    t.root <- build (go t.root 0 n);
-    t.length <- t.length + !added
-  end
-
 let mem t key = find t key <> None
 
 let rec remove_node node key =

@@ -1,11 +1,11 @@
 (** B+-tree index over composite attribute keys.
 
-    Maintenance transactions probe relations by unique key on every logical
-    operation (the key-conflict test of Table 2 and the cursor selections of
-    §4.2); this index makes those probes logarithmic.  §4.3 of the paper
-    notes that indexes on non-updatable attributes — the group-by key of a
-    summary table — are unaffected by 2VNL, which is why a single index on
-    the unchanged key suffices for the extended relation too.
+    Secondary indexes ({!Vnl_query.Table.create_index}) are B+-trees because
+    their lookups are range scans over an attribute prefix; the unique key,
+    which is only ever probed for equality, has a {!Hash_index}.  §4.3 of the
+    paper notes that indexes on non-updatable attributes are unaffected by
+    2VNL, so an index built over the base attributes serves the extended
+    relation too.
 
     Keys are lists of {!Vnl_relation.Value.t} compared lexicographically and
     must be unique (duplicate insertion replaces the payload).  Deletion does
@@ -23,26 +23,6 @@ val insert : 'a t -> Vnl_relation.Value.t list -> 'a -> unit
 
 val find : 'a t -> Vnl_relation.Value.t list -> 'a option
 
-val find_batch : 'a t -> Vnl_relation.Value.t list array -> 'a option array
-(** [find_batch t keys] resolves every key in one root-to-leaf pass: inner
-    nodes partition the batch among their children, so shared path prefixes
-    are traversed once.  [keys] must be sorted ascending (duplicates
-    allowed); raises [Invalid_argument] otherwise.  The batched maintenance
-    path uses this for its single sorted key→rid resolution sweep. *)
-
-val insert_batch : 'a t -> (Vnl_relation.Value.t list * 'a) array -> unit
-(** [insert_batch t pairs] inserts a batch in one root-to-leaf pass,
-    sharing the separator scans and path copies per-key inserts repeat;
-    a key already present has its payload replaced.  [pairs] must be
-    sorted strictly ascending by key; raises [Invalid_argument] otherwise.
-    The resulting tree may differ in shape from per-key insertion but
-    holds the same entries and satisfies {!check_invariants}.  The batched
-    maintenance path uses this for its fresh-insert sweep. *)
-
-val compare_keys : Vnl_relation.Value.t list -> Vnl_relation.Value.t list -> int
-(** Lexicographic composite-key order (the order {!iter}, {!range}, and
-    {!find_batch} use). *)
-
 val mem : 'a t -> Vnl_relation.Value.t list -> bool
 
 val remove : 'a t -> Vnl_relation.Value.t list -> bool
@@ -54,7 +34,8 @@ val height : 'a t -> int
 (** Tree height; 1 for a single leaf. *)
 
 val iter : 'a t -> (Vnl_relation.Value.t list -> 'a -> unit) -> unit
-(** Visit all entries in ascending key order. *)
+(** Visit all entries in ascending key order (lexicographic by
+    {!Vnl_relation.Value.compare} per cell). *)
 
 val range :
   'a t ->

@@ -2,6 +2,7 @@ module Schema = Vnl_relation.Schema
 module Tuple = Vnl_relation.Tuple
 module Heap_file = Vnl_storage.Heap_file
 module Bptree = Vnl_index.Bptree
+module Hash_index = Vnl_index.Hash_index
 
 exception Unique_violation of string
 
@@ -13,7 +14,7 @@ type secondary = { attrs : string list; positions : int list; tree : unit Bptree
 type t = {
   mutable name : string;
   heap : Heap_file.t;
-  index : Heap_file.rid Bptree.t option;  (** Present iff the schema has a unique key. *)
+  index : Heap_file.rid Hash_index.t option;  (** Present iff the schema has a unique key. *)
   secondaries : (string, secondary) Hashtbl.t;  (** O(1) resolution by name. *)
   mutable sec_order : string list;  (** Creation order, oldest first. *)
   mutable version : int;  (** Bumped on index DDL; keys plan-cache validity. *)
@@ -21,7 +22,7 @@ type t = {
 
 let create pool ~name schema =
   let heap = Heap_file.create pool schema in
-  let index = if Schema.has_unique_key schema then Some (Bptree.create ()) else None in
+  let index = if Schema.has_unique_key schema then Some (Hash_index.create ()) else None in
   { name; heap; index; secondaries = Hashtbl.create 4; sec_order = []; version = 0 }
 
 let attach_heap pool ~name heap secondary =
@@ -29,9 +30,11 @@ let attach_heap pool ~name heap secondary =
   ignore pool;
   let index =
     if Schema.has_unique_key schema then begin
-      let tree = Bptree.create () in
-      Heap_file.scan heap (fun rid tuple -> Bptree.insert tree (Tuple.key_of schema tuple) rid);
-      Some tree
+      (* Sized from the tuple count, so the rebuild scan never resizes. *)
+      let index = Hash_index.create ~size:(Heap_file.tuple_count heap) () in
+      Heap_file.scan heap (fun rid tuple ->
+          Hash_index.replace index (Tuple.key_of schema tuple) rid);
+      Some index
     end
     else None
   in
@@ -71,38 +74,21 @@ let insert ?(check = true) t tuple =
   (* [~check:false] skips the duplicate-key probe for callers that already
      resolved the key against the index this transaction (the maintenance
      appliers and the batch pipeline); everyone else keeps the check. *)
-  (match t.index with
-  | Some index when check && Bptree.mem index (key_of t tuple) ->
-    raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name))
-  | Some _ | None -> ());
+  let enter =
+    match t.index with
+    | None -> ignore
+    | Some index ->
+      let key = key_of t tuple in
+      if check && Hash_index.mem index key then
+        raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name));
+      Hash_index.replace index key
+  in
   let rid = Heap_file.insert t.heap tuple in
-  Option.iter (fun index -> Bptree.insert index (key_of t tuple) rid) t.index;
+  enter rid;
   sec_insert t tuple rid;
   rid
 
-let insert_many ?(check = true) t tuples =
-  match t.index with
-  | None -> List.map (fun tuple -> insert ~check:false t tuple) tuples
-  | Some index ->
-    (* Heap inserts happen in list order (so rid assignment matches per-
-       tuple insertion); the index entries then go in as one sorted batch
-       ({!Bptree.insert_batch}), sharing the descent per-key inserts would
-       repeat. *)
-    let pairs =
-      List.map
-        (fun tuple ->
-          let key = key_of t tuple in
-          if check && Bptree.mem index key then
-            raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name));
-          let rid = Heap_file.insert t.heap tuple in
-          sec_insert t tuple rid;
-          (key, rid))
-        tuples
-    in
-    let arr = Array.of_list pairs in
-    Array.sort (fun (a, _) (b, _) -> Bptree.compare_keys a b) arr;
-    Bptree.insert_batch index arr;
-    List.map snd pairs
+let insert_many ?check t tuples = List.map (insert ?check t) tuples
 
 (* Do [a] and [b] agree at every position?  Compared in place: the
    common update leaves every key alone, so no key list is built unless
@@ -122,10 +108,10 @@ let reindex t rid old tuple =
   (match t.index with
   | Some index when not (same_at old tuple (Schema.key_indices (schema t))) ->
     let new_key = key_of t tuple in
-    if Bptree.mem index new_key then
+    if Hash_index.mem index new_key then
       raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name));
-    ignore (Bptree.remove index (key_of t old));
-    Bptree.insert index new_key rid
+    ignore (Hash_index.remove index (key_of t old));
+    Hash_index.replace index new_key rid
   | Some _ | None -> ());
   iter_secondaries t (fun sec ->
       if not (same_at old tuple sec.positions) then begin
@@ -167,7 +153,7 @@ let delete ?old t rid =
   (match old with
   | Some old ->
     (match t.index with
-    | Some index -> ignore (Bptree.remove index (key_of t old))
+    | Some index -> ignore (Hash_index.remove index (key_of t old))
     | None -> ());
     sec_remove t old rid
   | None -> ());
@@ -179,7 +165,7 @@ let find_by_key t key =
   match t.index with
   | None -> None
   | Some index -> (
-    match Bptree.find index key with
+    match Hash_index.find index key with
     | None -> None
     | Some rid -> (
       match Heap_file.get t.heap rid with
@@ -187,36 +173,30 @@ let find_by_key t key =
       | None -> None))
 
 let find_many_by_key t keys =
-  let m = Array.length keys in
-  match t.index with
-  | None -> Array.make m None
+  let out = Array.make (Array.length keys) None in
+  (match t.index with
+  | None -> ()
   | Some index ->
-    (* Sort a permutation, resolve rids in one tree pass, then fetch the
-       records in ascending (page, slot) order so a small buffer pool sees
-       each page once. *)
-    let order = Array.init m Fun.id in
-    Array.sort (fun i j -> Bptree.compare_keys keys.(i) keys.(j)) order;
-    let sorted = Array.map (fun i -> keys.(i)) order in
-    let rids = Bptree.find_batch index sorted in
-    let out = Array.make m None in
+    (* Probe every key, then fetch the hit records in ascending (page,
+       slot) order so a small buffer pool sees each page once. *)
     let hits = ref [] in
     Array.iteri
-      (fun si oi -> match rids.(si) with Some rid -> hits := (rid, oi) :: !hits | None -> ())
-      order;
-    let hits =
-      List.sort
-        (fun ((a : Heap_file.rid), _) ((b : Heap_file.rid), _) ->
-          let c = Int.compare a.page b.page in
-          if c <> 0 then c else Int.compare a.slot b.slot)
-        !hits
-    in
-    List.iter
-      (fun (rid, oi) ->
-        match Heap_file.get t.heap rid with
-        | Some tuple -> out.(oi) <- Some (rid, tuple)
+      (fun i key ->
+        match Hash_index.find index key with
+        | Some rid -> hits := (rid, i) :: !hits
         | None -> ())
-      hits;
-    out
+      keys;
+    List.iter
+      (fun (rid, i) ->
+        match Heap_file.get t.heap rid with
+        | Some tuple -> out.(i) <- Some (rid, tuple)
+        | None -> ())
+      (List.sort
+         (fun ((a : Heap_file.rid), _) ((b : Heap_file.rid), _) ->
+           let c = Int.compare a.page b.page in
+           if c <> 0 then c else Int.compare a.slot b.slot)
+         !hits));
+  out
 
 let scan t f = Heap_file.scan t.heap f
 

@@ -1,10 +1,13 @@
-(** Tables: a heap file plus a unique-key B+-tree kept in sync.
+(** Tables: a heap file plus a unique-key hash index kept in sync.
 
-    The key index serves the maintenance transaction's per-operation key
-    probes (the conflicting-tuple test of Table 2 and the §4.2 cursor
-    selections).  Relations without key attributes simply have no index and
-    no uniqueness enforcement, matching the paper's "tuples that do not have
-    unique keys" case. *)
+    The key index ({!Vnl_index.Hash_index}) serves the maintenance
+    transaction's per-operation key probes (the conflicting-tuple test of
+    Table 2 and the §4.2 cursor selections) and the planner's unique-key
+    probes, which reader domains run while the maintainer writes it.
+    Relations without key attributes simply have no index and no uniqueness
+    enforcement, matching the paper's "tuples that do not have unique keys"
+    case.  Secondary indexes are B+-trees ({!Vnl_index.Bptree}): their
+    lookups are range scans. *)
 
 type t
 
@@ -21,7 +24,8 @@ val attach :
   secondary:(string * string list) list ->
   t
 (** Re-open a table over existing heap pages after a restart: the unique-key
-    index and the listed secondary indexes are rebuilt by scanning. *)
+    index (sized from the tuple count) and the listed secondary indexes are
+    rebuilt by scanning. *)
 
 val name : t -> string
 
@@ -47,15 +51,11 @@ val insert : ?check:bool -> t -> Vnl_relation.Tuple.t -> Vnl_storage.Heap_file.r
 
 val insert_many :
   ?check:bool -> t -> Vnl_relation.Tuple.t list -> Vnl_storage.Heap_file.rid list
-(** Insert the tuples in list order (rids are assigned exactly as repeated
-    {!insert} would, and are returned in the same order), then enter their
-    keys into the unique index as one sorted batch
-    ({!Vnl_index.Bptree.insert_batch}).  [check] as in {!insert}; it does
-    not detect duplicates *within* the list — those raise
-    [Invalid_argument] from the index.  The batched maintenance path's
-    fresh-insert sweep, whose keys are distinct and pre-resolved absent,
-    is the intended caller; the pipelined path additionally uses the
-    returned rids to target its durability flush. *)
+(** {!insert} each tuple in list order; the rids come back in the same
+    order.  [check] as in {!insert}: with [~check:false] the keys must be
+    distinct and absent, as in the batched maintenance path's fresh-insert
+    sweep (the pipelined path also uses the returned rids to target its
+    durability flush). *)
 
 val update_many :
   ?olds:Vnl_relation.Tuple.t array ->
@@ -96,8 +96,7 @@ val find_many_by_key :
   t ->
   Vnl_relation.Value.t list array ->
   (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
-(** Batched {!find_by_key}: all keys are resolved in one sorted pass over
-    the unique index ({!Vnl_index.Bptree.find_batch}) and the hit records
+(** Batched {!find_by_key}: every key is probed, then the hit records are
     fetched in ascending (page, slot) order.  Results align with the input
     array; keys may be in any order.  All-[None] for keyless tables. *)
 

@@ -1,7 +1,8 @@
-(* Unit and property tests for the B+-tree index. *)
+(* Unit and property tests for the B+-tree and the unique-key hash index. *)
 
 module Value = Vnl_relation.Value
 module Bptree = Vnl_index.Bptree
+module Hash_index = Vnl_index.Hash_index
 
 let check = Alcotest.check
 
@@ -129,58 +130,6 @@ let qcheck_vs_map =
       in
       tree_list = sorted_model)
 
-let test_insert_batch_basic () =
-  let t = Bptree.create ~order:4 () in
-  (* Seed sequentially, then pour in a large sorted batch that forces leaf
-     fan-out and root growth. *)
-  for i = 0 to 49 do
-    Bptree.insert t (k (2 * i)) (2 * i)
-  done;
-  let batch = Array.init 200 (fun i -> (k ((2 * i) + 1), (2 * i) + 1)) in
-  Bptree.insert_batch t batch;
-  check Alcotest.int "length" 250 (Bptree.length t);
-  (match Bptree.check_invariants t with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "invariant: %s" e);
-  for i = 0 to 99 do
-    if Bptree.find t (k i) <> Some i then Alcotest.failf "missing key %d" i
-  done
-
-let test_insert_batch_replaces () =
-  let t = Bptree.create ~order:4 () in
-  for i = 0 to 9 do
-    Bptree.insert t (k i) 0
-  done;
-  Bptree.insert_batch t (Array.init 10 (fun i -> (k i, i * 10)));
-  check Alcotest.int "length unchanged" 10 (Bptree.length t);
-  check (Alcotest.option Alcotest.int) "payload replaced" (Some 70) (Bptree.find t (k 7))
-
-let test_insert_batch_rejects_unsorted () =
-  let t = Bptree.create ~order:4 () in
-  Alcotest.check_raises "unsorted" (Invalid_argument "Bptree.insert_batch: keys not sorted or not distinct")
-    (fun () -> Bptree.insert_batch t [| (k 2, 2); (k 1, 1) |]);
-  Alcotest.check_raises "duplicate" (Invalid_argument "Bptree.insert_batch: keys not sorted or not distinct")
-    (fun () -> Bptree.insert_batch t [| (k 1, 1); (k 1, 2) |])
-
-let qcheck_insert_batch_vs_sequential =
-  (* The batch insert may shape the tree differently, but its contents,
-     length, and invariants must match per-key insertion exactly. *)
-  QCheck.Test.make ~name:"insert_batch = sequential inserts" ~count:200
-    QCheck.(pair (list_of_size Gen.(0 -- 150) (int_range 0 300)) (list_of_size Gen.(0 -- 150) (int_range 0 300)))
-    (fun (seed, batch) ->
-      let batch = List.sort_uniq compare batch in
-      let seq = Bptree.create ~order:4 () and bulk = Bptree.create ~order:4 () in
-      List.iter
-        (fun i ->
-          Bptree.insert seq (k i) (i * 3);
-          Bptree.insert bulk (k i) (i * 3))
-        seed;
-      List.iter (fun i -> Bptree.insert seq (k i) (i * 7)) batch;
-      Bptree.insert_batch bulk (Array.of_list (List.map (fun i -> (k i, i * 7)) batch));
-      Bptree.to_list seq = Bptree.to_list bulk
-      && Bptree.length seq = Bptree.length bulk
-      && match Bptree.check_invariants bulk with Ok _ -> true | Error _ -> false)
-
 let qcheck_range_equals_filter =
   QCheck.Test.make ~name:"pruned range scan = filtered iteration" ~count:150
     QCheck.(triple (list_of_size Gen.(0 -- 200) (int_range 0 500)) (int_range 0 500) (int_range 0 500))
@@ -213,7 +162,6 @@ let qcheck_vs_linear_scan =
           (5, map2 (fun key v -> `Insert (key, v)) key_gen (int_range 0 999));
           (2, map (fun key -> `Remove key) key_gen);
           (2, map (fun key -> `Find key) key_gen);
-          (1, map (fun keys -> `Find_batch keys) (list_size (0 -- 12) key_gen));
           (1, map2 (fun a b -> `Range (a, b)) key_gen key_gen);
         ])
   in
@@ -222,7 +170,6 @@ let qcheck_vs_linear_scan =
     | `Insert (key, v) -> Printf.sprintf "insert %s %d" (print_key key) v
     | `Remove key -> "remove " ^ print_key key
     | `Find key -> "find " ^ print_key key
-    | `Find_batch keys -> "find_batch " ^ String.concat "," (List.map print_key keys)
     | `Range (a, b) -> Printf.sprintf "range %s %s" (print_key a) (print_key b)
   in
   Test.make ~name:"tree = linear-scan reference (order 4)" ~count:300
@@ -230,7 +177,7 @@ let qcheck_vs_linear_scan =
     (fun ops ->
       let t = Bptree.create ~order:4 () in
       let model = ref [] in
-      let cmp = Bptree.compare_keys in
+      let cmp a b = List.compare Value.compare a b in
       let find_model key =
         let rec scan = function
           | [] -> None
@@ -256,9 +203,6 @@ let qcheck_vs_linear_scan =
           model := List.filter (fun (k', _) -> cmp k' key <> 0) !model;
           Bptree.remove t key = expected
         | `Find key -> Bptree.find t key = find_model key
-        | `Find_batch keys ->
-          let keys = Array.of_list (List.sort cmp keys) in
-          Bptree.find_batch t keys = Array.map find_model keys
         | `Range (a, b) ->
           let lo, hi = if cmp a b <= 0 then (a, b) else (b, a) in
           let seen = ref [] in
@@ -271,6 +215,96 @@ let qcheck_vs_linear_scan =
       && Bptree.length t = List.length !model
       && match Bptree.check_invariants t with Ok _ -> true | Error _ -> false)
 
+(* --- unique-key hash index ---------------------------------------------- *)
+
+(* Pairs of cells [Value.equal] holds for, in different representations:
+   a numeric as [Int n] and as [Float (float n)], a string as two physically
+   distinct copies, [Null], [Date], and the two float zeros. *)
+let equal_cells_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> (Value.Int n, Value.Float (float_of_int n))) (int_range (-100_000) 100_000);
+        return (Value.Null, Value.Null);
+        map
+          (fun s -> (Value.Str s, Value.Str (Bytes.to_string (Bytes.of_string s))))
+          string_printable;
+        map (fun d -> (Value.Date d, Value.Date d)) (int_range 19_000_101 20_991_231);
+        return (Value.Float (-0.0), Value.Int 0);
+      ])
+
+let qcheck_key_hash_agrees_with_equal =
+  let print (a, b) =
+    Printf.sprintf "%s | %s"
+      (String.concat "," (List.map Value.to_string a))
+      (String.concat "," (List.map Value.to_string b))
+  in
+  QCheck.Test.make ~name:"key hash agrees with cell-wise Value.equal" ~count:500
+    (QCheck.make ~print QCheck.Gen.(map List.split (list_size (0 -- 6) equal_cells_gen)))
+    (fun (a, b) ->
+      let index = Hash_index.create () in
+      Hash_index.replace index a ();
+      Hash_index.Key.equal a b
+      && Hash_index.Key.hash a = Hash_index.Key.hash b
+      && Hash_index.find index b = Some ())
+
+(* Every index operation against an association list keyed by a canonical
+   (number, string) pair, so the model shares neither the index's hash nor
+   its equality.  Keys come as [Int] or [Float] at random, and with the
+   empty string as a one-cell key (a prefix of the two-cell keys, and
+   another key); the table starts at its smallest size, so chains collide
+   and the bucket array doubles several times. *)
+let qcheck_hash_index_vs_assoc =
+  let open QCheck in
+  let key_gen =
+    Gen.(
+      map3
+        (fun n s as_float ->
+          let num = if as_float then Value.Float (float_of_int n) else Value.Int n in
+          ((n, s), if s = "" then [ num ] else [ num; Value.Str s ]))
+        (int_range 0 60)
+        (oneofl [ ""; "a"; "b"; "cc" ])
+        bool)
+  in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (5, map2 (fun key v -> `Replace (key, v)) key_gen (int_range 0 999));
+          (2, map (fun key -> `Remove key) key_gen);
+          (2, map (fun key -> `Find key) key_gen);
+          (1, map (fun key -> `Mem key) key_gen);
+        ])
+  in
+  let print_key ((n, s), _) = Printf.sprintf "%d/%s" n s in
+  let print = function
+    | `Replace (key, v) -> Printf.sprintf "replace %s %d" (print_key key) v
+    | `Remove key -> "remove " ^ print_key key
+    | `Find key -> "find " ^ print_key key
+    | `Mem key -> "mem " ^ print_key key
+  in
+  Test.make ~name:"hash index = assoc-list reference (tiny table)" ~count:300
+    (make ~print:(Print.list print) Gen.(list_size (0 -- 400) op_gen))
+    (fun ops ->
+      let t = Hash_index.create ~size:1 () in
+      let start = Hash_index.capacity t in
+      let model = ref [] and peak = ref 0 in
+      let step = function
+        | `Replace ((canon, key), v) ->
+          Hash_index.replace t key v;
+          model := (canon, v) :: List.remove_assoc canon !model;
+          peak := max !peak (List.length !model);
+          true
+        | `Remove (canon, key) ->
+          let expected = List.mem_assoc canon !model in
+          model := List.remove_assoc canon !model;
+          Hash_index.remove t key = expected
+        | `Find (canon, key) -> Hash_index.find t key = List.assoc_opt canon !model
+        | `Mem (canon, key) -> Hash_index.mem t key = List.mem_assoc canon !model
+      in
+      List.for_all (fun op -> step op && Hash_index.length t = List.length !model) ops
+      && (!peak <= start || Hash_index.capacity t >= !peak))
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -281,12 +315,9 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "range scan" `Quick test_range;
     Alcotest.test_case "composite keys" `Quick test_composite_keys;
-    Alcotest.test_case "insert_batch splits and grows" `Quick test_insert_batch_basic;
-    Alcotest.test_case "insert_batch replaces payloads" `Quick test_insert_batch_replaces;
-    Alcotest.test_case "insert_batch rejects unsorted input" `Quick
-      test_insert_batch_rejects_unsorted;
-    QCheck_alcotest.to_alcotest qcheck_insert_batch_vs_sequential;
     QCheck_alcotest.to_alcotest qcheck_vs_map;
     QCheck_alcotest.to_alcotest qcheck_range_equals_filter;
     QCheck_alcotest.to_alcotest qcheck_vs_linear_scan;
+    QCheck_alcotest.to_alcotest qcheck_key_hash_agrees_with_equal;
+    QCheck_alcotest.to_alcotest qcheck_hash_index_vs_assoc;
   ]

@@ -4,15 +4,19 @@
    OCaml 5 domains race: QCheck properties over the concurrent buffer
    pool, a differential stress run checking every reader view against the
    full-history {!Oracle} at the session's version while maintenance
-   applies random batches, the span-ring and counter regressions for
+   applies random batches, unique-key probes while the maintainer grows
+   the key index, the span-ring and counter regressions for
    {!Vnl_obs.Obs}, and a disk crash fired mid-refresh under live readers.
 
    Knobs (for the CI concurrency job):
      VNL_STRESS_DOMAINS  reader/worker domain count   (default 2)
-     VNL_STRESS_REPS     differential stress repeats  (default 3) *)
+     VNL_STRESS_REPS     differential and probe stress repeats  (default 3) *)
 
 module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
+module Dtype = Vnl_relation.Dtype
+module Schema = Vnl_relation.Schema
+module Table = Vnl_query.Table
 module Disk = Vnl_storage.Disk
 module Buffer_pool = Vnl_storage.Buffer_pool
 module Database = Vnl_query.Database
@@ -246,6 +250,83 @@ let test_differential_stress () =
     stress_round ~readers:stress_domains ~refreshes:12 (1000 + rep)
   done
 
+(* --- unique-key probes under a writing maintainer -------------------- *)
+
+(* Reader domains probe keys that were present before the round
+   ({!Table.find_by_key}, the planner's unique-key probe) while the
+   maintainer grows the table from 64 keys to over 4k — several doublings
+   of the key index's bucket array — and re-points present keys.  Every
+   probe must find its key, and the record it fetches must carry that key:
+   a probe that catches a resize or a re-point half done sees a key vanish
+   or land on the wrong record. *)
+let probe_schema =
+  Schema.make [ Schema.attr ~key:true "id" Dtype.Int; Schema.attr ~updatable:true "v" Dtype.Int ]
+
+let probe_row id v = Tuple.make probe_schema [ Value.Int id; Value.Int v ]
+
+let probe_round ~readers seed =
+  let present = 64 and fresh = 4096 in
+  let db = Database.create ~pool_capacity:256 () in
+  let t = Database.create_table db "probe" probe_schema in
+  for id = 0 to present - 1 do
+    ignore (Table.insert t (probe_row id 0))
+  done;
+  let stop = Atomic.make false and warmed = Atomic.make 0 in
+  let bad = Atomic.make None in
+  ignore
+    (Domain_pool.run ~domains:(readers + 1) (fun ~start rank ->
+        start ();
+        if rank = 0 then begin
+          (* Every reader probes once before the first write, so the round
+             overlaps the writes even on one core. *)
+          while Atomic.get warmed < readers do
+            Domain.cpu_relax ()
+          done;
+          let rng = Xorshift.create seed in
+          for i = 1 to fresh do
+            ignore (Table.insert t (probe_row (present + i) 0));
+            (* Re-point: a second record with a present key, entered over
+               the old entry.  Both records carry the key, so either rid is
+               a right answer. *)
+            if i mod 8 = 0 then
+              ignore (Table.insert ~check:false t (probe_row (Xorshift.int rng present) i))
+          done;
+          Atomic.set stop true
+        end
+        else begin
+          let rng = Xorshift.create ((seed * 31) + rank) in
+          let probe () =
+            let id = Xorshift.int rng present in
+            match Table.find_by_key t [ Value.Int id ] with
+            | Some (_, tuple) when Value.equal (Tuple.get tuple 0) (Value.Int id) -> ()
+            | Some (_, tuple) ->
+              let got = Value.to_string (Tuple.get tuple 0) in
+              Atomic.set bad (Some (Printf.sprintf "key %d fetched %s" id got))
+            | None -> Atomic.set bad (Some (Printf.sprintf "key %d not found" id))
+          in
+          probe ();
+          Atomic.incr warmed;
+          while not (Atomic.get stop) do
+            probe ()
+          done
+        end));
+  Atomic.get bad
+
+(* All reps run before any verdict, so a failure reports how many reps
+   caught it. *)
+let test_probes_under_writes () =
+  let failed = ref [] in
+  for rep = 1 to stress_reps do
+    Option.iter
+      (fun note -> failed := (rep, note) :: !failed)
+      (probe_round ~readers:stress_domains (2000 + rep))
+  done;
+  match List.rev !failed with
+  | [] -> ()
+  | (rep, note) :: _ ->
+    Alcotest.failf "%d of %d reps saw a bad probe (first: rep %d, %s)" (List.length !failed)
+      stress_reps rep note
+
 (* --- Obs under domains: the span-ring race regression ------------------ *)
 
 (* Before spans were domain-local, concurrent with_span calls raced on one
@@ -401,6 +482,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_pool_concurrent;
     Alcotest.test_case "differential stress: readers match oracle" `Quick
       test_differential_stress;
+    Alcotest.test_case "unique-key probes while the maintainer writes" `Quick
+      test_probes_under_writes;
     Alcotest.test_case "obs: span ring and counters race-free on domains" `Quick
       test_obs_domains;
     Alcotest.test_case "crash mid-refresh under live readers" `Quick

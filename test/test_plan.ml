@@ -452,6 +452,39 @@ let test_io_parity_key_probe () =
     (Parser.parse_select "SELECT v FROM t WHERE id = 123")
     []
 
+(* An [Int] key probed with a [Float] of the same number: SQL equality
+   holds ([Value.equal]), so the unique-key probe must hash the two alike
+   and find the row a full scan with the same predicate finds. *)
+let test_float_probe_of_int_key () =
+  let db = io_db () in
+  let s = Table.schema (Database.table_exn db "t") in
+  let keyless =
+    Schema.make (List.map (fun a -> { a with Schema.key = false }) (Schema.attributes s))
+  in
+  let scan = Database.create_table db "t_scan" keyless in
+  Table.iter_tuples (Database.table_exn db "t") (fun tuple ->
+      ignore (Table.insert scan (Tuple.make keyless (Tuple.values tuple))));
+  let run table k =
+    let select = Parser.parse_select (Printf.sprintf "SELECT v FROM %s WHERE id = :k" table) in
+    let plan = Plan.prepare db select and params = [ ("k", k) ] in
+    let via_plan = Plan.execute ~params plan in
+    Alcotest.(check bool)
+      (table ^ ": plan = interpreter")
+      true
+      (Plan.result_equal via_plan (Executor.query db ~params select));
+    (Plan.explain plan, via_plan.Plan.rows)
+  in
+  let probe_int, by_int = run "t" (Value.Int 123) in
+  let probe_float, by_float = run "t" (Value.Float 123.0) in
+  let full_scan, by_scan = run "t_scan" (Value.Float 123.0) in
+  check Alcotest.string "int probe path" "t: unique-key probe" probe_int;
+  check Alcotest.string "float probe path" "t: unique-key probe" probe_float;
+  Alcotest.(check bool) "scan path" true (probe_int <> full_scan);
+  let rows = Alcotest.(list (list (of_pp Value.pp))) in
+  check rows "full scan finds the row" [ [ Value.Int 369 ] ] by_scan;
+  check rows "Int probe = full scan" by_scan by_int;
+  check rows "Float probe = full scan" by_scan by_float
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_compiled_matches_interpreter;
@@ -465,4 +498,6 @@ let suite =
     Alcotest.test_case "I/O parity: full scan" `Quick test_io_parity_full_scan;
     Alcotest.test_case "I/O parity: index scan" `Quick test_io_parity_index_scan;
     Alcotest.test_case "I/O parity: key probe" `Quick test_io_parity_key_probe;
+    Alcotest.test_case "Float probe of an Int key = full scan" `Quick
+      test_float_probe_of_int_key;
   ]
