@@ -1,6 +1,5 @@
 module Database = Vnl_query.Database
 module Buffer_pool = Vnl_storage.Buffer_pool
-module Disk = Vnl_storage.Disk
 module Heap_file = Vnl_storage.Heap_file
 module Sched = Vnl_util.Sched
 module Domain_pool = Vnl_util.Domain_pool
@@ -41,7 +40,7 @@ type plan = {
           stripe phase; raising aborts the round exactly as a worker
           failure at that point would. *)
   owner : Twovnl.t;
-  round : Twovnl.Round.r;
+  txn : Twovnl.Txn.m;
   stripes : stripe array;
   resolved : (string * resolved) list;
       (** Pre-round key lookups by relation, aligned with its operations
@@ -62,10 +61,6 @@ type report = {
   base_vn : int;
 }
 
-let min_n t =
-  List.fold_left (fun acc h -> min acc (Schema_ext.n (Twovnl.ext h))) max_int (Twovnl.handles t)
-  |> fun n -> if n = max_int then 2 else n
-
 let plan ?on_phase ?(resolved = []) t ~workers per_table =
   if workers < 1 then invalid_arg "Pipeline.plan: workers must be >= 1";
   Obs.with_span "pipeline.plan" @@ fun () ->
@@ -82,7 +77,7 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
      only n >= c + 1 lets a session opened at round begin stay valid to
      round end — so the stripe count is capped at min(workers, n - 1)
      rather than silently expiring every reader each round. *)
-  let cap = max 1 (min workers (min_n t - 1)) in
+  let cap = max 1 (min workers (Twovnl.min_n t - 1)) in
   let parted =
     Obs.with_span "pipeline.partition" (fun () ->
         List.map
@@ -115,29 +110,31 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
   end;
   Obs.Counter.record m_rounds 1;
   Obs.Counter.record m_stripes count;
-  let round = Twovnl.Round.begin_ t ~count in
+  let db = Twovnl.database t in
+  let txn = Twovnl.Txn.begin_ ~count t in
   (* §7 durability point 1 (see {!Recovery.run_maintenance}): the raised
      flag, every other dirty frame and, if it changed since the last save,
      the catalog reach disk before any worker writes a tuple. *)
-  (try Obs.with_span "maintenance.flag" (fun () -> Database.save (Twovnl.database t))
+  (try Obs.with_span "maintenance.flag" (fun () -> Database.save db)
    with e ->
-     Recovery.abort_subordinate ~context:"the flag save" (fun () -> Twovnl.Round.abort round);
+     Recovery.abort_on_failure db txn ~context:"the flag save" e;
      raise e);
+  (* Nothing is published yet, so [Txn.vn] is the first stripe's VN. *)
+  let first_vn = Twovnl.Txn.vn txn in
   let stripes =
     Array.init count (fun i ->
         let parts =
           List.filter_map (fun (h, ps) -> Option.map (fun p -> (h, p)) (List.nth_opt ps i)) parted
         in
-        { vn = Twovnl.Round.vn round i; parts; stats = Maintenance.fresh_stats (); staged = [] })
+        { vn = first_vn + i; parts; stats = Maintenance.fresh_stats (); staged = [] })
   in
   Log.info (fun m ->
       m "pipelined round planned: %d stripes, %d logical ops, VNs %d..%d" count total_ops
-        (Twovnl.Round.vn round 0)
-        (Twovnl.Round.vn round (count - 1)));
+        first_vn (first_vn + count - 1));
   {
     on_phase;
     owner = t;
-    round;
+    txn;
     stripes;
     resolved;
     staged_done = Atomic.make 0;
@@ -212,9 +209,8 @@ let fold_stripe (p : plan) i =
             in
             let s =
               Batch.stage ~stats:stripe.stats ?resolved
-                ~on_over_delete:(fun rid -> Twovnl.Round.record_over_delete p.round name rid)
-                ~was_insert_over_delete:(fun rid ->
-                  Twovnl.Round.was_insert_over_delete p.round name rid)
+                ~on_over_delete:(Twovnl.Txn.record_over_delete p.txn)
+                ~was_insert_over_delete:(Twovnl.Txn.was_insert_over_delete p.txn)
                 (Twovnl.ext h) (Twovnl.table h) ~vn:stripe.vn part.Sched_batch.ops
             in
             (h, s))
@@ -250,9 +246,7 @@ let token_stripe (p : plan) i update_pages =
           Buffer_pool.flush_pages pool (update_pages @ structural_pages);
           (* Writes the catalog only if a heap grew since the last save. *)
           Database.save ~mode:`Catalog_only db);
-      Obs.with_span "maintenance.publish" (fun () ->
-          Twovnl.Round.publish p.round ~vn:stripe.vn;
-          Buffer_pool.flush_pages pool [ Version_state.storage_page (Twovnl.version_state t) ]);
+      Recovery.publish t p.txn;
       signal p (fun () -> Atomic.incr p.published))
 
 let worker (p : plan) i =
@@ -318,22 +312,14 @@ let run_sequential (p : plan) =
 let finish (p : plan) =
   match Atomic.get p.failure with
   | Some e ->
-    (match e with
-    | Disk.Crash _ ->
-      (* The disk is gone; repair belongs to {!Recovery.reopen}, which
-         reverts everything above the last durably published VN. *)
-      ()
-    | _ ->
-      (* Live failure: revert the unpublished suffix (the published prefix
-         is exactly what a shorter round would have committed) and make the
-         repair durable so a later crash cannot resurrect the stamps. *)
-      Recovery.abort_subordinate ~db:(Twovnl.database p.owner) ~context:"a worker failure"
-        (fun () -> Twovnl.Round.abort p.round));
+    (* The abort reverts the unpublished suffix; the published prefix is
+       exactly what a shorter round would have committed. *)
+    Recovery.abort_on_failure (Twovnl.database p.owner) p.txn ~context:"a worker failure" e;
     raise e
   | None ->
     if Atomic.get p.published <> Array.length p.stripes then
       failwith "Pipeline.finish: round incomplete without a recorded failure";
-    { stripes = Array.length p.stripes; base_vn = Twovnl.Round.base_vn p.round }
+    { stripes = Array.length p.stripes; base_vn = p.stripes.(0).vn - 1 }
 
 let tasks (p : plan) =
   Array.to_list

@@ -6,9 +6,10 @@
     flag → apply → flush → catalog → publish ladder.  This driver, the
     engine under every warehouse refresh, splits the refresh's net-effect
     batch with {!Sched_batch.partition} into key- and
-    index-footprint-disjoint partitions, reserves one VN per stripe
-    ({!Twovnl.Round}), and runs the stripes on worker domains (a round of
-    one stripe runs on the calling domain):
+    index-footprint-disjoint partitions, begins one maintenance
+    transaction reserving one VN per stripe ([Twovnl.Txn.begin_ ~count]),
+    and runs the stripes on worker domains (a round of one stripe runs on
+    the calling domain):
 
     - {b fold} (parallel): each worker stages its partitions
       ({!Batch.stage}) against the pre-round state — partitions are
@@ -21,8 +22,9 @@
     - {b token} (serialized, stripe order): structural deletes/inserts,
       then the stripe's own §7 durability ladder — targeted flush of every
       page the stripe wrote ({!Vnl_storage.Buffer_pool.flush_pages}),
-      catalog save when a heap grew ([`Catalog_only]), VN publish, Version
-      page flush.  The phases trace as the transaction's own
+      catalog save when a heap grew ([`Catalog_only]), then
+      {!Recovery.publish}: the stripe's VN, and the Version page flush.
+      The phases trace as the transaction's own
       [maintenance.apply] / [maintenance.flush] / [maintenance.publish]
       spans.  In-order publication keeps every prefix of the round a
       state some serial execution would have produced, which is what makes
@@ -34,10 +36,12 @@
     round; the stripe count is capped at n - 1.
 
     Failure of any worker parks the round: remaining workers drain, the
-    unpublished suffix is reverted ({!Twovnl.Round.abort} — the published
+    unpublished suffix is reverted ({!Twovnl.Txn.abort} — the published
     prefix is exactly a shorter round's commit), and the exception
-    re-raises from {!finish}.  A {!Vnl_storage.Disk.Crash} skips the
-    in-place repair; {!Recovery.reopen} repairs the disk image instead. *)
+    re-raises from {!finish}.  Both are {!Recovery.abort_on_failure}'s
+    rule, shared with {!Recovery.run_maintenance}: a
+    {!Vnl_storage.Disk.Crash} skips the in-place repair, and
+    {!Recovery.reopen} repairs the disk image instead. *)
 
 type plan
 
@@ -69,8 +73,8 @@ val plan :
     each stripe gets its partition's share and skips grouping and the
     second index pass.  Raises [Invalid_argument] when
     [workers < 1], a relation is unregistered, or maintenance is already
-    active; if beginning the round fails after the flag write, the round
-    is aborted before the exception escapes.
+    active; if the flag save fails, the round is handled under
+    {!Recovery.abort_on_failure}'s rule before the exception escapes.
 
     [on_phase], when given, is invoked at the start of every stripe phase
     (fold, apply, token — before any of that phase's work).  It exists for
@@ -101,7 +105,7 @@ val finish : plan -> report
 (** Join the round: re-raise a worker failure (after reverting the
     unpublished suffix), or return the report.  If the revert itself fails
     the primary exception still propagates, under
-    {!Recovery.abort_subordinate}'s rules. *)
+    {!Recovery.abort_on_failure}'s rules. *)
 
 val run : plan -> report
 (** Execute the round on [stripe_count] domains

@@ -45,17 +45,35 @@ module Obs = Vnl_obs.Obs
    may need a reopen.  Loud in the log, countable here. *)
 let m_abort_failures = Obs.Registry.counter "maintenance.abort_failures"
 
-let abort_subordinate ?db ~context abort =
-  try
-    ignore (abort ());
-    Option.iter Database.save db
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | secondary ->
-    Obs.Counter.record m_abort_failures 1;
-    Log.err (fun m ->
-        m "maintenance abort failed while handling %s: %s" context
-          (Printexc.to_string secondary))
+(* The one abort rule, for both maintenance drivers: a [Disk.Crash] means
+   the disk is gone and the repair belongs to {!reopen}; any other failure
+   before the last publish gets the §7 no-log abort on the spot (which
+   also unstages any DDL), then a save so a later crash cannot resurrect
+   the reverted stamps. *)
+let abort_on_failure db txn ~context e =
+  match e with
+  | Disk.Crash _ -> ()
+  | _ -> (
+    try
+      ignore (Twovnl.Txn.abort txn);
+      Database.save db
+    with
+    | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
+    | secondary ->
+      Obs.Counter.record m_abort_failures 1;
+      Log.err (fun m ->
+          m "maintenance abort failed while handling %s: %s" context
+            (Printexc.to_string secondary)))
+
+(* Durability point 3, shared by {!run_maintenance} and each pipeline
+   stripe: publish the next VN, then flush the Version page — the only
+   page a publish dirties. *)
+let publish vnl txn =
+  Obs.with_span "maintenance.publish" (fun () ->
+      Twovnl.Txn.publish txn;
+      Buffer_pool.flush_pages
+        (Database.pool (Twovnl.database vnl))
+        [ Version_state.storage_page (Twovnl.version_state vnl) ])
 
 let run_maintenance db vnl f =
   Obs.with_span "maintenance.txn" @@ fun () ->
@@ -77,23 +95,10 @@ let run_maintenance db vnl f =
           Database.save db);
       result
     with e ->
-      (match e with
-      | Disk.Crash _ ->
-        (* The disk is gone; the repair belongs to {!reopen}. *)
-        ()
-      | _ ->
-        (* A live failure before the publish: the §7 no-log abort reverts
-           the touched tuples and unstages any DDL, and the save makes the
-           repair durable so a later crash cannot resurrect the stamps. *)
-        abort_subordinate ~db ~context:"a maintenance failure" (fun () ->
-            Twovnl.Txn.abort txn));
+      abort_on_failure db txn ~context:"a maintenance failure" e;
       raise e
   in
-  (* Durability point 3: publish.  Commit dirties only the Version page;
-     the flush makes the new currentVN / cleared flag durable. *)
-  Obs.with_span "maintenance.publish" (fun () ->
-      Twovnl.Txn.commit txn;
-      Buffer_pool.flush_all (Database.pool db));
+  publish vnl txn;
   result
 
 let reopen ?pool_capacity ?n disk ~tables =

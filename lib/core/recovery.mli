@@ -31,23 +31,30 @@ val run_maintenance :
     under the crash-safe ordering above: begin and flush the flag, apply,
     flush data, write the catalog, commit, flush the publish.
 
-    An exception raised before the publish aborts the transaction
-    ({!Twovnl.Txn.abort}: the §7 no-log revert, which also unstages any
-    DDL), makes the repair durable, and re-raises — the warehouse is back
-    in its pre-state, with no maintenance left active, and accepts the
-    next transaction.  {!Vnl_storage.Disk.Crash} is the exception: it
-    propagates untouched, with the disk left for {!reopen} to repair.  An
-    abort that itself fails is handled as in {!abort_subordinate}. *)
+    An exception raised before the publish is handled by
+    {!abort_on_failure} and re-raised: after a live failure the warehouse
+    is back in its pre-state, with no maintenance left active, and accepts
+    the next transaction. *)
 
-val abort_subordinate :
-  ?db:Vnl_query.Database.t -> context:string -> (unit -> int) -> unit
-(** [abort_subordinate ?db ~context abort] runs [abort] (then
-    [Database.save db], when given, to make the repair durable) on behalf
-    of a primary failure the caller is about to re-raise.  The abort's own
-    failure stays subordinate to the primary one: it is logged, naming
-    [context], and counted ([maintenance.abort_failures]) — except
-    asynchronous fatals ([Out_of_memory], [Stack_overflow]), which
-    propagate and take precedence. *)
+val abort_on_failure :
+  Vnl_query.Database.t -> Twovnl.Txn.m -> context:string -> exn -> unit
+(** The one abort rule of both maintenance drivers ({!run_maintenance}
+    and {!Pipeline}), applied on behalf of a failure [e] the caller is
+    about to re-raise.  A {!Vnl_storage.Disk.Crash} leaves everything
+    untouched: the disk is gone and {!reopen} repairs it.  Any other
+    failure aborts the transaction in memory ({!Twovnl.Txn.abort}: unstage
+    DDL, §7 no-log revert above the last published VN), then saves [db]
+    so the repair is durable.  The abort's own failure stays subordinate
+    to [e]: it is logged, naming [context], and counted
+    ([maintenance.abort_failures]) — except asynchronous fatals
+    ([Out_of_memory], [Stack_overflow]), which propagate and take
+    precedence. *)
+
+val publish : Twovnl.t -> Twovnl.Txn.m -> unit
+(** Durability point 3, traced as [maintenance.publish]: publish the
+    transaction's next VN ({!Twovnl.Txn.publish}), then flush the Version
+    page, the only page a publish dirties.  {!run_maintenance} calls it
+    once; a pipelined refresh once per stripe. *)
 
 val reopen :
   ?pool_capacity:int ->

@@ -57,21 +57,6 @@ val session_valid : Vnl_query.Database.t -> session_vn:int -> bool
     [sessionVN = currentVN OR (sessionVN = currentVN - 1 AND NOT
     maintenanceActive)]. *)
 
-val maintenance_statement :
-  ?stats:Maintenance.stats ->
-  ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->
-  ?was_insert_over_delete:(Vnl_storage.Heap_file.rid -> bool) ->
-  Vnl_query.Database.t ->
-  lookup:(string -> Schema_ext.t option) ->
-  vn:int ->
-  Vnl_sql.Ast.statement ->
-  int
-(** Execute a base-schema DML statement under maintenance version [vn];
-    returns the number of logical tuple operations applied.  UPDATE may
-    only assign updatable attributes; assignments and WHERE predicates see
-    the current (latest) version, and logically deleted tuples are
-    invisible.  Raises {!Unsupported} for SELECT or unregistered tables. *)
-
 val maintenance_sql :
   ?stats:Maintenance.stats ->
   ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->
@@ -81,4 +66,9 @@ val maintenance_sql :
   vn:int ->
   string ->
   int
-(** Parse then {!maintenance_statement}. *)
+(** Parse and execute a base-schema DML statement under maintenance
+    version [vn]; returns the number of logical tuple operations applied.
+    UPDATE may only assign updatable attributes; assignments and WHERE
+    predicates see the current (latest) version, and logically deleted
+    tuples are invisible.  Raises {!Unsupported} for SELECT or unregistered
+    tables. *)

@@ -2,6 +2,8 @@ module Tuple = Vnl_relation.Tuple
 module Value = Vnl_relation.Value
 module Table = Vnl_query.Table
 
+(* Revert one touched tuple.  No-op if the tuple's slot-1 version is not
+   [vn] (it was not actually modified by this transaction). *)
 let revert_tuple ext table ~vn ~was_insert_over_delete rid =
   match Table.get table rid with
   | None -> ()
@@ -60,10 +62,10 @@ let revert_tuple ext table ~vn ~was_insert_over_delete rid =
       end)
     | Some _ | None -> ())
 
-(* The one repair, for a transaction (one outstanding VN) and a pipelined
-   round alike: a round's partitions are key-disjoint, so a tuple carries at
-   most one unpublished VN in slot 1 and each touched tuple reverts
-   independently at its own stamp. *)
+(* The one repair, for a transaction of one outstanding VN or of several
+   alike: a pipelined round's partitions are key-disjoint, so a tuple
+   carries at most one unpublished VN in slot 1 and each touched tuple
+   reverts independently at its own stamp. *)
 let revert_above ext table ~current ~over_deleted =
   let touched = ref [] in
   Table.scan table (fun rid tuple ->

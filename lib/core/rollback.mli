@@ -20,16 +20,6 @@
     tuple's pre-delete values (they were nulled per Table 2 row 1) — those
     are only needed by sessions that are already expired. *)
 
-val revert_tuple :
-  Schema_ext.t ->
-  Vnl_query.Table.t ->
-  vn:int ->
-  was_insert_over_delete:bool ->
-  Vnl_storage.Heap_file.rid ->
-  unit
-(** Revert one touched tuple.  No-op if the tuple's slot-1 version is not
-    [vn] (it was not actually modified by this transaction). *)
-
 val revert_above :
   Schema_ext.t ->
   Vnl_query.Table.t ->
@@ -38,9 +28,10 @@ val revert_above :
   int
 (** Scan the table and revert every tuple whose slot-1 version exceeds
     [current] (the last {e published} VN), each at its own stamp; returns
-    the number reverted.  For a single maintenance transaction that is
-    every tuple stamped [current + 1]; for a pipelined round, every tuple
-    of its unpublished stripes — sound because a round's partitions are
-    key-disjoint, so no tuple carries more than one unpublished VN.
+    the number reverted.  For a transaction of one VN that is every tuple
+    stamped [current + 1]; for one of several VNs (a pipelined round),
+    every tuple of its unpublished stripes — sound because a round's
+    partitions are key-disjoint, so no tuple carries more than one
+    unpublished VN.
     [over_deleted] tells apart fresh inserts from inserts over deleted keys
     (in-memory transaction bookkeeping, not a log). *)

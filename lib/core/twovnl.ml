@@ -119,7 +119,6 @@ type t = {
       (** Session pins; the epoch is the warehouse VN.  Advanced at every
           refresh commit. *)
   next_session : int Atomic.t;
-  mutable txn_active : bool;
   last_gc_horizon : int Atomic.t;
       (** Horizon of the last completed collection.  Garbage is only ever
           created at the then-current VN, so until the horizon moves past
@@ -139,7 +138,6 @@ let make db version =
       Atomic.make [ fresh_generation ~gen:0 ~gen_vn:0 ~registry:StrMap.empty ~order:[] ];
     epochs = Epoch.create ~initial:(Version_state.current_vn version) ();
     next_session = Atomic.make 1;
-    txn_active = false;
     last_gc_horizon = Atomic.make min_int;
   }
 
@@ -217,6 +215,8 @@ let gen_handles g = List.rev_map (fun name -> StrMap.find name g.registry) g.ord
 let gen_min_n g =
   StrMap.fold (fun _ h acc -> min acc (Schema_ext.n h.ext)) g.registry max_int
   |> fun n -> if n = max_int then 2 else n
+
+let min_n t = gen_min_n (head t)
 
 let handle t name = gen_handle (head t) name
 
@@ -449,23 +449,28 @@ let attach_generations t =
             (List.length gens) (List.hd gens).gen (List.hd gens).gen_vn (List.length dead))
   end
 
-(* §7 no-log crash recovery: every touched tuple carries its pre-update
-   version, so the database state is repaired exactly like an abort —
-   without any log.  Generalized for pipelined rounds: the stored currentVN
-   is the last {e published} VN, and every tuple stamped above it belongs
-   to an unpublished stripe (a classic single transaction is the special
-   case where the only such stamp is currentVN + 1). *)
+(* The §7 revert, the one shared by {!recover} and [Txn.abort]: every
+   touched tuple carries its pre-update version, so reverting every tuple
+   stamped above the last {e published} VN — one transaction's
+   currentVN + 1, or every unpublished stripe of a multi-VN one — restores
+   the pre-state without any log.  Then no VN is outstanding. *)
+let revert_unpublished t ~over_deleted =
+  let current = Version_state.current_vn t.version in
+  let reverted =
+    List.fold_left
+      (fun acc h -> acc + Rollback.revert_above h.ext h.table ~current ~over_deleted)
+      0 (handles t)
+  in
+  Version_state.abort_maintenance t.version;
+  (current, reverted)
+
+(* §7 no-log crash recovery: the repair is exactly an abort's.  Without
+   the lost in-memory over-delete record, every insert is taken for a fresh
+   one (see DESIGN.md §6). *)
 let recover t =
   if not (Version_state.maintenance_active t.version) then 0
   else begin
-    let current = Version_state.current_vn t.version in
-    let reverted =
-      List.fold_left
-        (fun acc h ->
-          acc + Rollback.revert_above h.ext h.table ~current ~over_deleted:(fun _ -> false))
-        0 (handles t)
-    in
-    Version_state.abort_maintenance t.version;
+    let current, reverted = revert_unpublished t ~over_deleted:(fun _ -> false) in
     Log.info (fun m ->
         m "crash recovery: reverted %d tuples of work past published VN %d" reverted current);
     reverted
@@ -714,30 +719,44 @@ module Txn = struct
 
   type m = {
     owner : t;
-    txn_vn : int;
+    base_vn : int;
+        (** currentVN at begin; the VNs are [base_vn + 1 .. base_vn + count]. *)
+    count : int;
+    mutable published : int;
     txn_stats : Maintenance.stats;
-    mutable over_deleted : (Table.t * Heap_file.rid) list;
-        (** Keyed by physical table: a logical name can move to a staged
-            replacement mid-transaction, and rollback must not confuse the
-            two heaps' record ids. *)
+    over_mu : Mutex.t;
+        (** Guards [over_deleted]: pipeline workers on different domains
+            record over-delete re-inserts concurrently. *)
+    over_deleted : (Heap_file.rid, unit) Hashtbl.t;
+        (** Records this transaction re-inserted over a logical delete, by
+            rid alone.  A rid names one record across the whole database:
+            [Disk.alloc] never reuses a page and [Database.drop_table] frees
+            none, so the rids of a staged replacement table never collide
+            with those of the table it replaces. *)
     mutable finished : bool;
     mutable staged : staged option;
   }
 
-  let begin_ t =
-    let txn_vn = Version_state.begin_maintenance t.version in
-    t.txn_active <- true;
-    Log.info (fun m -> m "maintenance transaction %d begins" txn_vn);
+  let begin_ ?(count = 1) t =
+    let base_vn = Version_state.begin_round t.version ~count in
+    Log.info (fun m ->
+        m "maintenance transaction begins: VNs %d..%d" (base_vn + 1) (base_vn + count));
     {
       owner = t;
-      txn_vn;
+      base_vn;
+      count;
+      published = 0;
       txn_stats = Maintenance.fresh_stats ();
-      over_deleted = [];
+      over_mu = Mutex.create ();
+      over_deleted = Hashtbl.create 16;
       finished = false;
       staged = None;
     }
 
-  let vn m = m.txn_vn
+  (* The next VN to publish, which the per-op entry points stamp: the
+     transaction's only VN when [count = 1], its last once every VN is
+     published. *)
+  let vn m = m.base_vn + 1 + min m.published (m.count - 1)
 
   let stats m = m.txn_stats
 
@@ -756,43 +775,26 @@ module Txn = struct
     | Some h -> h
     | None -> failwith (Printf.sprintf "Twovnl: table %S is not registered" name)
 
-  let record_over_delete m h rid = m.over_deleted <- (h.table, rid) :: m.over_deleted
+  let record_over_delete m rid =
+    Mutex.protect m.over_mu (fun () -> Hashtbl.replace m.over_deleted rid ())
 
-  let was_over_delete m h rid =
-    List.exists
-      (fun (tbl, r) -> tbl == h.table && Heap_file.rid_equal r rid)
-      m.over_deleted
+  let was_insert_over_delete m rid =
+    Mutex.protect m.over_mu (fun () -> Hashtbl.mem m.over_deleted rid)
 
   let sql m src =
     check_live m;
-    let t = m.owner in
-    (* Record over-delete inserts per table for no-log rollback.  The
-       statement names a single table, so tag rids with it. *)
-    let handle_of_stmt =
-      match Vnl_sql.Parser.parse src with
-      | Vnl_sql.Ast.Insert { table; _ } -> txn_handle m table
-      | Vnl_sql.Ast.Update _ | Vnl_sql.Ast.Delete _ | Vnl_sql.Ast.Select _ -> None
-    in
-    let on_over_delete rid =
-      match handle_of_stmt with
-      | Some h -> record_over_delete m h rid
-      | None -> ()
-    in
-    let was_insert_over_delete rid =
-      List.exists (fun (_, r) -> Heap_file.rid_equal r rid) m.over_deleted
-    in
-    Rewrite.maintenance_sql ~stats:m.txn_stats ~on_over_delete ~was_insert_over_delete t.db
+    Rewrite.maintenance_sql ~stats:m.txn_stats ~on_over_delete:(record_over_delete m)
+      ~was_insert_over_delete:(was_insert_over_delete m) m.owner.db
       ~lookup:(fun name -> Option.map (fun h -> h.ext) (txn_handle m name))
-      ~vn:m.txn_vn src
+      ~vn:(vn m) src
 
   let insert m ~table:name values =
     check_live m;
     let h = txn_handle_exn m name in
     let base = Tuple.make (Schema_ext.base h.ext) (pad_values h values) in
-    let on_over_delete rid = record_over_delete m h rid in
     ignore
-      (Maintenance.apply_insert ~stats:m.txn_stats ~on_over_delete h.ext h.table ~vn:m.txn_vn
-         base)
+      (Maintenance.apply_insert ~stats:m.txn_stats ~on_over_delete:(record_over_delete m) h.ext
+         h.table ~vn:(vn m) base)
 
   let live_by_key h key =
     match Table.find_by_key h.table key with
@@ -815,7 +817,7 @@ module Txn = struct
     | Some rid ->
       let base = Schema_ext.base h.ext in
       let assignments = List.map (fun (col, v) -> (Schema.index_of base col, v)) set in
-      Maintenance.apply_update ~stats:m.txn_stats h.ext h.table ~vn:m.txn_vn rid assignments;
+      Maintenance.apply_update ~stats:m.txn_stats h.ext h.table ~vn:(vn m) rid assignments;
       true
 
   let delete_by_key m ~table:name ~key =
@@ -825,8 +827,7 @@ module Txn = struct
     | None -> false
     | Some rid ->
       Maintenance.apply_delete ~stats:m.txn_stats
-        ~was_insert_over_delete:(fun r -> was_over_delete m h r)
-        h.ext h.table ~vn:m.txn_vn rid;
+        ~was_insert_over_delete:(was_insert_over_delete m) h.ext h.table ~vn:(vn m) rid;
       true
 
   (* The batched maintenance path: same Tables 2-4 transitions as the
@@ -839,17 +840,18 @@ module Txn = struct
     check_live m;
     let h = txn_handle_exn m name in
     let ops = pad_ops h ops in
-    Batch.apply ~stats:m.txn_stats
-      ~on_over_delete:(fun rid -> record_over_delete m h rid)
-      ~was_insert_over_delete:(fun rid -> was_over_delete m h rid)
-      h.ext h.table ~vn:m.txn_vn ops
+    Batch.apply ~stats:m.txn_stats ~on_over_delete:(record_over_delete m)
+      ~was_insert_over_delete:(was_insert_over_delete m) h.ext h.table ~vn:(vn m) ops
 
   (* ---------- online schema evolution ---------- *)
 
+  (* DDL needs the transaction to own exactly one VN: the staged generation
+     activates with it. *)
   let ensure_staged m =
     match m.staged with
     | Some st -> st
     | None ->
+      if m.count > 1 then invalid_arg "Twovnl.Txn: DDL needs a transaction of one VN";
       let g = head m.owner in
       let st =
         {
@@ -872,7 +874,7 @@ module Txn = struct
     let t = m.owner in
     let pending =
       generation_meta
-        (fresh_generation ~gen:((head t).gen + 1) ~gen_vn:m.txn_vn ~registry:st.s_registry
+        (fresh_generation ~gen:((head t).gen + 1) ~gen_vn:(vn m) ~registry:st.s_registry
            ~order:st.s_order)
     in
     let retained = List.map generation_meta (Atomic.get t.generations) in
@@ -981,48 +983,56 @@ module Txn = struct
         (stage_replace m st ~name ~old_h ~new_ext:old_h.ext ~added:old_h.added
            ~extra_index:(Some (index, attrs)))
 
-  let commit m =
+  (* Activate the pending generation before the Version publish: its
+     [gen_vn] exceeds every live session VN until the publish lands, so
+     early visibility is harmless, while the reverse order would let a
+     session pin the new VN and still resolve the old head. *)
+  let rec activate t st ~vn =
+    let gens = Atomic.get t.generations in
+    let hd = List.hd gens in
+    let g =
+      fresh_generation ~gen:(hd.gen + 1) ~gen_vn:vn ~registry:st.s_registry ~order:st.s_order
+    in
+    if not (Atomic.compare_and_set t.generations gens (g :: gens)) then activate t st ~vn
+    else begin
+      Obs.Counter.record m_evolutions 1;
+      Obs.Counter.record m_plan_gen_invalidations (StrMap.cardinal (Atomic.get hd.plans));
+      Obs.Gauge.record m_catalog_generation g.gen;
+      Log.info (fun m ->
+          m "catalog generation %d activates at VN %d (%d table(s))" g.gen vn
+            (List.length g.order))
+    end
+
+  (* Publish VNs strictly in order: the pipeline's token holder calls this
+     once per stripe, so publishes never race each other (readers race
+     them, which is the whole point).  Each publish is one maintenance
+     commit for the telemetry and the epoch machinery; the last one
+     finishes the transaction. *)
+  let publish m =
     check_live m;
-    m.finished <- true;
     let t = m.owner in
-    (match m.staged with
-    | None -> ()
-    | Some st ->
-      (* Activate the pending generation before the Version publish: its
-         [gen_vn] exceeds every live session VN until the publish lands,
-         so early visibility is harmless, while the reverse order would
-         let a session pin the new VN and still resolve the old head. *)
-      let rec activate () =
-        let gens = Atomic.get t.generations in
-        let hd = List.hd gens in
-        let g =
-          fresh_generation ~gen:(hd.gen + 1) ~gen_vn:m.txn_vn ~registry:st.s_registry
-            ~order:st.s_order
-        in
-        if not (Atomic.compare_and_set t.generations gens (g :: gens)) then activate ()
-        else begin
-          Obs.Counter.record m_evolutions 1;
-          Obs.Counter.record m_plan_gen_invalidations
-            (StrMap.cardinal (Atomic.get hd.plans));
-          Obs.Gauge.record m_catalog_generation g.gen;
-          Log.info (fun mm ->
-              mm "catalog generation %d activates at VN %d (%d table(s))" g.gen m.txn_vn
-                (List.length g.order))
-        end
-      in
-      activate ());
-    m.owner.txn_active <- false;
-    Version_state.commit_maintenance m.owner.version ~vn:m.txn_vn;
+    let v = vn m in
+    let last = m.published + 1 = m.count in
+    if last then Option.iter (activate t ~vn:v) m.staged;
+    Version_state.publish t.version ~vn:v;
+    m.published <- m.published + 1;
+    if last then m.finished <- true;
     (* Publish the committed VN as the new epoch: sessions opened from
        here pin it. *)
-    Epoch.advance m.owner.epochs m.txn_vn;
+    Epoch.advance t.epochs v;
     Obs.Counter.record m_maintenance_commits 1;
-    Obs.Gauge.record m_current_vn (current_vn m.owner);
+    Obs.Gauge.record m_current_vn v;
     Log.info (fun m' ->
         let s = m.txn_stats in
-        m' "maintenance transaction %d committed (%d ins / %d upd / %d del logical)" m.txn_vn
-          s.Maintenance.logical_inserts s.Maintenance.logical_updates
+        m' "maintenance VN %d published (%d/%d; %d ins / %d upd / %d del logical)" v m.published
+          m.count s.Maintenance.logical_inserts s.Maintenance.logical_updates
           s.Maintenance.logical_deletes)
+
+  let commit m =
+    check_live m;
+    if m.published + 1 <> m.count then
+      invalid_arg "Twovnl.Txn.commit: earlier VNs of the transaction are unpublished";
+    publish m
 
   let abort m =
     check_live m;
@@ -1040,110 +1050,12 @@ module Txn = struct
         st.s_renamed;
       Database.set_generations_meta t.db st.s_prev_meta;
       m.staged <- None);
-    let current = Version_state.current_vn t.version in
-    let reverted =
-      List.fold_left
-        (fun acc h ->
-          let over_deleted rid = was_over_delete m h rid in
-          acc + Rollback.revert_above h.ext h.table ~current ~over_deleted)
-        0 (handles t)
+    let current, reverted =
+      revert_unpublished t ~over_deleted:(was_insert_over_delete m)
     in
-    t.txn_active <- false;
-    Version_state.abort_maintenance t.version;
     Obs.Counter.record m_maintenance_aborts 1;
-    Log.info (fun m' -> m' "maintenance transaction %d aborted; %d tuples reverted" m.txn_vn reverted);
-    reverted
-end
-
-module Round = struct
-  type r = {
-    owner : t;
-    base_vn : int;
-    count : int;
-    mutable published : int;
-    over_mu : Mutex.t;
-        (** Guards [over_deleted]: workers on different domains record
-            over-delete re-inserts concurrently. *)
-    mutable over_deleted : (string * Heap_file.rid) list;
-    mutable finished : bool;
-  }
-
-  let begin_ t ~count =
-    if count < 1 then invalid_arg "Twovnl.Round: count must be >= 1";
-    let base_vn = Version_state.begin_round t.version ~count in
-    t.txn_active <- true;
-    Log.info (fun m ->
-        m "maintenance round begins: %d stripes over VNs %d..%d" count (base_vn + 1)
-          (base_vn + count));
-    {
-      owner = t;
-      base_vn;
-      count;
-      published = 0;
-      over_mu = Mutex.create ();
-      over_deleted = [];
-      finished = false;
-    }
-
-  let base_vn r = r.base_vn
-
-  let count r = r.count
-
-  let vn r i =
-    if i < 0 || i >= r.count then invalid_arg "Twovnl.Round.vn: stripe out of range";
-    r.base_vn + 1 + i
-
-  let record_over_delete r name rid =
-    Mutex.protect r.over_mu (fun () -> r.over_deleted <- (name, rid) :: r.over_deleted)
-
-  let was_insert_over_delete r name rid =
-    Mutex.protect r.over_mu (fun () ->
-        List.exists
-          (fun (tn, rr) -> String.equal tn name && Heap_file.rid_equal rr rid)
-          r.over_deleted)
-
-  (* Publish stripe VNs strictly in order; called by the token holder, so
-     publishes never race each other (readers race them, which is the whole
-     point).  Each publish is one maintenance-transaction commit for the
-     telemetry and the epoch machinery, exactly as [Txn.commit]. *)
-  let publish r ~vn:v =
-    if r.finished then invalid_arg "Twovnl.Round: round already finished";
-    if v <> r.base_vn + 1 + r.published then
-      invalid_arg
-        (Printf.sprintf "Twovnl.Round.publish: vn %d out of order (next is %d)" v
-           (r.base_vn + 1 + r.published));
-    Version_state.publish r.owner.version ~vn:v;
-    r.published <- r.published + 1;
-    if r.published = r.count then begin
-      r.finished <- true;
-      r.owner.txn_active <- false
-    end;
-    Epoch.advance r.owner.epochs v;
-    Obs.Counter.record m_maintenance_commits 1;
-    Obs.Gauge.record m_current_vn v;
-    Log.info (fun m -> m "round stripe published at VN %d (%d/%d)" v r.published r.count)
-
-  (* Abort the unpublished remainder: revert every tuple stamped above the
-     last published VN (key-disjoint stripes ⇒ at most one unpublished
-     stamp per tuple) and clear the outstanding count.  The published
-     prefix stays committed — in-order publication means it is exactly the
-     state a shorter round would have left. *)
-  let abort r =
-    if r.finished then invalid_arg "Twovnl.Round: round already finished";
-    r.finished <- true;
-    let t = r.owner in
-    let current = Version_state.current_vn t.version in
-    let reverted =
-      List.fold_left
-        (fun acc h ->
-          let over_deleted rid = was_insert_over_delete r h.name rid in
-          acc + Rollback.revert_above h.ext h.table ~current ~over_deleted)
-        0 (handles t)
-    in
-    t.txn_active <- false;
-    Version_state.abort_maintenance t.version;
-    Obs.Counter.record m_maintenance_aborts 1;
-    Log.info (fun m ->
-        m "maintenance round aborted past VN %d; %d tuples reverted" current reverted);
+    Log.info (fun m' ->
+        m' "maintenance transaction aborted past published VN %d; %d tuples reverted" current
+          reverted);
     reverted
 end

@@ -1,7 +1,12 @@
 (** The 2VNL warehouse facade.
 
     Ties together the Version relation, schema extension, reader sessions,
-    and maintenance transactions over one database.  A typical lifecycle:
+    and the maintenance transaction over one database.  There is one
+    maintenance transaction type, {!Txn}: it reserves [count] consecutive
+    VNs at begin (one by default; a pipelined refresh reserves one per
+    stripe), publishes them strictly in order, and aborts by the §7
+    no-log revert of every tuple stamped above the last published VN.  A
+    typical lifecycle:
 
     {v
   let wh = Twovnl.init db in
@@ -64,12 +69,13 @@ val recover : t -> int
     was outstanding at the crash, revert every tuple stamped {e above} the
     stored currentVN (the last published VN) from the tuples' own
     pre-update versions (no log consulted) and clear the flag; returns the
-    number of tuples reverted.  For a classic single transaction the only
-    such stamp is currentVN + 1; for an interrupted pipelined round
-    ({!Round}) the unpublished stripes are reverted and the published
-    prefix survives.  Tuples whose slot-1 operation is insert are treated
-    as fresh inserts and physically removed — correct for every live
-    session, see DESIGN.md §6. *)
+    number of tuples reverted.  This is {!Txn.abort}'s revert: for a
+    transaction of one VN the only such stamp is currentVN + 1; for an
+    interrupted transaction of several VNs (a pipelined round) the
+    unpublished ones are reverted and the published prefix survives.
+    Tuples whose slot-1 operation is insert are treated as fresh inserts
+    and physically removed — correct for every live session, see
+    DESIGN.md §6. *)
 
 val handle : t -> string -> handle option
 
@@ -88,6 +94,11 @@ val lookup : t -> string -> Schema_ext.t option
     the head (newest) catalog generation, as do {!handle}, {!handle_exn},
     and {!handles}; sessions resolve against their own pinned generation
     instead. *)
+
+val min_n : t -> int
+(** The smallest version count [n] among the head generation's tables (2
+    when none is registered): a transaction of [count] VNs keeps a session
+    opened at its begin valid to its end only when [count <= min_n - 1]. *)
 
 val catalog_generation : t -> int
 (** Index of the head (newest) catalog generation; 0 until the first
@@ -175,14 +186,48 @@ end
 
 module Txn : sig
   type m
+  (** One maintenance transaction, owning [count] consecutive VNs
+      [currentVN + 1 .. currentVN + count] from begin to its last publish.
 
-  val begin_ : t -> m
-  (** Start the single maintenance transaction.  Raises [Invalid_argument]
-      if one is active. *)
+      - {b Publish order.}  {!publish} publishes the VNs one at a time,
+        strictly in order; each publish is one maintenance commit (Version
+        update, epoch advance, [twovnl.maintenance_commits],
+        [twovnl.current_vn]).  The last publish finishes the transaction,
+        so every prefix of a multi-VN transaction is a committed state.
+      - {b Session validity.}  While the transaction runs, the Version
+        state's outstanding count is [count - published], and sessions
+        are charged for it, so with n >= count + 1 a session opened at
+        begin survives the whole transaction.
+      - {b DDL} ({!add_column}, {!add_table}, {!add_index}) is allowed
+        only when [count = 1]: the staged catalog generation activates
+        with the transaction's one publish.
+      - {b Over-delete record.}  Inserts over logically deleted keys are
+        recorded by rid alone, in one mutex-guarded set shared by every VN
+        and every worker domain.  A rid names one record across the whole
+        database: {!Vnl_storage.Disk.alloc} never reuses a page and
+        {!Vnl_query.Database.drop_table} frees none, so a staged
+        replacement table's rids never collide with the original's. *)
+
+  val begin_ : ?count:int -> t -> m
+  (** Start the maintenance transaction, reserving [count] (default 1)
+      consecutive VNs.  Raises [Invalid_argument] if one is active or
+      [count < 1].  Crash safety needs the raised maintenance flag durable
+      (a catalog save) before any tuple is mutated, as
+      {!Recovery.run_maintenance} and {!Pipeline} do. *)
 
   val vn : m -> int
+  (** The next VN to publish, which the DML entry points below stamp: the
+      transaction's only VN when [count = 1], the last once every VN is
+      published. *)
 
   val stats : m -> Maintenance.stats
+
+  val record_over_delete : m -> Vnl_storage.Heap_file.rid -> unit
+  (** Record an insert over a logically deleted record, for the no-log
+      rollback (thread-safe).  The DML entry points record their own; a
+      caller staging batches itself ({!Batch.stage}) passes this. *)
+
+  val was_insert_over_delete : m -> Vnl_storage.Heap_file.rid -> bool
 
   val sql : m -> string -> int
   (** Execute a base-schema DML statement via the §4.2 cursor rewrite;
@@ -228,7 +273,8 @@ module Txn : sig
       In-flight sessions keep resolving their pinned generation; sessions
       begun after the publish see the new catalog.  {!abort} — or crash
       recovery from any point before the publish — restores exactly the
-      pre-evolution catalog. *)
+      pre-evolution catalog.  Each call raises [Invalid_argument] on a
+      transaction of more than one VN. *)
 
   val add_column :
     m ->
@@ -250,57 +296,19 @@ module Txn : sig
       generation's private copy, so a crash before the publish reopens
       without it. *)
 
+  val publish : m -> unit
+  (** Publish the next VN ({!vn}).  The last publish finishes the
+      transaction and first activates any staged catalog generation.
+      Raises [Invalid_argument] once the transaction is finished. *)
+
   val commit : m -> unit
-  (** Publish the new version (Version relation update, §4); any staged
-      catalog generation activates with it. *)
+  (** Publish the last VN (Version relation update, §4); any staged
+      catalog generation activates with it.  Raises [Invalid_argument]
+      while an earlier VN is unpublished. *)
 
   val abort : m -> int
-  (** No-log rollback (§7): revert every touched tuple; returns the number
-      reverted. *)
-end
-
-(** A pipelined maintenance {e round}: [count] version numbers begun
-    together and published strictly in order (the {!Pipeline} driver's
-    commit protocol).  While the round runs, the Version state's
-    outstanding count is [count - published], so session validity charges
-    readers for every slot the round may still consume — with
-    n >= count + 1 a session opened at round begin survives the whole
-    round.  A round of one is exactly {!Txn}'s begin/commit envelope. *)
-module Round : sig
-  type r
-
-  val begin_ : t -> count:int -> r
-  (** Reserve VNs [currentVN + 1 .. currentVN + count].  Raises
-      [Invalid_argument] if maintenance is already active or [count < 1].
-      The caller must make the raised maintenance flag durable (a catalog
-      save) before mutating any tuple, as {!Recovery.run_maintenance}
-      does. *)
-
-  val base_vn : r -> int
-  (** The currentVN at round begin; stripe [i] commits at
-      [base_vn + 1 + i]. *)
-
-  val count : r -> int
-
-  val vn : r -> int -> int
-  (** [vn r i] is stripe [i]'s version number.  Raises [Invalid_argument]
-      outside [0 .. count - 1]. *)
-
-  val record_over_delete : r -> string -> Vnl_storage.Heap_file.rid -> unit
-  (** Record an insert-over-delete for no-log rollback (thread-safe; the
-      round-wide analogue of {!Txn}'s bookkeeping). *)
-
-  val was_insert_over_delete : r -> string -> Vnl_storage.Heap_file.rid -> bool
-
-  val publish : r -> vn:int -> unit
-  (** Publish the next stripe's VN: Version update, epoch advance, commit
-      telemetry — one maintenance commit, exactly like {!Txn.commit}.
-      Raises [Invalid_argument] unless [vn] is the round's next unpublished
-      VN (in-order publication is the pipeline's invariant, not a
-      convenience). *)
-
-  val abort : r -> int
-  (** Revert every tuple stamped above the last published VN and clear the
-      outstanding count; the published prefix stays committed.  Returns the
-      number of tuples reverted. *)
+  (** No-log rollback (§7): unstage any DDL, then revert every tuple
+      stamped above the last published VN and clear the outstanding
+      count; the published prefix stays committed.  Returns the number of
+      tuples reverted. *)
 end

@@ -21,14 +21,13 @@ let schema =
    maintenance side updates the tuple and then publishes the cache (boxed
    pair: one atomic store, never a torn pair).
 
-   [outstanding] generalizes the paper's boolean [maintenanceActive] to
-   the pipelined nVNL round: it counts maintenance VNs begun but not yet
-   published (the classic single transaction is a round of one, so the
-   counter is 0 or 1 there).  The {e stored} attribute keeps the paper's
-   Bool layout — [outstanding > 0] — so the disk format, [attach], and the
-   SQL rewrite are unchanged; after a crash the exact count is
-   unrecoverable and unnecessary, since §7 repair reverts {e every} tuple
-   stamped above the stored currentVN. *)
+   [outstanding] generalizes the paper's boolean [maintenanceActive] to a
+   transaction of several VNs: it counts maintenance VNs begun but not yet
+   published (0 or 1 for the paper's transaction of one VN).  The
+   {e stored} attribute keeps the paper's Bool layout — [outstanding > 0]
+   — so the disk format, [attach], and the SQL rewrite are unchanged;
+   after a crash the exact count is unrecoverable and unnecessary, since
+   §7 repair reverts {e every} tuple stamped above the stored currentVN. *)
 type t = { table : Table.t; rid : Heap_file.rid; cache : (int * int) Atomic.t }
 
 let install db =
@@ -78,7 +77,7 @@ let maintenance_active t = snd (read t)
 let outstanding t = snd (read_outstanding t)
 
 let begin_round t ~count =
-  if count < 1 then invalid_arg "Version_state.begin_round: count must be >= 1";
+  if count < 1 then invalid_arg "Version_state: count must be >= 1";
   let vn, o = read_outstanding t in
   if o > 0 then invalid_arg "Version_state: a maintenance transaction is already active";
   write t vn count;
@@ -91,10 +90,6 @@ let publish t ~vn =
     invalid_arg
       (Printf.sprintf "Version_state: commit vn %d does not follow currentVN %d" vn current);
   write t vn (o - 1)
-
-let begin_maintenance t = 1 + begin_round t ~count:1
-
-let commit_maintenance t ~vn = publish t ~vn
 
 let abort_maintenance t =
   let current, o = read_outstanding t in

@@ -1,22 +1,23 @@
-(** The global Version relation (§4), generalized for pipelined nVNL
-    rounds.
+(** The global Version relation (§4), generalized for nVNL.
 
     [currentVN] and [maintenanceActive] are stored in a single-tuple,
     two-attribute relation inside the DBMS itself, read by readers and
     updated by maintenance transactions — exactly the implementation the
     paper prescribes for a query-rewrite deployment.  Following §4's
-    abort-visibility remark, the commit protocol updates [currentVN] only
-    {e after} the maintenance work is complete.
+    abort-visibility remark, a publish updates [currentVN] only {e after}
+    the maintenance work is complete.
 
-    On top of the paper's single-transaction protocol sits the {e round}
-    API for pipelined maintenance: a round begins [count] consecutive
-    maintenance VNs at once ([currentVN + 1 .. currentVN + count]) and
-    publishes them strictly in order, each publish advancing [currentVN]
-    by one and decrementing the outstanding count.  The stored attribute
-    remains the paper's Bool ([outstanding > 0]), so the disk format and
-    the §4.1 SQL rewrite are unchanged, and §7 crash repair — which
-    reverts every tuple stamped above the stored [currentVN] — needs no
-    per-round bookkeeping to survive. *)
+    A maintenance transaction begins [count] consecutive VNs at once
+    ([currentVN + 1 .. currentVN + count]; one for the paper's
+    transaction) and publishes them strictly in order, each publish
+    advancing [currentVN] by one and decrementing the outstanding count.
+    The stored attribute remains the paper's Bool ([outstanding > 0]), so
+    the disk format and the §4.1 SQL rewrite are unchanged, and §7 crash
+    repair — which reverts every tuple stamped above the stored
+    [currentVN] — needs no per-transaction bookkeeping to survive.
+
+    {!Twovnl.Txn} is the one caller of {!begin_round}, {!publish} and
+    {!abort_maintenance}. *)
 
 type t
 
@@ -45,8 +46,8 @@ val maintenance_active : t -> bool
 (** [outstanding t > 0]. *)
 
 val outstanding : t -> int
-(** Maintenance VNs begun but not yet published: 0 when idle, 1 under the
-    classic protocol, up to the round's [count] under pipelining. *)
+(** Maintenance VNs begun but not yet published: 0 when idle, up to the
+    transaction's [count] while one runs. *)
 
 val read_outstanding : t -> int * int
 (** One consistent read of [(currentVN, outstanding)] — the pair readers
@@ -56,30 +57,20 @@ val storage_page : t -> int
 (** The heap page holding the Version tuple; the publish step flushes
     exactly this page. *)
 
-val begin_maintenance : t -> int
-(** Set [maintenanceActive] and return the transaction's
-    [maintenanceVN = currentVN + 1] (a round of one).  Raises
-    [Invalid_argument] if a maintenance transaction is already active (the
-    external protocol of §2.2 admits one at a time). *)
-
-val commit_maintenance : t -> vn:int -> unit
-(** Publish [currentVN := vn] and clear [maintenanceActive].  Raises
-    [Invalid_argument] unless a maintenance transaction with this [vn] is
-    active. *)
-
-val abort_maintenance : t -> unit
-(** Clear the outstanding count leaving [currentVN] unchanged — under a
-    round, this abandons {e every} unpublished VN (published prefixes
-    stay committed). *)
-
 val begin_round : t -> count:int -> int
-(** Begin [count] consecutive maintenance VNs and return the base — the
-    round's VNs are [base + 1 .. base + count].  Raises
-    [Invalid_argument] when a transaction or round is already active, or
+(** Set [maintenanceActive], begin [count] consecutive maintenance VNs and
+    return the base — the VNs are [base + 1 .. base + count].  Raises
+    [Invalid_argument] when a maintenance transaction is already active
+    (the external protocol of §2.2 admits one at a time), or
     [count < 1]. *)
 
 val publish : t -> vn:int -> unit
-(** Publish the round's next VN: requires [vn = currentVN + 1] and an
-    outstanding count > 0, advances [currentVN] to [vn] and decrements the
-    count (the stored flag clears with the last publish).  In-order
-    publication is enforced by the [vn] check. *)
+(** Publish the next VN: requires [vn = currentVN + 1] and an outstanding
+    count > 0, advances [currentVN] to [vn] and decrements the count (the
+    stored flag clears with the last publish).  In-order publication is
+    enforced by the [vn] check. *)
+
+val abort_maintenance : t -> unit
+(** Clear the outstanding count leaving [currentVN] unchanged: this
+    abandons {e every} unpublished VN (a published prefix stays
+    committed). *)

@@ -38,15 +38,6 @@ let error_code_of_int = function
   | 7 -> Some Too_many_cursors
   | _ -> None
 
-let error_code_name = function
-  | Bad_frame -> "bad-frame"
-  | No_session -> "no-session"
-  | Session_expired -> "session-expired"
-  | Query_failed -> "query-failed"
-  | Unknown_cursor -> "unknown-cursor"
-  | Server_busy -> "server-busy"
-  | Too_many_cursors -> "too-many-cursors"
-
 type request =
   | Hello of string
   | Query of string

@@ -38,12 +38,6 @@ type error_code =
   | Server_busy  (** Admission control: connection or queue limit hit. *)
   | Too_many_cursors
 
-val error_code_to_int : error_code -> int
-
-val error_code_of_int : int -> error_code option
-
-val error_code_name : error_code -> string
-
 type request =
   | Hello of string  (** Client-chosen name, informational. *)
   | Query of string  (** SELECT text (2VNL reader rewrite applies). *)

@@ -59,10 +59,3 @@ val parse_full : string -> entry list * generation list
 (** Like {!parse} but also returning the catalog generations (empty for a
     version-1 text).  Raises {!Corrupt} on malformed input. *)
 
-val value_to_token : Vnl_relation.Value.t -> string
-(** Self-contained text form of a default value ([null], [int:42],
-    [float:0x1.8p1], [bool:true], [date:19961014], [str:<hex>]); floats and
-    strings round-trip byte-exactly. *)
-
-val value_of_token : string -> Vnl_relation.Value.t
-(** Inverse of {!value_to_token}; raises {!Corrupt} on a malformed token. *)

@@ -24,15 +24,11 @@ val acquire : t -> unit
 val release : t -> unit
 (** Raises [Failure] if not exclusively held. *)
 
-val acquire_shared : t -> unit
-(** Shared acquire; blocks while an exclusive holder or a waiting writer
-    exists.  Raises [Failure] if the calling domain holds the latch
-    exclusively. *)
-
 val try_shared : t -> bool
 (** Non-blocking shared acquire: [false] iff an exclusive holder is
-    active.  Unlike {!acquire_shared} it ignores waiting writers — the
-    caller never blocks, so it cannot starve them. *)
+    active.  Unlike the blocking shared acquire behind {!with_shared} it
+    ignores waiting writers — the caller never blocks, so it cannot starve
+    them. *)
 
 val release_shared : t -> unit
 (** Raises [Failure] if no shared holder exists. *)

@@ -35,9 +35,6 @@ let sales_schema =
    group never straddles shards under this key. *)
 let tenant_attrs = [ "state" ]
 
-let tenant_of_sale row =
-  match Tuple.get row 1 with Value.Str s -> s | _ -> invalid_arg "tenant_of_sale"
-
 let sales_shard_map ~shards =
   Vnl_warehouse.Shard.Shard_map.by_attrs ~shards ~source:sales_schema ~attrs:tenant_attrs
 

@@ -22,9 +22,6 @@ val tenant_attrs : string list
 (** The tenant shard key of the sales domain ([state]): contained in the
     DailySales group-by, so no summary group straddles shards. *)
 
-val tenant_of_sale : Vnl_relation.Tuple.t -> string
-(** The tenant (state) a sale belongs to. *)
-
 val sales_shard_map : shards:int -> Vnl_warehouse.Shard.Shard_map.t
 (** Hash routing of sales over {!tenant_attrs}. *)
 

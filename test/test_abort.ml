@@ -9,9 +9,10 @@
    reopen of the disk finds — and must accept the next refresh and the
    next evolution.
 
-   - Refresh: a raise from each phase of a one-stripe round (fold, apply,
-     token) and from classification (a negative delta for an absent
-     group), over a two-view warehouse.
+   - Refresh: a raise from each phase of a one-stripe round and of a
+     two-stripe round whose every stripe re-inserts a retired group (fold,
+     apply, token), and from classification (a negative delta for an
+     absent group), over a two-view warehouse.
    - Evolve: unknown views, a key column, a duplicate index name, a
      duplicate view, and a bad item placed after a good one in the same
      evolution list. *)
@@ -30,6 +31,10 @@ module Delta = Vnl_warehouse.Delta
 module Warehouse = Vnl_warehouse.Warehouse
 module Sales_gen = Vnl_workload.Sales_gen
 module Xorshift = Vnl_util.Xorshift
+module Sched = Vnl_util.Sched
+module Table = Vnl_query.Table
+module Batch = Vnl_core.Batch
+module Schema_ext = Vnl_core.Schema_ext
 
 let check = Alcotest.check
 
@@ -59,8 +64,8 @@ let changes_equal a b =
 let feed wh changes =
   List.iter (fun def -> Warehouse.queue_changes wh ~view:(View_def.name def) changes) views
 
-let loaded ~seed =
-  let wh = Warehouse.create ~pool_capacity:64 views in
+let loaded ?n ~seed () =
+  let wh = Warehouse.create ?n ~pool_capacity:64 views in
   let rng = Xorshift.create seed in
   feed wh (Sales_gen.initial_load rng ~days:3 ~sales_per_day:40);
   ignore (Warehouse.refresh wh);
@@ -84,9 +89,18 @@ let check_converged wh what =
         Alcotest.failf "%s: %s diverged from its recomputation" what name)
     (Warehouse.views wh)
 
+let physical_records wh =
+  List.map
+    (fun def ->
+      Table.tuple_count (Twovnl.table (Twovnl.handle_exn (Warehouse.vnl wh) (View_def.name def))))
+    views
+
 (* The post-failure contract of a refresh: queues exactly as before, the
-   version state untouched and idle, and the next refresh converges. *)
+   version state untouched and idle, every physical record still there (an
+   insert over a logical delete reverts to the delete, not to nothing),
+   and the next refresh converges. *)
 let check_refresh_failure wh ~what ~queued ~vn attempt =
+  let records = physical_records wh in
   (match attempt () with
   | _ -> Alcotest.failf "%s: the refresh did not fail" what
   | exception _ -> ());
@@ -98,7 +112,8 @@ let check_refresh_failure wh ~what ~queued ~vn attempt =
         (changes_equal before (Warehouse.peek_pending wh ~view:name)))
     queued;
   check Alcotest.int (what ^ ": no VN published") vn (Twovnl.current_vn (Warehouse.vnl wh));
-  Alcotest.(check bool) (what ^ ": maintenance idle") false (maintenance_active wh)
+  Alcotest.(check bool) (what ^ ": maintenance idle") false (maintenance_active wh);
+  Alcotest.(check (list int)) (what ^ ": physical records restored") records (physical_records wh)
 
 let snapshot_queues wh =
   List.map
@@ -109,29 +124,104 @@ let snapshot_queues wh =
 
 exception Injected of Pipeline.phase
 
+(* Retire [k] DailySales groups to zero support in one refresh; returns
+   their source rows, whose re-insert is then an insert over a logical
+   delete. *)
+let retire_groups wh ~k =
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun row ->
+      let key = View_def.group_key daily row in
+      if Hashtbl.mem groups key || Hashtbl.length groups < k then
+        Hashtbl.replace groups key
+          (row :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
+    (Vnl_warehouse.Source.rows (Warehouse.source wh "DailySales"));
+  let rows = Hashtbl.fold (fun _ rows acc -> rows @ acc) groups [] in
+  feed wh (List.map (fun r -> Delta.Delete r) rows);
+  ignore (Warehouse.refresh wh);
+  (Hashtbl.fold (fun key _ acc -> key :: acc) groups [], rows)
+
+(* The two-stripe input runs its round under the deterministic scheduler
+   and holds stripe 0's token hook until stripe 1 has applied, so a token
+   failure reverts both stripes' writes — and with them both stripes'
+   inserts over deletes, which the abort tells apart from fresh inserts
+   through the transaction's one over-delete record. *)
 let test_refresh_phase_sweep () =
   List.iter
-    (fun phase ->
-      let wh, rng = loaded ~seed:23 in
+    (fun (workers, phase) ->
+      let wh, rng = loaded ~n:(workers + 1) ~seed:23 () in
+      let retired, rows = if workers > 1 then retire_groups wh ~k:8 else ([], []) in
       let src = Warehouse.source wh "DailySales" in
       feed wh (Sales_gen.gen_batch rng src ~day:3 ~inserts:30 ~updates:6 ~deletes:4);
+      feed wh (List.map (fun r -> Delta.Insert r) rows);
       let queued = snapshot_queues wh in
       let vn = Twovnl.current_vn (Warehouse.vnl wh) in
-      let on_phase p ~stripe:_ = if p = phase then raise (Injected p) in
-      let what =
-        match phase with `Fold -> "fold" | `Apply -> "apply" | `Token -> "token"
+      let h = Twovnl.handle_exn (Warehouse.vnl wh) "DailySales" in
+      let target = View_def.target_schema daily in
+      (* Stripe [i]'s re-inserted groups, filled in by [run] below. *)
+      let reinserted = Array.make workers [] in
+      let applied i =
+        List.for_all
+          (fun key ->
+            match Table.find_by_key (Twovnl.table h) key with
+            | Some (_, tuple) ->
+              Schema_ext.tuple_vn (Twovnl.ext h) ~slot:1 tuple = Some (vn + 1 + i)
+            | None -> false)
+          reinserted.(i)
       in
+      let on_phase p ~stripe =
+        if p = phase then begin
+          if p = `Token && stripe = 0 then
+            for i = 1 to workers - 1 do
+              while not (applied i) do
+                Sched.yield ()
+              done
+            done;
+          raise (Injected p)
+        end
+      in
+      let run plan =
+        List.iteri
+          (fun i (_, per_table) ->
+            let ops = Option.value ~default:[] (List.assoc_opt "DailySales" per_table) in
+            reinserted.(i) <-
+              List.filter_map
+                (function
+                  | Batch.Insert tuple ->
+                    let key = Tuple.key_of target tuple in
+                    if List.mem key retired then Some key else None
+                  | Batch.Update _ | Batch.Delete _ -> None)
+                ops)
+          (Pipeline.stripe_ops plan);
+        check Alcotest.int "stripes" workers (Pipeline.stripe_count plan);
+        Array.iteri
+          (fun i keys ->
+            Alcotest.(check bool)
+              (Printf.sprintf "stripe %d re-inserts a retired group" i)
+              true (keys <> []))
+          reinserted;
+        ignore (Sched.run ~seed:5 (Pipeline.tasks plan));
+        Pipeline.finish plan
+      in
+      let what =
+        Printf.sprintf "%s, %d stripe(s)"
+          (match phase with `Fold -> "fold" | `Apply -> "apply" | `Token -> "token")
+          workers
+      in
+      let run = if workers > 1 then Some run else None in
       check_refresh_failure wh ~what ~queued ~vn (fun () ->
-          Warehouse.refresh ~workers:1 ~on_phase wh);
-      ignore (Warehouse.refresh wh);
+          Warehouse.refresh ~workers ~on_phase ?run wh);
+      ignore (Warehouse.refresh ~workers wh);
       check_converged wh what)
-    [ `Fold; `Apply; `Token ]
+    (List.concat_map
+       (fun workers -> List.map (fun phase -> (workers, phase)) [ `Fold; `Apply; `Token ])
+       [ 1; 2 ])
 
 (* A negative delta for a group the view does not hold: the source still
    has the group's rows, but a hand-driven transaction removed the group
    from the view, so retiring one of its rows cannot be classified. *)
 let test_refresh_classification_failure () =
-  let wh, rng = loaded ~seed:31 in
+  let wh, rng = loaded ~seed:31 () in
   let victim = List.hd (Vnl_warehouse.Source.rows (Warehouse.source wh "DailySales")) in
   let key = View_def.group_key daily victim in
   let target = View_def.target_schema daily in
@@ -195,7 +285,7 @@ let evolve_cases =
   ]
 
 let test_evolve_failure (what, prior, bad, expected) () =
-  let wh, rng = loaded ~seed:47 in
+  let wh, rng = loaded ~seed:47 () in
   if prior <> [] then Warehouse.evolve wh prior;
   let db = Warehouse.database wh and vnl = Warehouse.vnl wh in
   let gen = Warehouse.catalog_generation wh in

@@ -111,25 +111,25 @@ let test_version_state_lifecycle () =
   let vs = Version_state.install db in
   check Alcotest.int "initial vn" 1 (Version_state.current_vn vs);
   Alcotest.(check bool) "inactive" false (Version_state.maintenance_active vs);
-  let vn = Version_state.begin_maintenance vs in
+  let vn = 1 + Version_state.begin_round vs ~count:1 in
   check Alcotest.int "maintenanceVN" 2 vn;
   Alcotest.(check bool) "active" true (Version_state.maintenance_active vs);
   check Alcotest.int "currentVN unchanged while active" 1 (Version_state.current_vn vs);
-  Version_state.commit_maintenance vs ~vn;
+  Version_state.publish vs ~vn;
   check Alcotest.int "published" 2 (Version_state.current_vn vs);
   Alcotest.(check bool) "inactive again" false (Version_state.maintenance_active vs)
 
 let test_version_state_single_writer () =
   let db = Database.create () in
   let vs = Version_state.install db in
-  ignore (Version_state.begin_maintenance vs);
+  ignore (Version_state.begin_round vs ~count:1);
   Alcotest.(check bool) "second begin rejected" true
-    (try ignore (Version_state.begin_maintenance vs); false with Invalid_argument _ -> true)
+    (try ignore (Version_state.begin_round vs ~count:1); false with Invalid_argument _ -> true)
 
 let test_version_state_abort () =
   let db = Database.create () in
   let vs = Version_state.install db in
-  ignore (Version_state.begin_maintenance vs);
+  ignore (Version_state.begin_round vs ~count:1);
   Version_state.abort_maintenance vs;
   check Alcotest.int "vn unchanged" 1 (Version_state.current_vn vs);
   Alcotest.(check bool) "inactive" false (Version_state.maintenance_active vs)

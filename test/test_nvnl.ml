@@ -8,7 +8,7 @@
    predicate calls valid must read precisely the oracle's state at its
    version (both the engine extraction and the predicate itself), and a
    session the predicate calls expired must be refused with {!Expired}.
-   A second group does the same around a multi-VN {!Twovnl.Round}, where
+   A second group does the same around a multi-VN {!Twovnl.Txn}, where
    the outstanding term is what charges readers. *)
 
 module Value = Vnl_relation.Value
@@ -119,7 +119,7 @@ let test_round_outstanding_charges_readers () =
   Twovnl.Txn.commit m;
   let at_round_begin = Twovnl.Session.begin_ vnl in
   check_sessions vnl oracle ~n ~outstanding:0 [ older; at_round_begin ];
-  let round = Twovnl.Round.begin_ vnl ~count:3 in
+  let round = Twovnl.Txn.begin_ vnl ~count:3 in
   (* No stripe has written or published anything, yet [older] (1 behind +
      3 outstanding > n - 1) is already gone; the round-begin session (0
      behind + 3 outstanding = n - 1) holds. *)
@@ -130,11 +130,11 @@ let test_round_outstanding_charges_readers () =
       Batch.stage
         (Twovnl.ext (Twovnl.handle_exn vnl table_name))
         (Twovnl.table (Twovnl.handle_exn vnl table_name))
-        ~vn:(Twovnl.Round.vn round i) ops
+        ~vn:(Twovnl.Txn.vn round) ops
     in
     ignore (Batch.apply_staged (Twovnl.table (Twovnl.handle_exn vnl table_name)) s);
-    Oracle.apply_txn oracle ~vn:(Twovnl.Round.vn round i) (List.map oracle_op ops);
-    Twovnl.Round.publish round ~vn:(Twovnl.Round.vn round i);
+    Oracle.apply_txn oracle ~vn:(Twovnl.Txn.vn round) (List.map oracle_op ops);
+    Twovnl.Txn.publish round;
     (* Publishing trades one outstanding slot for one VN of distance: the
        round-begin session stays exactly at the validity boundary and must
        keep reading its own version's state. *)
