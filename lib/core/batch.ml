@@ -39,8 +39,7 @@ type entry = {
 (* The write plan a [stage] pass produces: every physical action decided,
    nothing written.  Updates and deletes are already rid-sorted, inserts
    are extended tuples in first-touch order — [apply_staged] just executes
-   them, which is what lets the pipelined path stage every partition up
-   front and apply them on worker domains. *)
+   them. *)
 type staged = {
   s_updates : (Heap_file.rid * Tuple.t) array;
   s_olds : Tuple.t array;  (** Stored image of each [s_updates] record. *)
@@ -59,10 +58,12 @@ let op_key base = function
    here as they are in the table. *)
 module Key_tbl = Vnl_index.Hash_index.Key_tbl
 
+let stats_of = function Some s -> s | None -> Maintenance.fresh_stats ()
+
 (* Tables without a unique key admit only inserts (there is no key to net
    over), each necessarily fresh: stage them directly, in order. *)
 let stage_keyless ?stats ext ~vn ops =
-  let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
+  let st = stats_of stats in
   let inserts =
     List.map
       (fun op ->
@@ -89,24 +90,18 @@ let by_rid (a : Heap_file.rid) (b : Heap_file.rid) =
   let c = Int.compare a.Heap_file.page b.Heap_file.page in
   if c <> 0 then c else Int.compare a.Heap_file.slot b.Heap_file.slot
 
-let stage ?stats ?resolved ?(on_over_delete = fun _ -> ())
+let stage ?stats ?(on_over_delete = fun _ -> ())
     ?(was_insert_over_delete = fun _ -> false) ext table ~vn ops =
   if not (Table.has_key table) then stage_keyless ?stats ext ~vn ops
   else begin
     let base = Schema_ext.base ext in
     let key_positions = Schema.key_indices base in
-    let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
+    let st = stats_of stats in
     let ops = Array.of_list ops in
     let n = Array.length ops in
-    (match resolved with
-    | Some r when Array.length r <> n -> invalid_arg "Batch.stage: resolved/ops length mismatch"
-    | Some _ | None -> ());
     (* 1. Net-effect grouping: [entry_of.(i)] is the entry of [ops.(i)]'s
        key and [order] the distinct entries in first-touch order, built
-       before any storage access.  A caller that already netted the batch
-       to one operation per key and resolved each key (the refresh stages
-       the output of its classification pass) passes [resolved]: entries
-       are then positional and no key is hashed. *)
+       before any storage access. *)
     let entry_of, order, keys =
       Obs.with_span "batch.group" @@ fun () ->
       Array.iter
@@ -119,39 +114,30 @@ let stage ?stats ?resolved ?(on_over_delete = fun _ -> ())
               assignments
           | Insert _ | Delete _ -> ())
         ops;
-      match resolved with
-      | Some _ ->
-        let entries = Array.init n (fun _ -> fresh_entry ()) in
-        (entries, entries, [||])
-      | None ->
-        let tbl : entry Key_tbl.t = Key_tbl.create (max 64 n) in
-        let order = ref [] and keys = ref [] in
-        let entry_of =
-          Array.map
-            (fun op ->
-              let key = op_key base op in
-              match Key_tbl.find_opt tbl key with
-              | Some e -> e
-              | None ->
-                let e = fresh_entry () in
-                Key_tbl.add tbl key e;
-                order := e :: !order;
-                keys := key :: !keys;
-                e)
-            ops
-        in
-        (entry_of, Array.of_list (List.rev !order), Array.of_list (List.rev !keys))
+      let tbl : entry Key_tbl.t = Key_tbl.create (max 64 n) in
+      let order = ref [] and keys = ref [] in
+      let entry_of =
+        Array.map
+          (fun op ->
+            let key = op_key base op in
+            match Key_tbl.find_opt tbl key with
+            | Some e -> e
+            | None ->
+              let e = fresh_entry () in
+              Key_tbl.add tbl key e;
+              order := e :: !order;
+              keys := key :: !keys;
+              e)
+          ops
+      in
+      (entry_of, Array.of_list (List.rev !order), Array.of_list (List.rev !keys))
     in
-    (* 2. Resolve every key -> stored record: one sorted pass over the key
-       index that fetches the hit records in ascending (page, slot) order,
-       unless the caller resolved them already against the same table
-       state.  The fold works on a private copy of each stored record,
-       made once here, so every Tables 2-4 transition writes its cells in
-       place; [orig] stays the stored image the apply passes as [~old]. *)
-    let found =
-      Obs.with_span "batch.resolve" (fun () ->
-          match resolved with Some r -> r | None -> Table.find_many_by_key table keys)
-    in
+    (* 2. Resolve every key -> stored record: one index probe per key,
+       then the hit records fetched in ascending (page, slot) order.  The
+       fold works on a private copy of each stored record, made once here,
+       so every Tables 2-4 transition writes its cells in place; [orig]
+       stays the stored image the apply passes as [~old]. *)
+    let found = Obs.with_span "batch.resolve" (fun () -> Table.find_many_by_key table keys) in
     Array.iteri
       (fun i e ->
         match found.(i) with
@@ -238,38 +224,94 @@ let staged_outcome s =
     physical_deletes = List.length s.s_deletes;
   }
 
-let apply_updates ?stats table s =
-  let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
+let apply_staged ?stats table s =
+  let st = stats_of stats in
   Obs.with_span "batch.apply" @@ fun () ->
   st.Maintenance.physical_updates <- st.Maintenance.physical_updates + Array.length s.s_updates;
   Table.update_many ~olds:s.s_olds table s.s_updates;
-  Array.fold_right (fun (rid, _) acc -> rid :: acc) s.s_updates []
-
-let apply_structural ?stats table s =
-  let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
-  Obs.with_span "batch.apply" @@ fun () ->
   List.iter
     (fun (rid, old) ->
       st.Maintenance.physical_deletes <- st.Maintenance.physical_deletes + 1;
       Table.delete ~old table rid)
     s.s_deletes;
-  (* Keys were resolved absent by the sorted index pass and are distinct
-     per entry, so the duplicate probe is redundant and the index entries
-     can go in as one sorted batch. *)
+  (* Keys were resolved absent by the index probes and are distinct per
+     entry, so the duplicate probe is redundant; the inserts go in as
+     insert runs. *)
   st.Maintenance.physical_inserts <-
     st.Maintenance.physical_inserts + List.length s.s_inserts;
-  let inserted = Table.insert_many ~check:false table s.s_inserts in
-  List.map fst s.s_deletes @ inserted
-
-let apply_staged ?stats table s =
-  let updated = apply_updates ?stats table s in
-  let structural = apply_structural ?stats table s in
-  (staged_outcome s, updated @ structural)
+  let inserted = Table.insert_many ~check:false table (Array.of_list s.s_inserts) in
+  ( staged_outcome s,
+    Array.fold_right
+      (fun (rid, _) acc -> rid :: acc)
+      s.s_updates
+      (List.map fst s.s_deletes @ Array.to_list inserted) )
 
 let apply ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops =
   let s = stage ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops in
   fst (apply_staged ?stats table s)
 
-let pp_outcome ppf o =
-  Format.fprintf ppf "logical=%d keys=%d folded=%d phys(i/u/d)=%d/%d/%d" o.logical_ops
-    o.distinct_keys o.folded_ops o.physical_inserts o.physical_updates o.physical_deletes
+(* ---------- the refresh: one visit per changed record ---------- *)
+
+type change = {
+  key : Value.t list;
+  rid : Heap_file.rid option;
+  decide : (int -> Value.t) option -> op option;
+}
+
+type runs = {
+  present : change array;  (** Changes whose key the probe found, rid-sorted. *)
+  rids : Heap_file.rid array;  (** [present]'s rids, for the page runs. *)
+  absent : change list;  (** The rest, in input order. *)
+}
+
+let rid_of c = match c.rid with Some rid -> rid | None -> assert false
+
+let group changes =
+  Obs.with_span "batch.group" @@ fun () ->
+  let present, absent = List.partition (fun c -> Option.is_some c.rid) changes in
+  let present = Array.of_list present in
+  Array.stable_sort (fun a b -> by_rid (rid_of a) (rid_of b)) present;
+  { present; rids = Array.map rid_of present; absent }
+
+(* Each present record is classified on its page bytes and written there,
+   in the same page run: the decision's row-1 transition lands on the
+   slot's cells ({!Maintenance.update_record} and its siblings), and the
+   table moves the record's secondary entries inside the run. *)
+let apply_in_place ~stats:st ~pad ~on_over_delete ext table ~vn r =
+  Obs.with_span "batch.apply" @@ fun () ->
+  Table.rewrite_many table r.rids (fun i img off ->
+      match r.present.(i).decide (Maintenance.current_cells ext ~vn img off) with
+      | None -> ()
+      | Some op -> (
+        st.Maintenance.physical_updates <- st.Maintenance.physical_updates + 1;
+        match pad op with
+        | Insert b ->
+          st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
+          Maintenance.insert_record
+            ~on_over_delete:(fun () -> on_over_delete r.rids.(i))
+            ext ~vn img off b
+        | Update (_, assignments) ->
+          st.Maintenance.logical_updates <- st.Maintenance.logical_updates + 1;
+          Maintenance.update_record ext ~vn img off assignments
+        | Delete _ ->
+          st.Maintenance.logical_deletes <- st.Maintenance.logical_deletes + 1;
+          Maintenance.delete_record ext ~vn img off));
+  Array.fold_right (fun (rid : Heap_file.rid) acc -> rid.Heap_file.page :: acc) r.rids []
+
+let apply_fresh ~stats:st ~pad ext table ~vn r =
+  Obs.with_span "batch.apply" @@ fun () ->
+  let fresh =
+    List.filter_map
+      (fun c ->
+        match Option.map pad (c.decide None) with
+        | None -> None
+        | Some (Insert b) ->
+          st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
+          Some (Schema_ext.fresh_insert ext ~vn b)
+        | Some (Update _) -> invalid_arg "Batch.apply: update of an absent key"
+        | Some (Delete _) -> invalid_arg "Batch.apply: delete of an absent key")
+      r.absent
+  in
+  let fresh = Array.of_list fresh in
+  st.Maintenance.physical_inserts <- st.Maintenance.physical_inserts + Array.length fresh;
+  Array.to_list (Table.insert_many ~check:false table fresh)

@@ -1,5 +1,6 @@
 module Tuple = Vnl_relation.Tuple
 module Value = Vnl_relation.Value
+module Schema = Vnl_relation.Schema
 module Table = Vnl_query.Table
 
 type stats = {
@@ -229,6 +230,100 @@ let delete_tuple ?(insert_over_delete = false) ?(own = false) ext ~vn existing =
              ])
     | `Becomes net -> Some (set_slot1 ext existing ~vn ~op:net ~pre:`Keep)
   end
+
+(* ------------------------------------------------------------------ *)
+(* Row-1 transitions on record bytes.                                 *)
+(*                                                                    *)
+(* The refresh writes each changed record once, on its page bytes,    *)
+(* inside a page run: it reads slot 1's cells and the base cells in   *)
+(* place and writes only the cells a transition changes.  Within one  *)
+(* refresh every stored tupleVN is below the writing VN (a round      *)
+(* touches each key once), so only row 1 of Tables 2-4 occurs; a      *)
+(* record already stamped at the VN is rejected rather than handled.  *)
+(* Each function validates every value before its first byte lands,   *)
+(* and writes exactly the cells [Tuple.encode_into] of the tuple      *)
+(* transition's result would change.                                  *)
+(* ------------------------------------------------------------------ *)
+
+let cell ext p img off =
+  let s = Schema_ext.extended ext in
+  Value.decode (Schema.dtypes s).(p) img (off + (Schema.cell_offsets s).(p))
+
+let write_cell ext p v img off =
+  let s = Schema_ext.extended ext in
+  Value.write_cell (Schema.dtypes s).(p) v img (off + (Schema.cell_offsets s).(p))
+
+let copy_cell ext ~src ~dst img off =
+  let s = Schema_ext.extended ext in
+  let offs = Schema.cell_offsets s in
+  Bytes.blit img (off + offs.(src)) img (off + offs.(dst))
+    (Vnl_relation.Dtype.width (Schema.dtypes s).(src))
+
+(* Slot 1's operation, once its version number is checked below [vn]. *)
+let stored_op ext ~vn img off =
+  (match cell ext (Schema_ext.tuple_vn_index ext ~slot:1) img off with
+  | Value.Int tvn when tvn < vn -> ()
+  | Value.Int _ -> invalid_arg "Maintenance: record already written at this VN"
+  | _ -> invalid_arg "Maintenance: tuple without slot 1");
+  Op.of_value (cell ext (Schema_ext.operation_index ext ~slot:1) img off)
+
+let current_cells ext ~vn img off =
+  match stored_op ext ~vn img off with
+  | Op.Delete -> None
+  | Op.Insert | Op.Update -> Some (fun j -> cell ext (Schema_ext.base_index ext j) img off)
+
+let push_back_record ext img off =
+  for slot = Schema_ext.slots ext - 1 downto 1 do
+    let move src dst = copy_cell ext ~src ~dst img off in
+    move (Schema_ext.tuple_vn_index ext ~slot) (Schema_ext.tuple_vn_index ext ~slot:(slot + 1));
+    move (Schema_ext.operation_index ext ~slot) (Schema_ext.operation_index ext ~slot:(slot + 1));
+    let dst_pre = Schema_ext.pre_indices ext ~slot:(slot + 1) in
+    Array.iteri (fun r src -> move src dst_pre.(r)) (Schema_ext.pre_indices ext ~slot)
+  done
+
+(* Slot 1 after a push-back: the pre-update copies, then the base
+   assignments (reversed, so the first of duplicate positions wins, as in
+   [set_slot1]), then the stamp. *)
+let write_slot1 ext img off ~vn ~op ~pre ~set =
+  let pre1 = Schema_ext.pre_indices ext ~slot:1 in
+  (match pre with
+  | `Nulls -> Array.iter (fun p -> write_cell ext p Value.Null img off) pre1
+  | `From_current ->
+    let upd = Schema_ext.updatable_array ext in
+    Array.iteri
+      (fun r p -> copy_cell ext ~src:(Schema_ext.base_index ext upd.(r)) ~dst:p img off)
+      pre1);
+  List.iter (fun (j, v) -> write_cell ext (Schema_ext.base_index ext j) v img off) (List.rev set);
+  write_cell ext (Schema_ext.tuple_vn_index ext ~slot:1) (Value.Int vn) img off;
+  write_cell ext (Schema_ext.operation_index ext ~slot:1) (Op.to_value op) img off
+
+let check_cells ext set =
+  List.iter
+    (fun (j, v) -> Tuple.check_value (Schema_ext.extended ext) (Schema_ext.base_index ext j) v)
+    set
+
+let insert_record ?(on_over_delete = fun () -> ()) ext ~vn img off base_tuple =
+  (* Table 2, row 1: only a logically deleted record can collide. *)
+  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Insert;
+  let set = List.mapi (fun j v -> (j, v)) (Tuple.values base_tuple) in
+  check_cells ext set;
+  on_over_delete ();
+  push_back_record ext img off;
+  write_slot1 ext img off ~vn ~op:Op.Insert ~pre:`Nulls ~set
+
+let update_record ext ~vn img off assignments =
+  (* Table 3, row 1. *)
+  check_updatable ext assignments;
+  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Update;
+  check_cells ext assignments;
+  push_back_record ext img off;
+  write_slot1 ext img off ~vn ~op:Op.Update ~pre:`From_current ~set:assignments
+
+let delete_record ext ~vn img off =
+  (* Table 4, row 1: a logical delete is a physical update. *)
+  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Delete;
+  push_back_record ext img off;
+  write_slot1 ext img off ~vn ~op:Op.Delete ~pre:`From_current ~set:[]
 
 (* ------------------------------------------------------------------ *)
 (* Per-operation appliers: one table probe and one physical action    *)

@@ -84,6 +84,42 @@ val delete_tuple :
     record this transaction re-inserted over an older logical delete, for
     which the row 2 correction restores the deleted state instead. *)
 
+(** {2 Row-1 transitions on record bytes}
+
+    The refresh's page runs apply each changed record's transition on its
+    page bytes ([img], record at byte offset [off]), writing only the
+    cells the transition changes, with the bytes {!Vnl_relation.Tuple.encode_into}
+    of the tuple transition's result would leave.  A refresh round writes
+    each record once at a VN above its stamp, so only row 1 of Tables 2-4
+    occurs: each function raises [Invalid_argument] on a record already
+    stamped at or above [vn], as on any rejected value, before its first
+    byte lands.  Impossible transitions raise {!Op.Impossible}. *)
+
+val current_cells :
+  Schema_ext.t -> vn:int -> bytes -> int -> (int -> Vnl_relation.Value.t) option
+(** A reader of the record's current base cells by base position, or
+    [None] when the record is logically deleted (what a maintenance read
+    sees, per the first row of Table 1).  The reader decodes cells in
+    place, so it is valid only while the page image is. *)
+
+val insert_record :
+  ?on_over_delete:(unit -> unit) ->
+  Schema_ext.t ->
+  vn:int ->
+  bytes ->
+  int ->
+  Vnl_relation.Tuple.t ->
+  unit
+(** Table 2 row 1: insert the base tuple over the record's logical delete;
+    [on_over_delete] fires as in {!insert_tuple}. *)
+
+val update_record :
+  Schema_ext.t -> vn:int -> bytes -> int -> (int * Vnl_relation.Value.t) list -> unit
+(** Table 3 row 1, assignments as in {!update_tuple}. *)
+
+val delete_record : Schema_ext.t -> vn:int -> bytes -> int -> unit
+(** Table 4 row 1: a logical delete. *)
+
 val apply_insert :
   ?stats:stats ->
   ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->

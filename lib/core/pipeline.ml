@@ -22,15 +22,15 @@ let m_skew =
     ~buckets:[| 1.0; 1.25; 1.5; 2.0; 3.0; 5.0; 10.0 |]
     "pipeline.partition_skew"
 
-type stripe = {
-  vn : int;
-  parts : (Twovnl.handle * Sched_batch.partition) list;
-  stats : Maintenance.stats;
-  mutable staged : (Twovnl.handle * Batch.staged) list;
-      (** Filled by this stripe's worker during the fold phase. *)
+(* One relation's share of a stripe. *)
+type part = {
+  handle : Twovnl.handle;
+  changes : Batch.change list;
+  stats : Maintenance.stats;  (** The part's logical and physical counts. *)
+  mutable runs : Batch.runs option;  (** Filled by the stripe's fold phase. *)
 }
 
-type resolved = (Heap_file.rid * Vnl_relation.Tuple.t) option array
+type stripe = { vn : int; parts : part list }
 
 type phase = [ `Fold | `Apply | `Token ]
 
@@ -42,17 +42,12 @@ type plan = {
   owner : Twovnl.t;
   txn : Twovnl.Txn.m;
   stripes : stripe array;
-  resolved : (string * resolved) list;
-      (** Pre-round key lookups by relation, aligned with its operations
-          and handed to {!Batch.stage} so stripes skip the grouping and
-          the second index pass. *)
-  staged_done : int Atomic.t;
   published : int Atomic.t;
   failure : exn option Atomic.t;
   mu : Mutex.t;
   progress : Condition.t;
-      (** Broadcast (under [mu]) whenever [staged_done], [published], or
-          [failure] advances, so waiting workers park on the OS instead of
+      (** Broadcast (under [mu]) whenever [published] or [failure]
+          advances, so waiting workers park on the OS instead of
           spinning a core the working stripe needs. *)
 }
 
@@ -61,18 +56,10 @@ type report = {
   base_vn : int;
 }
 
-let plan ?on_phase ?(resolved = []) t ~workers per_table =
+let plan ?on_phase t ~workers per_table =
   if workers < 1 then invalid_arg "Pipeline.plan: workers must be >= 1";
   Obs.with_span "pipeline.plan" @@ fun () ->
-  let handles =
-    (* Pad short inserts (view templates frozen before an add_column) up
-       front, so partitioning and staging see full-arity tuples. *)
-    List.map
-      (fun (name, ops) ->
-        let h = Twovnl.handle_exn t name in
-        (h, Twovnl.pad_ops h ops))
-      per_table
-  in
+  let handles = List.map (fun (name, changes) -> (Twovnl.handle_exn t name, changes)) per_table in
   (* nVNL sizing (§5): a round of c stripes keeps c VNs outstanding, and
      only n >= c + 1 lets a session opened at round begin stay valid to
      round end — so the stripe count is capped at min(workers, n - 1)
@@ -81,8 +68,8 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
   let parted =
     Obs.with_span "pipeline.partition" (fun () ->
         List.map
-          (fun (h, ops) ->
-            (h, Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:cap ops))
+          (fun (h, changes) ->
+            (h, Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:cap changes))
           handles)
   in
   let count = List.fold_left (fun acc (_, ps) -> max acc (List.length ps)) 1 parted in
@@ -124,9 +111,20 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
   let stripes =
     Array.init count (fun i ->
         let parts =
-          List.filter_map (fun (h, ps) -> Option.map (fun p -> (h, p)) (List.nth_opt ps i)) parted
+          List.filter_map
+            (fun (handle, ps) ->
+              Option.map
+                (fun p ->
+                  {
+                    handle;
+                    changes = p.Sched_batch.changes;
+                    stats = Maintenance.fresh_stats ();
+                    runs = None;
+                  })
+                (List.nth_opt ps i))
+            parted
         in
-        { vn = first_vn + i; parts; stats = Maintenance.fresh_stats (); staged = [] })
+        { vn = first_vn + i; parts })
   in
   Log.info (fun m ->
       m "pipelined round planned: %d stripes, %d logical ops, VNs %d..%d" count total_ops
@@ -136,8 +134,6 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
     owner = t;
     txn;
     stripes;
-    resolved;
-    staged_done = Atomic.make 0;
     published = Atomic.make 0;
     failure = Atomic.make None;
     mu = Mutex.create ();
@@ -146,13 +142,37 @@ let plan ?on_phase ?(resolved = []) t ~workers per_table =
 
 let stripe_count (p : plan) = Array.length p.stripes
 
-let stripe_ops (p : plan) =
+let stripe_keys (p : plan) =
   Array.to_list
     (Array.map
        (fun s ->
          ( s.vn,
-           List.map (fun (h, part) -> (Twovnl.handle_name h, part.Sched_batch.ops)) s.parts ))
+           List.map
+             (fun part ->
+               ( Twovnl.handle_name part.handle,
+                 List.map (fun (c : Batch.change) -> c.key) part.changes ))
+             s.parts ))
        p.stripes)
+
+let stats (p : plan) ~table =
+  let sum = Maintenance.fresh_stats () in
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun part ->
+          if Twovnl.handle_name part.handle = table then begin
+            let open Maintenance in
+            let x = part.stats in
+            sum.logical_inserts <- sum.logical_inserts + x.logical_inserts;
+            sum.logical_updates <- sum.logical_updates + x.logical_updates;
+            sum.logical_deletes <- sum.logical_deletes + x.logical_deletes;
+            sum.physical_inserts <- sum.physical_inserts + x.physical_inserts;
+            sum.physical_updates <- sum.physical_updates + x.physical_updates;
+            sum.physical_deletes <- sum.physical_deletes + x.physical_deletes
+          end)
+        s.parts)
+    p.stripes;
+  sum
 
 let failed (p : plan) = Option.is_some (Atomic.get p.failure)
 
@@ -177,19 +197,19 @@ let pages_of rids = List.map (fun (r : Heap_file.rid) -> r.Heap_file.page) rids
 
 (* One stripe's worker, from fold to publish.  The phases:
 
-   1. fold: stage the stripe's partitions — index probes and record
-      fetches against the {e pre-round} state (all workers fold before any
-      applies, enforced by the barrier; key-disjoint partitions make the
-      pre-round reads exact regardless of the other stripes' later
-      writes).  Reads race only reads, which the optimistic page path and
-      the unique-key hash index (immutable chains, no writer during the
-      phase) support.
-   2. apply: in-place updates, concurrently across workers.  Safe because
-      partitions are key-disjoint (no shared rid), updates never move
-      slots or touch the unique index, and the partitioner merged any two
-      partitions whose updates share a secondary index.
-   3. token (strictly in stripe order): structural deletes/inserts (slot
-      and unique-index mutations — serialized, so slot assignment is
+   1. fold: group each partition's changes by the page of their probed
+      rid ({!Batch.group}).  No page is read.
+   2. apply: one page run per page holding a present key, concurrently
+      across workers ({!Batch.apply_in_place}): each record is classified
+      on its bytes and written in the same run.  Safe because partitions
+      are key-disjoint (no shared rid, and each record's classification
+      reads only its own cells, so it sees the pre-round state however the
+      round interleaves — which is also why no stripe waits for another
+      before writing), in-place writes never move slots or touch the
+      unique index, and the partitioner merged any two partitions whose
+      writes share a secondary index.
+   3. token (strictly in stripe order): the fresh inserts as insert runs
+      (slot and unique-index mutations — serialized, so slot assignment is
       byte-identical to the serial reference), then the stripe's §7
       durability ladder: targeted flush of every page it wrote, catalog
       save (a write only when a heap grew), VN publish, flush of the
@@ -198,32 +218,21 @@ let fold_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Fold i;
   Obs.with_span "maintenance.apply" (fun () ->
-      stripe.staged <-
-        List.map
-          (fun (h, part) ->
-            let name = Twovnl.handle_name h in
-            let resolved =
-              Option.map
-                (fun r -> Array.map (fun i -> r.(i)) part.Sched_batch.positions)
-                (List.assoc_opt name p.resolved)
-            in
-            let s =
-              Batch.stage ~stats:stripe.stats ?resolved
-                ~on_over_delete:(Twovnl.Txn.record_over_delete p.txn)
-                ~was_insert_over_delete:(Twovnl.Txn.was_insert_over_delete p.txn)
-                (Twovnl.ext h) (Twovnl.table h) ~vn:stripe.vn part.Sched_batch.ops
-            in
-            (h, s))
-          stripe.parts;
-      signal p (fun () -> Atomic.incr p.staged_done))
+      List.iter (fun part -> part.runs <- Some (Batch.group part.changes)) stripe.parts)
+
+let runs_of part = match part.runs with Some r -> r | None -> assert false
 
 let apply_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Apply i;
   Obs.with_span "maintenance.apply" (fun () ->
       List.concat_map
-        (fun (h, s) -> pages_of (Batch.apply_updates ~stats:stripe.stats (Twovnl.table h) s))
-        stripe.staged)
+        (fun part ->
+          let h = part.handle in
+          Batch.apply_in_place ~stats:part.stats ~pad:(Twovnl.pad_op h)
+            ~on_over_delete:(Twovnl.Txn.record_over_delete p.txn)
+            (Twovnl.ext h) (Twovnl.table h) ~vn:stripe.vn (runs_of part))
+        stripe.parts)
 
 let token_stripe (p : plan) i update_pages =
   let stripe = p.stripes.(i) in
@@ -232,18 +241,21 @@ let token_stripe (p : plan) i update_pages =
   let db = Twovnl.database t in
   let pool = Database.pool db in
   Obs.with_span "pipeline.token" (fun () ->
-      let structural_pages =
+      let insert_pages =
         Obs.with_span "maintenance.apply" (fun () ->
             List.concat_map
-              (fun (h, s) ->
-                pages_of (Batch.apply_structural ~stats:stripe.stats (Twovnl.table h) s))
-              stripe.staged)
+              (fun part ->
+                let h = part.handle in
+                pages_of
+                  (Batch.apply_fresh ~stats:part.stats ~pad:(Twovnl.pad_op h) (Twovnl.ext h)
+                     (Twovnl.table h) ~vn:stripe.vn (runs_of part)))
+              stripe.parts)
       in
       (* Data pages durable before the catalog names any new ones, catalog
          durable before the publish — per stripe. *)
       Obs.with_span "maintenance.flush" (fun () ->
           (* [flush_pages] sorts and dedupes the page list itself. *)
-          Buffer_pool.flush_pages pool (update_pages @ structural_pages);
+          Buffer_pool.flush_pages pool (update_pages @ insert_pages);
           (* Writes the catalog only if a heap grew since the last save. *)
           Database.save ~mode:`Catalog_only db);
       Recovery.publish t p.txn;
@@ -280,31 +292,26 @@ let worker (p : plan) i =
   in
   try
     fold_stripe p i;
-    await ~until:(fun () -> Atomic.get p.staged_done >= Array.length p.stripes);
-    if not (failed p) then begin
-      let update_pages = apply_stripe p i in
-      Obs.with_span "pipeline.publish_wait" (fun () ->
-          await ~until:(fun () -> Atomic.get p.published >= i));
-      if not (failed p) then token_stripe p i update_pages
-    end
+    let update_pages = apply_stripe p i in
+    Obs.with_span "pipeline.publish_wait" (fun () ->
+        await ~until:(fun () -> Atomic.get p.published >= i));
+    if not (failed p) then token_stripe p i update_pages
   with e -> record_failure p e
 
 (* Canonical in-order schedule of the same task system, on the calling
-   domain alone: every stripe folds (all against the pre-round state),
-   then each stripe applies and runs its token section in stripe order.
-   Byte-identical writes and the identical publish order — it is one of
-   the schedules the barrier/token protocol admits — without any
+   domain alone: each stripe folds, applies and runs its token section in
+   stripe order.  Byte-identical writes and the identical publish order —
+   it is one of the schedules the token protocol admits — without any
    cross-domain coordination.  [run] picks it when the round has more
    stripes than the host has cores: with more worker domains than cores
    the domain path only adds handoff latency and stop-the-world pauses. *)
 let run_sequential (p : plan) =
   try
-    Array.iteri (fun i _ -> if not (failed p) then fold_stripe p i) p.stripes;
     Array.iteri
       (fun i _ ->
         if not (failed p) then begin
-          let update_pages = apply_stripe p i in
-          if not (failed p) then token_stripe p i update_pages
+          fold_stripe p i;
+          token_stripe p i (apply_stripe p i)
         end)
       p.stripes
   with e -> record_failure p e

@@ -4,44 +4,49 @@
 
     A maintenance transaction ({!Recovery.run_maintenance}) runs one
     flag → apply → flush → catalog → publish ladder.  This driver, the
-    engine under every warehouse refresh, splits the refresh's net-effect
-    batch with {!Sched_batch.partition} into key- and
-    index-footprint-disjoint partitions, begins one maintenance
-    transaction reserving one VN per stripe ([Twovnl.Txn.begin_ ~count]),
-    and runs the stripes on worker domains (a round of one stripe runs on
-    the calling domain):
+    engine under every warehouse refresh, takes the refresh's changes
+    ({!Batch.change}: one per key, each with the rid the unique-key index
+    gave for it and the view's classifier), splits them with
+    {!Sched_batch.partition} into key- and index-footprint-disjoint
+    partitions, begins one maintenance transaction reserving one VN per
+    stripe ([Twovnl.Txn.begin_ ~count]), and runs the stripes on worker
+    domains (a round of one stripe runs on the calling domain):
 
-    - {b fold} (parallel): each worker stages its partitions
-      ({!Batch.stage}) against the pre-round state — partitions are
-      key-disjoint, so the pre-round reads are exact no matter how the
-      round later interleaves; a barrier keeps every fold ahead of the
-      first apply.
-    - {b apply} (parallel): in-place updates, which never move slots nor
-      touch shared index trees (the partitioner merged any two partitions
-      sharing a secondary index).
-    - {b token} (serialized, stripe order): structural deletes/inserts,
-      then the stripe's own §7 durability ladder — targeted flush of every
-      page the stripe wrote ({!Vnl_storage.Buffer_pool.flush_pages}),
-      catalog save when a heap grew ([`Catalog_only]), then
-      {!Recovery.publish}: the stripe's VN, and the Version page flush.
-      The phases trace as the transaction's own
-      [maintenance.apply] / [maintenance.flush] / [maintenance.publish]
-      spans.  In-order publication keeps every prefix of the round a
-      state some serial execution would have produced, which is what makes
-      a mid-round crash land on a VN boundary ({!Twovnl.recover}).
+    - {b fold} (parallel): each worker groups its partitions' changes by
+      the page of their rid ({!Batch.group}), reading no page.
+    - {b apply} (parallel): one page run per page holding a present key
+      ({!Batch.apply_in_place}): each record is classified on its bytes
+      and written in the same run.  Partitions are key-disjoint, so each
+      classification sees the pre-round state however the round
+      interleaves and no stripe waits for another to start writing;
+      in-place writes never move slots, and the partitioner merged any
+      two partitions sharing a secondary index.
+    - {b token} (serialized, stripe order): the fresh inserts as insert
+      runs ({!Batch.apply_fresh}), then the stripe's own §7 durability
+      ladder — targeted flush of every page the stripe wrote
+      ({!Vnl_storage.Buffer_pool.flush_pages}), catalog save when a heap
+      grew ([`Catalog_only]), then {!Recovery.publish}: the stripe's VN,
+      and the Version page flush.  The phases trace as the transaction's
+      own [maintenance.apply] / [maintenance.flush] /
+      [maintenance.publish] spans.  In-order publication keeps every
+      prefix of the round a state some serial execution would have
+      produced, which is what makes a mid-round crash land on a VN
+      boundary ({!Twovnl.recover}).
 
     Readers run throughout: session validity charges the round's
     outstanding VNs ([currentVN - sessionVN + outstanding <= n - 1]), so
     with n >= k + 1 a session opened at round begin survives the whole
     round; the stripe count is capped at n - 1.
 
-    Failure of any worker parks the round: remaining workers drain, the
-    unpublished suffix is reverted ({!Twovnl.Txn.abort} — the published
-    prefix is exactly a shorter round's commit), and the exception
-    re-raises from {!finish}.  Both are {!Recovery.abort_on_failure}'s
-    rule, shared with {!Recovery.run_maintenance}: a
-    {!Vnl_storage.Disk.Crash} skips the in-place repair, and
-    {!Recovery.reopen} repairs the disk image instead. *)
+    Failure of any worker — a classification that rejects its record
+    inside a page run included — parks the round: remaining workers
+    drain, the unpublished suffix is reverted ({!Twovnl.Txn.abort} — the
+    published prefix is exactly a shorter round's commit), and the
+    exception re-raises from {!finish}.  Both are
+    {!Recovery.abort_on_failure}'s rule, shared with
+    {!Recovery.run_maintenance}: a {!Vnl_storage.Disk.Crash} skips the
+    in-place repair, and {!Recovery.reopen} repairs the disk image
+    instead. *)
 
 type plan
 
@@ -50,31 +55,23 @@ type report = {
   base_vn : int;  (** currentVN when the round began. *)
 }
 
-type resolved = (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
-(** One relation's pre-round key lookups, aligned with its operations (see
-    {!Batch.stage}'s [resolved]). *)
-
 type phase = [ `Fold | `Apply | `Token ]
 (** A stripe worker's three phases, in execution order. *)
 
 val plan :
   ?on_phase:(phase -> stripe:int -> unit) ->
-  ?resolved:(string * resolved) list ->
   Twovnl.t ->
   workers:int ->
-  (string * Batch.op list) list ->
+  (string * Batch.change list) list ->
   plan
-(** Partition each relation's batch (at most [min workers (n - 1)]
+(** Partition each relation's changes (at most [min workers (n - 1)]
     partitions), begin the round, and make the raised maintenance flag
-    durable.  No tuple is written yet.  [resolved] optionally hands over
-    per-relation key lookups a classification pass already performed
-    against the pre-round state, aligned with that relation's operations,
-    and promises one operation per key (see {!Batch.stage}'s [resolved]):
-    each stripe gets its partition's share and skips grouping and the
-    second index pass.  Raises [Invalid_argument] when
-    [workers < 1], a relation is unregistered, or maintenance is already
-    active; if the flag save fails, the round is handled under
-    {!Recovery.abort_on_failure}'s rule before the exception escapes.
+    durable.  No tuple is written yet.  Each relation's changes must carry
+    at most one change per key, each probed against the pre-round state.
+    Raises [Invalid_argument] when [workers < 1], a relation is
+    unregistered, or maintenance is already active; if the flag save
+    fails, the round is handled under {!Recovery.abort_on_failure}'s rule
+    before the exception escapes.
 
     [on_phase], when given, is invoked at the start of every stripe phase
     (fold, apply, token — before any of that phase's work).  It exists for
@@ -89,11 +86,18 @@ val published : plan -> int
     {!run} this tells the caller exactly which prefix of {!stripe_ops}
     landed — the unpublished suffix was reverted by the abort. *)
 
-val stripe_ops : plan -> (int * (string * Batch.op list) list) list
-(** Each stripe's (vn, per-relation operations) — the serial reference
-    schedule: applying stripe i's operations as one classic transaction
-    committing at vn_i, in order, must produce the same warehouse state.
-    The differential and crash-sweep tests replay exactly this. *)
+val stripe_keys : plan -> (int * (string * Vnl_relation.Value.t list list) list) list
+(** Each stripe's (vn, per-relation keys), in input order — the serial
+    reference schedule: applying stripe i's changes as one classic
+    transaction committing at vn_i, in order, must produce the same
+    warehouse state.  The differential and crash-sweep tests replay
+    exactly this, and a failed refresh requeues what it names beyond the
+    published prefix. *)
+
+val stats : plan -> table:string -> Maintenance.stats
+(** The relation's logical and physical counts, summed over the stripes:
+    one logical insert, update or delete per classified change.  Exact once
+    every stripe has published. *)
 
 val tasks : plan -> (string * (unit -> unit)) list
 (** The stripe workers as named thunks for {!Vnl_util.Sched.run}: a

@@ -1,8 +1,7 @@
 module Schema = Vnl_relation.Schema
-module Tuple = Vnl_relation.Tuple
 module Table = Vnl_query.Table
 
-type partition = { ops : Batch.op list; positions : int array; op_count : int }
+type partition = { changes : Batch.change list; op_count : int }
 
 (* Union-find over the at-most-[max_parts] seed buckets; path halving is
    plenty at this size. *)
@@ -12,129 +11,83 @@ let union uf a b =
   let ra = find uf a and rb = find uf b in
   if ra <> rb then uf.(max ra rb) <- min ra rb
 
-let key_of_op base = function
-  | Batch.Insert t -> Tuple.key_of base t
-  | Batch.Update (key, _) | Batch.Delete key -> key
+(* A key's seed bucket, from the unique index's own key hash: equal keys
+   ([Int n] and [Float (float n)] included) always share a bucket. *)
+let bucket_of max_parts (c : Batch.change) = Vnl_index.Hash_index.Key.hash c.key mod max_parts
 
-module Key_tbl = Vnl_index.Hash_index.Key_tbl
-
-let partition ext table ~max_parts ops =
-  if ops = [] then []
-  else if max_parts <= 1 || not (Table.has_key table) then begin
-    let op_count = List.length ops in
-    [ { ops; positions = Array.init op_count Fun.id; op_count } ]
-  end
+let partition ext table ~max_parts changes =
+  if changes = [] then []
+  else if max_parts <= 1 || not (Table.has_key table) then
+    [ { changes; op_count = List.length changes } ]
   else if Table.indexes table = [] then begin
     (* No secondary indexes: the unique key is the only dependency, so the
-       seed buckets are final — one pass assigns each key's operations to
-       its bucket, in order, with no union-find and no re-filtering. *)
-    let base = Schema_ext.base ext in
-    let bucket_of = Key_tbl.create (max 64 (List.length ops)) in
+       seed buckets are final — one pass assigns each key's change to its
+       bucket, in order, with no union-find and no re-filtering. *)
     let buckets = Array.make max_parts [] in
-    let bucket_positions = Array.make max_parts [] in
     let op_counts = Array.make max_parts 0 in
     let first_seen = ref [] in
-    List.iteri
-      (fun i op ->
-        let key = key_of_op base op in
-        let b =
-          match Key_tbl.find_opt bucket_of key with
-          | Some b -> b
-          | None ->
-            let b = (Hashtbl.hash key land max_int) mod max_parts in
-            Key_tbl.add bucket_of key b;
-            b
-        in
+    List.iter
+      (fun (c : Batch.change) ->
+        let b = bucket_of max_parts c in
         if op_counts.(b) = 0 then first_seen := b :: !first_seen;
-        buckets.(b) <- op :: buckets.(b);
-        bucket_positions.(b) <- i :: bucket_positions.(b);
+        buckets.(b) <- c :: buckets.(b);
         op_counts.(b) <- op_counts.(b) + 1)
-      ops;
-    List.rev_map
-      (fun b ->
-        {
-          ops = List.rev buckets.(b);
-          positions = Array.of_list (List.rev bucket_positions.(b));
-          op_count = op_counts.(b);
-        })
-      !first_seen
+      changes;
+    List.rev_map (fun b -> { changes = List.rev buckets.(b); op_count = op_counts.(b) }) !first_seen
   end
   else begin
     let base = Schema_ext.base ext in
     let secondaries = Table.indexes table in
-    (* Which secondary indexes does an operation touch?  Structural ops
-       (insert, delete) enter/remove the tuple from every tree; an update
-       touches exactly the trees indexing an attribute it assigns.  An
-       index over a non-base (version bookkeeping) attribute is rewritten
-       by every maintenance op, so it behaves like a structural touch. *)
-    let always_touched, by_attr =
-      List.fold_left
-        (fun (always, by_attr) (iname, attrs) ->
-          if List.exists (fun a -> not (Schema.mem base a)) attrs then (iname :: always, by_attr)
-          else (always, List.map (fun a -> (a, iname)) attrs @ by_attr))
-        ([], []) secondaries
+    (* Which secondary indexes does a change touch?  The probe decides: a
+       present key is written in place, which leaves its key cells alone
+       but may rewrite any other cell (the aggregates, the version
+       bookkeeping, a re-insert's base values), so it touches every index
+       over a non-key attribute; an absent key is a fresh insert, which
+       enters every index. *)
+    let is_key a =
+      match Schema.index_of_opt base a with
+      | Some j -> (Schema.attribute base j).Schema.key
+      | None -> false
     in
-    let footprint op =
-      match op with
-      | Batch.Insert _ | Batch.Delete _ -> List.map fst secondaries
-      | Batch.Update (_, assignments) ->
-        let assigned = List.map (fun (j, _) -> (Schema.attribute base j).Schema.name) assignments in
-        always_touched
-        @ List.filter_map
-            (fun (attr, iname) -> if List.mem attr assigned then Some iname else None)
-            by_attr
+    let all = List.map fst secondaries in
+    let in_place =
+      List.filter_map
+        (fun (iname, attrs) -> if List.for_all is_key attrs then None else Some iname)
+        secondaries
     in
+    let footprint (c : Batch.change) = if Option.is_some c.rid then in_place else all in
     (* Seed bucket: a deterministic hash of the unique key, so a key's
-       every operation lands in one bucket and the per-key order survives
-       the stable partition filter below. *)
-    let bucket_of = Key_tbl.create (max 64 (List.length ops)) in
-    let bucket key =
-      match Key_tbl.find_opt bucket_of key with
-      | Some b -> b
-      | None ->
-        let b = (Hashtbl.hash key land max_int) mod max_parts in
-        Key_tbl.add bucket_of key b;
-        b
-    in
+       change lands in one bucket and the input order survives the stable
+       partition filter below. *)
     let uf = Array.init max_parts Fun.id in
-    (* Dependency analysis: buckets whose operations touch the same
-       secondary index must not apply concurrently — union them.  The
-       designated owner of each index is the first bucket seen touching
-       it. *)
+    (* Dependency analysis: buckets whose changes touch the same secondary
+       index must not apply concurrently — union them.  The designated
+       owner of each index is the first bucket seen touching it. *)
     let owner : (string, int) Hashtbl.t = Hashtbl.create 4 in
     let tagged =
-      List.mapi
-        (fun i op ->
-          let b = bucket (key_of_op base op) in
-          (if secondaries <> [] then
-             List.iter
-               (fun iname ->
-                 match Hashtbl.find_opt owner iname with
-                 | Some b0 -> union uf b b0
-                 | None -> Hashtbl.add owner iname b)
-               (footprint op));
-          (b, i, op))
-        ops
+      List.map
+        (fun (c : Batch.change) ->
+          let b = bucket_of max_parts c in
+          List.iter
+            (fun iname ->
+              match Hashtbl.find_opt owner iname with
+              | Some b0 -> union uf b b0
+              | None -> Hashtbl.add owner iname b)
+            (footprint c);
+          (b, c))
+        changes
     in
     (* Emit partitions in order of first appearance, each a stable filter
-       of the original operation list — so a forced single partition is the
-       original batch verbatim, and per-key operation order is preserved
-       always. *)
+       of the input — so a forced single partition is the input verbatim. *)
     let roots = ref [] in
     List.iter
-      (fun (b, _, _) ->
+      (fun (b, _) ->
         let r = find uf b in
         if not (List.mem r !roots) then roots := r :: !roots)
       tagged;
-    let roots = List.rev !roots in
-    List.map
+    List.rev_map
       (fun r ->
-        let mine = List.filter (fun (b, _, _) -> find uf b = r) tagged in
-        let ops = List.map (fun (_, _, op) -> op) mine in
-        {
-          ops;
-          positions = Array.of_list (List.map (fun (_, i, _) -> i) mine);
-          op_count = List.length ops;
-        })
-      roots
+        let changes = List.filter_map (fun (b, c) -> if find uf b = r then Some c else None) tagged in
+        { changes; op_count = List.length changes })
+      !roots
   end

@@ -251,16 +251,13 @@ let pad_values h values =
     end
     else values
 
-let pad_ops h ops =
-  match h.added with
-  | [] -> ops
-  | _ ->
-    List.map
-      (function
-        | Batch.Insert tup when Tuple.arity tup < Schema_ext.base_arity h.ext ->
-          Batch.Insert (Tuple.make (Schema_ext.base h.ext) (pad_values h (Tuple.values tup)))
-        | op -> op)
-      ops
+let pad_op h op =
+  match op with
+  | Batch.Insert tup when h.added <> [] && Tuple.arity tup < Schema_ext.base_arity h.ext ->
+    Batch.Insert (Tuple.make (Schema_ext.base h.ext) (pad_values h (Tuple.values tup)))
+  | op -> op
+
+let pad_ops h ops = match h.added with [] -> ops | _ -> List.map (pad_op h) ops
 
 let load_initial t name tuples =
   let h = handle_exn t name in
@@ -910,7 +907,7 @@ module Txn = struct
        Heap_file.iter_tuples (Table.heap old_h.table) (fun tuple ->
            if Maintenance.is_logically_live old_h.ext tuple then
              rows := Schema_ext.widen w tuple :: !rows);
-       ignore (Table.insert_many ~check:false table (List.rev !rows))
+       ignore (Table.insert_many ~check:false table (Array.of_list (List.rev !rows)))
      with e ->
        Database.drop_table t.db scratch;
        raise e);

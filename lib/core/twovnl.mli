@@ -104,10 +104,10 @@ val catalog_generation : t -> int
 (** Index of the head (newest) catalog generation; 0 until the first
     schema evolution commits. *)
 
-val pad_ops : handle -> Batch.op list -> Batch.op list
-(** Pad short {!Batch.Insert} tuples — built against a pre-evolution base
-    schema — with the trailing added-column defaults.  Identity when the
-    handle has no added columns. *)
+val pad_op : handle -> Batch.op -> Batch.op
+(** Pad a short {!Batch.Insert} tuple — built against a pre-evolution base
+    schema — with the trailing added-column defaults.  Identity on every
+    other operation, and when the handle has no added columns. *)
 
 val load_initial : t -> string -> Vnl_relation.Tuple.t list -> unit
 (** Bulk-load base tuples as of the current version (outside any

@@ -52,10 +52,11 @@ let rec without key h = function
     if c.hash = h && Key.equal c.key key then c.next
     else Cons { c with next = without key h c.next }
 
-let find t key =
+let find_hashed t ~hash key =
   let a = Atomic.get t.buckets in
-  let h = Key.hash key in
-  find_in key h (Array.unsafe_get a (h land (Array.length a - 1)))
+  find_in key hash (Array.unsafe_get a (hash land (Array.length a - 1)))
+
+let find t key = find_hashed t ~hash:(Key.hash key) key
 
 let mem t key =
   let a = Atomic.get t.buckets in

@@ -36,6 +36,11 @@ val create : ?size:int -> unit -> 'a t
 
 val find : 'a t -> Vnl_relation.Value.t list -> 'a option
 
+val find_hashed : 'a t -> hash:int -> Vnl_relation.Value.t list -> 'a option
+(** {!find} with the key's {!Key.hash} already computed, for a caller that
+    hashed the key's cells itself (the refresh's netting pass); a [hash]
+    that disagrees with {!Key.hash} misses. *)
+
 val mem : 'a t -> Vnl_relation.Value.t list -> bool
 
 val replace : 'a t -> Vnl_relation.Value.t list -> 'a -> unit

@@ -70,25 +70,25 @@ let sec_insert t tuple rid =
 let sec_remove t tuple rid =
   iter_secondaries t (fun sec -> ignore (Bptree.remove sec.tree (sec_entry_key sec tuple rid)))
 
-let insert ?(check = true) t tuple =
-  (* [~check:false] skips the duplicate-key probe for callers that already
-     resolved the key against the index this transaction (the maintenance
-     appliers and the batch pipeline); everyone else keeps the check. *)
-  let enter =
-    match t.index with
-    | None -> ignore
-    | Some index ->
-      let key = key_of t tuple in
-      if check && Hash_index.mem index key then
-        raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name));
-      Hash_index.replace index key
-  in
-  let rid = Heap_file.insert t.heap tuple in
-  enter rid;
-  sec_insert t tuple rid;
-  rid
+(* [~check:false] skips the duplicate-key probe for callers that already
+   resolved the key against the index this transaction (the maintenance
+   appliers and the batch pipeline); everyone else keeps the check.  Index
+   entries go in inside the insert run, just after each record's bytes. *)
+let insert_many ?(check = true) t tuples =
+  match t.index with
+  | None -> Heap_file.insert_many ~after:(fun i rid -> sec_insert t tuples.(i) rid) t.heap tuples
+  | Some index ->
+    let before i =
+      if check && Hash_index.mem index (key_of t tuples.(i)) then
+        raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name))
+    in
+    let after i rid =
+      Hash_index.replace index (key_of t tuples.(i)) rid;
+      sec_insert t tuples.(i) rid
+    in
+    Heap_file.insert_many ~before ~after t.heap tuples
 
-let insert_many ?check t tuples = List.map (insert ?check t) tuples
+let insert ?check t tuple = (insert_many ?check t [| tuple |]).(0)
 
 (* Do [a] and [b] agree at every position?  Compared in place: the
    common update leaves every key alone, so no key list is built unless
@@ -148,6 +148,38 @@ let update_many ?olds t updates =
 let update_in_place ?old t rid tuple =
   update_many ?olds:(Option.map (fun o -> [| o |]) old) t [| (rid, tuple) |]
 
+(* The cells at [positions] of the record at [off], decoded in place. *)
+let cells_at schema img off positions =
+  let dts = Schema.dtypes schema and offs = Schema.cell_offsets schema in
+  List.map (fun p -> Vnl_relation.Value.decode dts.(p) img (off + offs.(p))) positions
+
+let rewrite_many t rids f =
+  let write =
+    match t.sec_order with
+    | [] -> f
+    | names ->
+      let s = schema t in
+      let secs = List.map (Hashtbl.find t.secondaries) names in
+      (* Each secondary's cells before and after the record's write; an
+         entry moves only if they differ. *)
+      fun i img off ->
+        let olds = List.map (fun sec -> cells_at s img off sec.positions) secs in
+        f i img off;
+        let rid = rids.(i) in
+        List.iter2
+          (fun sec old ->
+            let cur = cells_at s img off sec.positions in
+            if not (List.equal Vnl_relation.Value.equal old cur) then begin
+              let suffix =
+                Vnl_relation.Value.[ Int rid.Heap_file.page; Int rid.Heap_file.slot ]
+              in
+              ignore (Bptree.remove sec.tree (old @ suffix));
+              Bptree.insert sec.tree (cur @ suffix) ()
+            end)
+          secs olds
+  in
+  Heap_file.modify_many t.heap rids write
+
 let delete ?old t rid =
   let old = match old with Some _ -> old | None -> Heap_file.get t.heap rid in
   (match old with
@@ -171,6 +203,9 @@ let find_by_key t key =
       match Heap_file.get t.heap rid with
       | Some tuple -> Some (rid, tuple)
       | None -> None))
+
+let probe t ~hash key =
+  match t.index with None -> None | Some index -> Hash_index.find_hashed index ~hash key
 
 let find_many_by_key t keys =
   let out = Array.make (Array.length keys) None in
@@ -201,8 +236,6 @@ let find_many_by_key t keys =
 let scan t f = Heap_file.scan t.heap f
 
 let iter_tuples t f = Heap_file.iter_tuples t.heap f
-
-let iter_records t f = Heap_file.iter_records t.heap f
 
 let fold_pages t ~init ~f = Heap_file.fold_pages t.heap ~init ~f
 

@@ -50,12 +50,15 @@ val insert : ?check:bool -> t -> Vnl_relation.Tuple.t -> Vnl_storage.Heap_file.r
     found it absent. *)
 
 val insert_many :
-  ?check:bool -> t -> Vnl_relation.Tuple.t list -> Vnl_storage.Heap_file.rid list
-(** {!insert} each tuple in list order; the rids come back in the same
-    order.  [check] as in {!insert}: with [~check:false] the keys must be
-    distinct and absent, as in the batched maintenance path's fresh-insert
-    sweep (the pipelined path also uses the returned rids to target its
-    durability flush). *)
+  ?check:bool -> t -> Vnl_relation.Tuple.t array -> Vnl_storage.Heap_file.rid array
+(** {!insert} each tuple in order, as insert runs
+    ({!Vnl_storage.Heap_file.insert_many}): one heap latch, pin and
+    exclusive frame latch per page filled, each tuple in the slot its lone
+    {!insert} would have taken, and its index entries entered inside the
+    run.  [check] as in {!insert}: with [~check:false] the keys must be
+    distinct and absent, as in the maintenance paths' fresh inserts.  A
+    failure leaves the tuples before it inserted.  The rids align with the
+    input. *)
 
 val update_many :
   ?olds:Vnl_relation.Tuple.t array ->
@@ -81,6 +84,16 @@ val update_in_place :
   ?old:Vnl_relation.Tuple.t -> t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit
 (** {!update_many} of one record. *)
 
+val rewrite_many :
+  t -> Vnl_storage.Heap_file.rid array -> (int -> bytes -> int -> unit) -> unit
+(** [rewrite_many t rids f] rewrites each live record [rids.(i)] on its
+    page bytes, as page runs ({!Vnl_storage.Heap_file.modify_many}): pass
+    the rids sorted.  [f i img off] writes record [i]'s cells at [off] in
+    [img]; it must leave the unique-key cells as they are.  Each
+    secondary entry whose cells [f] changed moves inside the run, just
+    after the record's write, so a failure leaves every written record's
+    entries matching its bytes and the records after it untouched. *)
+
 val delete : ?old:Vnl_relation.Tuple.t -> t -> Vnl_storage.Heap_file.rid -> unit
 (** Physically remove the record and its index entries.  [old], when the
     caller already holds the stored tuple for [rid], skips the re-fetch;
@@ -91,6 +104,12 @@ val get : t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t option
 val find_by_key :
   t -> Vnl_relation.Value.t list -> (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option
 (** Index probe; [None] for keyless tables or absent keys. *)
+
+val probe :
+  t -> hash:int -> Vnl_relation.Value.t list -> Vnl_storage.Heap_file.rid option
+(** The rid the unique-key index holds for the key, without touching any
+    page; [hash] must be the key's {!Vnl_index.Hash_index.Key.hash}.
+    [None] for keyless tables or absent keys. *)
 
 val find_many_by_key :
   t ->
@@ -105,11 +124,6 @@ val scan : t -> (Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit) -> u
 val iter_tuples : t -> (Vnl_relation.Tuple.t -> unit) -> unit
 (** Read-only scan without rids or the per-page snapshot (see
     {!Vnl_storage.Heap_file.iter_tuples}); [f] must not modify the table. *)
-
-val iter_records : t -> (bytes -> int -> unit) -> unit
-(** Read-only scan over undecoded records (see
-    {!Vnl_storage.Heap_file.iter_records}); [f] must not modify the
-    table. *)
 
 val fold_pages :
   t -> init:'a -> f:('a -> bytes -> ((int -> unit) -> unit) -> 'a) -> 'a

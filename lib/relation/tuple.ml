@@ -1,20 +1,21 @@
 type t = Value.t array
 
+let check_value schema i v =
+  if not (Value.matches (Array.unsafe_get (Schema.dtypes schema) i) v) then begin
+    let a = Schema.attribute schema i in
+    invalid_arg
+      (Printf.sprintf "Tuple.make: value %s does not match attribute %s : %s" (Value.to_string v)
+         a.Schema.name
+         (Dtype.to_string a.Schema.dtype))
+  end
+
 let check schema values =
   if Array.length values <> Schema.arity schema then
     invalid_arg
       (Printf.sprintf "Tuple.make: arity mismatch (got %d, schema has %d)"
          (Array.length values) (Schema.arity schema));
-  let dts = Schema.dtypes schema in
   for i = 0 to Array.length values - 1 do
-    let v = Array.unsafe_get values i in
-    if not (Value.matches (Array.unsafe_get dts i) v) then begin
-      let a = Schema.attribute schema i in
-      invalid_arg
-        (Printf.sprintf "Tuple.make: value %s does not match attribute %s : %s"
-           (Value.to_string v) a.Schema.name
-           (Dtype.to_string a.Schema.dtype))
-    end
+    check_value schema i (Array.unsafe_get values i)
   done
 
 let of_array schema values =

@@ -11,6 +11,11 @@ type t
 val make : Schema.t -> Value.t list -> t
 (** Build a tuple; raises [Invalid_argument] on arity or type mismatch. *)
 
+val check_value : Schema.t -> int -> Value.t -> unit
+(** [check_value schema i v] is {!make}'s check of one cell: raises
+    [Invalid_argument], with {!make}'s message, unless [v] fits attribute
+    [i].  For writers that store single cells ({!Value.write_cell}). *)
+
 val of_array : Schema.t -> Value.t array -> t
 (** Like [make] from an array; the array is copied. *)
 

@@ -31,8 +31,6 @@ let create pool schema =
 
 let schema t = t.schema
 
-let record_width t = t.layout.Page.record_width
-
 let tuples_per_page t = t.layout.Page.slots
 
 let alloc_page t =
@@ -42,33 +40,51 @@ let alloc_page t =
   t.free <- Iset.add pid t.free;
   pid
 
-let rec free_slot_location t =
-  match Iset.min_elt_opt t.free with
-  | None ->
-    let pid = alloc_page t in
-    (pid, 0)
-  | Some pid -> (
-    match Buffer_pool.with_page t.pool pid (fun img -> Page.first_free_slot t.layout img) with
-    | Some slot -> (pid, slot)
-    | None ->
-      (* Stale free-set entry: the page filled up. *)
-      t.free <- Iset.remove pid t.free;
-      free_slot_location t)
-
 (* Records are encoded straight into the frame.  [Tuple.encode_into]
    validates the whole tuple before its first byte lands and the slot's
    flag goes up after, so a rejected tuple leaves the page as it was. *)
 let write_record t img slot tuple =
   Page.write_slot_with t.layout img slot (Tuple.encode_into t.schema tuple)
 
-let insert t tuple =
-  let pid, slot = free_slot_location t in
-  Latch.with_latch t.latch (fun () ->
-      Buffer_pool.with_page_mut t.pool pid (fun img ->
-          write_record t img slot tuple;
-          if Page.first_free_slot t.layout img = None then t.free <- Iset.remove pid t.free));
-  t.count <- t.count + 1;
-  { page = pid; slot }
+(* An insert run fills one page's free slots, lowest first, under one heap
+   latch, one pin and one exclusive frame latch, then moves on to the
+   lowest page that still has one (allocating when none does).  Each
+   record lands where a lone insert would put it: the lowest free slot of
+   the lowest page with one.  A failure mid-run leaves the records before
+   it inserted, as the same lone inserts would. *)
+let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t tuples =
+  let n = Array.length tuples in
+  let rids = Array.make n { page = 0; slot = 0 } in
+  let rec fill pid img i from =
+    if i >= n then i
+    else
+      match Page.first_free_slot ~from t.layout img with
+      | None -> i
+      | Some slot ->
+        before i;
+        write_record t img slot tuples.(i);
+        t.count <- t.count + 1;
+        let rid = { page = pid; slot } in
+        rids.(i) <- rid;
+        after i rid;
+        Vnl_util.Sched.yield ();
+        fill pid img (i + 1) (slot + 1)
+  in
+  let rec run i =
+    if i < n then begin
+      let pid = match Iset.min_elt_opt t.free with Some pid -> pid | None -> alloc_page t in
+      run
+        (Latch.with_latch t.latch (fun () ->
+             Buffer_pool.with_page_mut t.pool pid (fun img ->
+                 let next = fill pid img i 0 in
+                 if Page.first_free_slot t.layout img = None then t.free <- Iset.remove pid t.free;
+                 next)))
+    end
+  in
+  run 0;
+  rids
+
+let insert t tuple = (insert_many t [| tuple |]).(0)
 
 let get t rid =
   (* Optimistic: decoding one tuple is pure and bounds-checked, so a torn
@@ -78,31 +94,30 @@ let get t rid =
         Some (Tuple.decode_from t.schema img (Page.record_offset t.layout rid.slot))
       else None)
 
-(* A page run — consecutive updates to one page — costs one heap latch,
+(* A page run — consecutive records of one page — costs one heap latch,
    one pin (two pool-mutex round trips) and one exclusive frame latch,
    however many records it writes.  The frame's stamp
    is odd from the run's first write to its last: an optimistic reader
    that overlaps any part of the run fails validation, so it sees the
    whole run or none of it, never a page with some of the run's records
-   rewritten (DESIGN.md §12).  [before i] runs once record [i]'s slot
-   has checked out and before its bytes land, still inside the run: that
-   is where a table moves the record's index entries, so each record's
-   entries and bytes change together.  A failure mid-run (a free slot, a
-   rejected tuple, a raising [before]) leaves the records before it
-   written, exactly as the same sequence of one-record updates would. *)
-let update_many ?(before = ignore) t updates =
-  let n = Array.length updates in
+   rewritten (DESIGN.md §12).  [f i img off] writes record [i] once its
+   slot has checked out, still inside the run: that is also where a table
+   moves the record's index entries, so each record's entries and bytes
+   change together.  A failure mid-run (a free slot, a raising [f]) leaves
+   the records before it written, exactly as the same sequence of
+   one-record writes would. *)
+let modify_many t rids f =
+  let n = Array.length rids in
   (* Write the run of [page] that starts at [i]; the index past it. *)
   let rec write img page i =
     if i >= n then i
     else
-      let (rid : rid), tuple = updates.(i) in
+      let rid = rids.(i) in
       if rid.page <> page then i
       else begin
         if not (Page.slot_used t.layout img rid.slot) then
-          invalid_arg "Heap_file.update_many: free slot";
-        before i;
-        write_record t img rid.slot tuple;
+          invalid_arg "Heap_file: free slot in a page run";
+        f i img (Page.record_offset t.layout rid.slot);
         (* A scheduling point between the run's records, so the
            deterministic interleaving tests can put a reader mid-run. *)
         Vnl_util.Sched.yield ();
@@ -111,13 +126,18 @@ let update_many ?(before = ignore) t updates =
   in
   let rec run i =
     if i < n then begin
-      let page = (fst updates.(i)).page in
+      let page = rids.(i).page in
       run
         (Latch.with_latch t.latch (fun () ->
              Buffer_pool.with_page_mut t.pool page (fun img -> write img page i)))
     end
   in
   run 0
+
+let update_many ?(before = ignore) t updates =
+  modify_many t (Array.map fst updates) (fun i img off ->
+      before i;
+      Tuple.encode_into t.schema (snd updates.(i)) img off)
 
 let update_in_place t rid tuple = update_many t [| (rid, tuple) |]
 
@@ -210,14 +230,6 @@ let fold t ~init ~f =
   let acc = ref init in
   scan t (fun rid tuple -> acc := f !acc rid tuple);
   !acc
-
-exception Found of rid * Tuple.t
-
-let find t pred =
-  try
-    scan t (fun rid tuple -> if pred tuple then raise (Found (rid, tuple)));
-    None
-  with Found (rid, tuple) -> Some (rid, tuple)
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc rid tuple -> (rid, tuple) :: acc))
 

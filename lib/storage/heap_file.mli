@@ -16,9 +16,6 @@ val create : Buffer_pool.t -> Vnl_relation.Schema.t -> t
 
 val schema : t -> Vnl_relation.Schema.t
 
-val record_width : t -> int
-(** Physical bytes per tuple. *)
-
 val tuples_per_page : t -> int
 
 val insert : t -> Vnl_relation.Tuple.t -> rid
@@ -26,25 +23,46 @@ val insert : t -> Vnl_relation.Tuple.t -> rid
     record is encoded straight into the slot; a rejected tuple raises
     [Invalid_argument] and leaves the page as it was. *)
 
+val insert_many :
+  ?before:(int -> unit) ->
+  ?after:(int -> rid -> unit) ->
+  t ->
+  Vnl_relation.Tuple.t array ->
+  rid array
+(** {!insert} each tuple in order, as {e insert runs}: one run fills the
+    free slots of one page, lowest first, under one heap latch, one pin and
+    one exclusive frame latch, so every tuple lands in the slot its lone
+    {!insert} would have picked.  [before i] runs just before tuple [i]'s
+    bytes land and [after i rid] just after, both inside the run: neither
+    may touch this file or its buffer pool (a table checks and enters its
+    index entries there).  A failure leaves the tuples before it inserted
+    and every pin released.  The rids come back aligned with the input. *)
+
 val get : t -> rid -> Vnl_relation.Tuple.t option
 (** [None] if the slot is free (e.g. after {!delete}). *)
 
+val modify_many : t -> rid array -> (int -> bytes -> int -> unit) -> unit
+(** [modify_many t rids f] runs [f i img off] on each live record
+    [rids.(i)] in place: [img] is the page image under the exclusive latch
+    and [off] the record's byte offset.  Consecutive rids on one page form
+    a {e page run}, handled under one heap latch, one pin and one exclusive
+    frame latch; pass the rids sorted (any order is correct, but only
+    sorted input gives one run per page).  The frame's version stamp stays
+    odd for the whole run, so an optimistic {!Buffer_pool.read_page} sees
+    all of a run or none of it.  [f] must write only the record's
+    [Schema.width] bytes at [off] and must not touch this file or its
+    buffer pool.  Raises [Invalid_argument] on a free slot, and passes on
+    whatever [f] raises; the records before it stay written (as with
+    one-by-one writes) and every pin is released. *)
+
 val update_many :
   ?before:(int -> unit) -> t -> (rid * Vnl_relation.Tuple.t) array -> unit
-(** Overwrite each record in place, encoding the tuple straight into the
-    page slot ({!Vnl_relation.Tuple.encode_into}).  Consecutive updates to
-    one page form a {e page run}, written under one heap latch, one pin and
-    one exclusive frame latch; pass the updates rid-sorted (any order is
-    correct, but only sorted input gives one run per page).  The frame's
-    version stamp stays odd for the whole run, so an optimistic
-    {!Buffer_pool.read_page} sees all of a run or none of it.
-    [before i] runs after [updates.(i)]'s slot is found live and before its
-    record is written, under the run's latches: it must not touch this
-    file or its buffer pool (the caller's index upkeep goes there).  Raises
-    [Invalid_argument] on a free slot or a rejected tuple, and passes on
-    whatever [before] raises; the updates before it stay written (as with
-    one-by-one updates), the failing record's bytes are untouched, and
-    every pin is released. *)
+(** {!modify_many} that encodes each tuple over its record
+    ({!Vnl_relation.Tuple.encode_into}).  [before i] runs after
+    [updates.(i)]'s slot is found live and before its record is written,
+    under the run's latches, with {!modify_many}'s restrictions.  A
+    rejected tuple raises [Invalid_argument] with its record's bytes
+    untouched. *)
 
 val update_in_place : t -> rid -> Vnl_relation.Tuple.t -> unit
 (** {!update_many} of one record: a one-record run under a short-duration
@@ -97,9 +115,6 @@ val fold_raw :
     purity contract as {!fold_pages}. *)
 
 val fold : t -> init:'a -> f:('a -> rid -> Vnl_relation.Tuple.t -> 'a) -> 'a
-
-val find : t -> (Vnl_relation.Tuple.t -> bool) -> (rid * Vnl_relation.Tuple.t) option
-(** First live tuple satisfying the predicate, in scan order. *)
 
 val to_list : t -> (rid * Vnl_relation.Tuple.t) list
 

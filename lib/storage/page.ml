@@ -48,13 +48,13 @@ let clear_slot l page slot =
   check_slot l slot;
   Bytes.set page (l.flags_offset + slot) '\000'
 
-let first_free_slot l page =
+let first_free_slot ?(from = 0) l page =
   let rec loop slot =
     if slot >= l.slots then None
     else if Bytes.get page (l.flags_offset + slot) = '\000' then Some slot
     else loop (slot + 1)
   in
-  loop 0
+  loop from
 
 let used_count l page =
   let count = ref 0 in

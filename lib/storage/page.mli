@@ -37,7 +37,8 @@ val write_slot_with : layout -> bytes -> int -> (bytes -> int -> unit) -> unit
 val clear_slot : layout -> bytes -> int -> unit
 (** Mark a slot free. *)
 
-val first_free_slot : layout -> bytes -> int option
+val first_free_slot : ?from:int -> layout -> bytes -> int option
+(** The lowest free slot at or above [from] (default 0). *)
 
 val used_count : layout -> bytes -> int
 

@@ -5,6 +5,7 @@ type change = Insert of Tuple.t | Delete of Tuple.t | Update of Tuple.t * Tuple.
 
 type group_delta = {
   key : Value.t list;
+  hash : int;
   agg_delta : Value.t list;
   count_delta : int;
 }
@@ -30,7 +31,9 @@ let residue_eps = 1e-12
 
 (* A row's group is found by hashing and comparing its group cells where
    they are ([Value.hash] agrees with [Value.equal]), so a row of a group
-   already seen builds no key list; only a new group's key is built. *)
+   already seen builds no key list; only a new group's key is built.  The
+   combine is {!Vnl_index.Hash_index.Key.hash}'s, so the hash travels on
+   the group's delta to the refresh's index probe. *)
 let rec hash_at row h = function
   | [] -> h land max_int
   | p :: rest -> hash_at row ((h * 31) + Value.hash (Tuple.get row p)) rest
@@ -108,7 +111,7 @@ let net_group_deltas view changes =
     match v with Value.Int 0 -> true | Value.Float 0.0 -> true | _ -> false
   in
   List.fold_left
-    (fun acc { key; sums; mags; count; _ } ->
+    (fun acc { key; hash; sums; mags; count } ->
       (* A count-0 group's rows cancelled exactly; any float sum left is
          rounding residue.  Clean residues within tolerance so the group
          drops out as the phantom delta it is, instead of surviving to
@@ -123,7 +126,7 @@ let net_group_deltas view changes =
             | _ -> ())
           sums;
       if count = 0 && Array.for_all is_zero sums then acc
-      else { key; agg_delta = Array.to_list sums; count_delta = count } :: acc)
+      else { key; hash; agg_delta = Array.to_list sums; count_delta = count } :: acc)
     [] !order
 
 let change_count changes =

@@ -14,6 +14,9 @@ type change =
 
 type group_delta = {
   key : Vnl_relation.Value.t list;  (** Group-by values. *)
+  hash : int;
+      (** [key]'s {!Vnl_index.Hash_index.Key.hash}, computed once by the
+          netting pass and reused by the refresh's index probe. *)
   agg_delta : Vnl_relation.Value.t list;  (** Net change per aggregate. *)
   count_delta : int;  (** Net change in contributing rows. *)
 }

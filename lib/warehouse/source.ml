@@ -237,7 +237,7 @@ let compute_view t view =
   let deltas = Delta.net_group_deltas view inserts in
   let target = View_def.target_schema view in
   List.filter_map
-    (fun { Delta.key; agg_delta; count_delta } ->
+    (fun { Delta.key; agg_delta; count_delta; _ } ->
       if View_def.has_count view && count_delta <= 0 then None
       else
         let aggs =

@@ -2,6 +2,7 @@ module Tuple = Vnl_relation.Tuple
 module Value = Vnl_relation.Value
 module Twovnl = Vnl_core.Twovnl
 module Batch = Vnl_core.Batch
+module Obs = Vnl_obs.Obs
 
 type outcome = {
   groups_inserted : int;
@@ -9,105 +10,99 @@ type outcome = {
   groups_deleted : int;
 }
 
-(* The one classifier.  [current i d] is the group's current tuple (base
-   schema, aggregates at their positional offsets) for the [i]-th net delta
-   [d], or [None] when the group is absent or logically deleted.  An absent
-   group is inserted, a present one has its aggregates adjusted, and a
-   group whose support count drops to zero is deleted.  Net deltas carry
-   one entry per key, so classifying every delta against the pre-batch
-   state is equivalent to classifying as the batch applies.  Each
-   operation comes tagged with its delta's index; deltas that cancel out
-   on an absent group produce none. *)
-let classify view deltas current =
-  let target = View_def.target_schema view in
-  let key_arity = List.length (View_def.group_by view) in
-  let has_count = View_def.has_count view in
-  let inserted = ref 0 and updated = ref 0 and deleted = ref 0 in
-  (* The support count, when kept, is the last aggregate. *)
-  let rec support = function
-    | [ (_, Value.Int c) ] -> c
-    | _ :: rest -> support rest
-    | [] -> invalid_arg "Summary: corrupt row_count"
-  in
-  let classify_one i ({ Delta.key; agg_delta; count_delta } as d) =
-    match current i d with
-    | None ->
-      if count_delta < 0 then invalid_arg "Summary: negative delta for absent group";
-      if count_delta > 0 then begin
-        incr inserted;
-        Some (i, Batch.Insert (Tuple.make target (key @ agg_delta)))
-      end
-      else None
-    | Some current ->
-      let assignments =
-        List.mapi
-          (fun a v ->
-            let j = key_arity + a in
-            (j, Value.add (Tuple.get current j) v))
-          agg_delta
-      in
-      if has_count && support assignments <= 0 then begin
-        incr deleted;
-        Some (i, Batch.Delete key)
-      end
-      else begin
-        incr updated;
-        Some (i, Batch.Update (key, assignments))
-      end
-  in
-  let ops =
-    Vnl_obs.Obs.with_span "summary.classify" @@ fun () ->
-    let rec go i acc = function
-      | [] -> List.rev acc
-      | d :: rest -> (
-        match classify_one i d with
-        | Some op -> go (i + 1) (op :: acc) rest
-        | None -> go (i + 1) acc rest)
+(* What the classifier needs of a view, computed once per batch. *)
+type rule = { target : Vnl_relation.Schema.t; key_arity : int; has_count : bool }
+
+let rule view =
+  {
+    target = View_def.target_schema view;
+    key_arity = List.length (View_def.group_by view);
+    has_count = View_def.has_count view;
+  }
+
+(* The support count, when kept, is the last aggregate. *)
+let rec support = function
+  | [ (_, Value.Int c) ] -> c
+  | _ :: rest -> support rest
+  | [] -> invalid_arg "Summary: corrupt row_count"
+
+(* The one classifier.  [current] reads the group's current cells by base
+   position (the aggregates sit at their positional offsets after the
+   key), or is [None] when the group is absent or logically deleted.  An
+   absent group is inserted, a present one has its aggregates adjusted,
+   and a group whose support count drops to zero is deleted.  Net deltas
+   carry one entry per key, so classifying every delta against the
+   pre-batch state is equivalent to classifying as the batch applies.  A
+   delta that cancels out on an absent group produces no operation.  The
+   positional reads address an evolved view's base too: added columns
+   sit after the aggregates. *)
+let classify rule { Delta.key; agg_delta; count_delta; _ } current =
+  match current with
+  | None ->
+    if count_delta < 0 then invalid_arg "Summary: negative delta for absent group";
+    if count_delta > 0 then Some (Batch.Insert (Tuple.make rule.target (key @ agg_delta)))
+    else None
+  | Some read ->
+    let assignments =
+      List.mapi
+        (fun a v ->
+          let j = rule.key_arity + a in
+          (j, Value.add (read j) v))
+        agg_delta
     in
-    go 0 [] deltas
-  in
-  (ops, { groups_inserted = !inserted; groups_updated = !updated; groups_deleted = !deleted })
+    if rule.has_count && support assignments <= 0 then Some (Batch.Delete key)
+    else Some (Batch.Update (key, assignments))
 
 let net_deltas view changes =
-  Vnl_obs.Obs.with_span "summary.net_deltas" (fun () -> Delta.net_group_deltas view changes)
+  Obs.with_span "summary.net_deltas" (fun () -> Delta.net_group_deltas view changes)
 
 (* Inside a hand-driven transaction: classify through the transaction's own
    reads, then hand the operations to {!Twovnl.Txn.apply_batch}. *)
 let apply_batch txn view changes =
   let table = View_def.name view in
+  let rule = rule view in
   let deltas = net_deltas view changes in
-  let ops, outcome =
-    classify view deltas (fun _ d -> Twovnl.Txn.read_current txn ~table ~key:d.Delta.key)
+  let ops =
+    Obs.with_span "summary.classify" (fun () ->
+        List.filter_map
+          (fun d ->
+            classify rule d
+              (Option.map Tuple.get (Twovnl.Txn.read_current txn ~table ~key:d.Delta.key)))
+          deltas)
   in
-  ignore (Twovnl.Txn.apply_batch txn ~table (List.map snd ops));
-  outcome
+  ignore (Twovnl.Txn.apply_batch txn ~table ops);
+  List.fold_left
+    (fun o op ->
+      match op with
+      | Batch.Insert _ -> { o with groups_inserted = o.groups_inserted + 1 }
+      | Batch.Update _ -> { o with groups_updated = o.groups_updated + 1 }
+      | Batch.Delete _ -> { o with groups_deleted = o.groups_deleted + 1 })
+    { groups_inserted = 0; groups_updated = 0; groups_deleted = 0 }
+    ops
 
-(* Classification without a transaction, for {!Warehouse.refresh}: raw
-   index probes ({!Vnl_query.Table.find_by_key}) whose results are handed,
-   aligned with the operations, to the round's {!Batch.stage}, so each
-   distinct key is resolved once per refresh.  Must run against the
-   pre-round table state (before any stripe applies). *)
+(* The refresh's share: one hash-index probe per net delta, with the hash
+   the netting pass already computed.  No page is read here; each change
+   carries the classifier, which the round runs on the record's bytes. *)
 let plan_batch vnl view changes =
-  let module Schema_ext = Vnl_core.Schema_ext in
-  let h = Twovnl.handle_exn vnl (View_def.name view) in
-  let ext = Twovnl.ext h and table = Twovnl.table h in
+  let table = Twovnl.table (Twovnl.handle_exn vnl (View_def.name view)) in
+  let rule = rule view in
   let deltas = net_deltas view changes in
-  let found =
-    Vnl_obs.Obs.with_span "summary.resolve" (fun () ->
-        Array.of_list (List.map (fun d -> Vnl_query.Table.find_by_key table d.Delta.key) deltas))
-  in
-  let ops, outcome =
-    classify view deltas (fun i _ ->
-        match found.(i) with
-        | Some (_, tuple) when Vnl_core.Maintenance.is_logically_live ext tuple ->
-          (* Base schema, not the view template's target: an evolved view's
-             base is wider (added columns at the end), and the positional
-             aggregate reads address the shared prefix either way.  The
-             record was decoded from storage, so it needs no re-check. *)
-          Some (Schema_ext.current_tuple ext tuple)
-        | Some _ | None -> None)
-  in
-  (List.map snd ops, Array.of_list (List.map (fun (i, _) -> found.(i)) ops), outcome)
+  Obs.with_span "summary.resolve" (fun () ->
+      List.map
+        (fun (d : Delta.group_delta) ->
+          {
+            Batch.key = d.key;
+            rid = Vnl_query.Table.probe table ~hash:d.hash d.key;
+            decide = classify rule d;
+          })
+        deltas)
+
+let outcome_of_stats (st : Vnl_core.Maintenance.stats) =
+  {
+    groups_inserted = st.logical_inserts;
+    groups_updated = st.logical_updates;
+    groups_deleted = st.logical_deletes;
+  }
 
 (* Union-view merge for the sharded warehouse: each shard materializes its
    own instance of the template, and the logical view is the key-merge of

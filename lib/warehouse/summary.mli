@@ -5,7 +5,15 @@
     For each net group delta: an absent group is inserted; a present group
     has its aggregates adjusted by the delta; a group whose support count
     drops to zero is logically deleted.  All tuple operations flow through
-    the 2VNL decision tables, so readers stay consistent throughout. *)
+    the 2VNL decision tables, so readers stay consistent throughout.
+
+    One classifier serves both paths, through a reader of the group's
+    current cells.  {!apply_batch}, inside a hand-driven transaction,
+    reads each group through the transaction and applies the resulting
+    operations as a batch.  The refresh ({!plan_batch}) only probes each
+    group's rid; the round then classifies and writes every group on its
+    page bytes, in one page run per page, so a stored record is never
+    decoded into a tuple. *)
 
 type outcome = {
   groups_inserted : int;
@@ -21,23 +29,20 @@ val apply_batch :
     deletion inference, or if a delta would drive an aggregate of an absent
     group (inconsistent source batch). *)
 
-val plan_batch :
-  Vnl_core.Twovnl.t ->
-  View_def.t ->
-  Delta.change list ->
-  Vnl_core.Batch.op list
-  * (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
-  * outcome
-(** Classify the batch's net group deltas against the view table's current
-    state {e without} applying anything, through the same classifier as
-    {!apply_batch} (absent group → insert, present → aggregate adjust,
-    support to zero → delete), with the raw lookups kept.  Returns the
-    logical operation list (one per key) for {!Warehouse.refresh}'s round,
-    the pass's raw lookup for each operation, aligned with the list (for
-    {!Vnl_core.Batch.stage}'s [resolved], so the stripes do not resolve the
-    same keys a second time), and the outcome the refresh reports once the
-    round has published.  Must be called outside any maintenance mutation
-    (it reads the pre-refresh state). *)
+val plan_batch : Vnl_core.Twovnl.t -> View_def.t -> Delta.change list -> Vnl_core.Batch.change list
+(** The refresh's changes for one view: the batch's net group deltas, each
+    with the rid the unique-key hash index holds for its group (probed
+    with the hash the netting pass computed; no page is read) and the
+    classifier of {!apply_batch} as its [decide] — absent or logically
+    deleted group → insert, present → aggregate adjust, support to zero →
+    delete.  The round runs that classifier on each record's cells in its
+    page run ({!Vnl_core.Batch.apply_in_place}), where it may raise as
+    {!apply_batch} does.  Must be called outside any maintenance mutation
+    (the probes read the pre-refresh state). *)
+
+val outcome_of_stats : Vnl_core.Maintenance.stats -> outcome
+(** The outcome a round's logical counts for one view describe
+    ({!Vnl_core.Pipeline.stats}). *)
 
 val merge_union : View_def.t -> Vnl_relation.Tuple.t list list -> Vnl_relation.Tuple.t list
 (** Merge per-shard instances of one view template into the logical union

@@ -98,10 +98,9 @@ let unpublished_suffix def published batch =
         | false, true -> Some (Delta.Delete old_row)))
     batch
 
-(* The group keys of the published stripe prefix, by view.  The group keys
-   a round operation targets are exactly the view-table key values — for
-   net deltas, one operation per group. *)
-let published_groups t = function
+(* The group keys of the published stripe prefix, by view: a round's
+   change keys are exactly the view-table key values, one per group. *)
+let published_groups = function
   | None -> fun _ _ -> false
   | Some plan ->
     let groups = Hashtbl.create 64 in
@@ -109,25 +108,15 @@ let published_groups t = function
       (fun i (_, per_table) ->
         if i < Pipeline.published plan then
           List.iter
-            (fun (name, ops) ->
-              let target = View_def.target_schema (entry t name).def in
-              List.iter
-                (fun op ->
-                  let key =
-                    match op with
-                    | Batch.Insert tuple -> Tuple.key_of target tuple
-                    | Batch.Update (key, _) | Batch.Delete key -> key
-                  in
-                  Hashtbl.replace groups (name, key) ())
-                ops)
+            (fun (name, keys) -> List.iter (fun key -> Hashtbl.replace groups (name, key) ()) keys)
             per_table)
-      (Pipeline.stripe_ops plan);
+      (Pipeline.stripe_keys plan);
     fun name key -> Hashtbl.mem groups (name, key)
 
 (* One refresh is one pipelined round ({!Vnl_core.Pipeline}): drain every
-   queue, classify each view's batch in one batched pass
-   ({!Summary.plan_batch}), then partition, stage, apply and publish the
-   stripes under the flag -> data -> catalog -> publish ladder.  With
+   queue, net each view's batch and probe each group's rid
+   ({!Summary.plan_batch}), then partition, classify-and-write and publish
+   the stripes under the flag -> data -> catalog -> publish ladder.  With
    [workers = 1] the round is a single stripe on the calling domain.
 
    The queues are drained and the simulated sources already hold the
@@ -143,22 +132,18 @@ let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
   let drained = List.map (fun name -> (entry t name, take_pending t ~view:name)) t.order in
   let plan = ref None in
   try
-    let classified =
+    let changes =
       Obs.with_span "maintenance.apply" (fun () ->
           List.map (fun (e, batch) -> (View_def.name e.def, Summary.plan_batch t.vnl e.def batch))
             drained)
     in
-    let p =
-      Pipeline.plan t.vnl ?on_phase ~workers
-        ~resolved:(List.map (fun (name, (_, resolved, _)) -> (name, resolved)) classified)
-        (List.map (fun (name, (ops, _, _)) -> (name, ops)) classified)
-    in
+    let p = Pipeline.plan t.vnl ?on_phase ~workers changes in
     plan := Some p;
     ignore (run p);
-    (* The classification is exact once every stripe has published. *)
-    List.map (fun (_, (_, _, outcome)) -> outcome) classified
+    (* The counts are exact once every stripe has published. *)
+    List.map (fun (name, _) -> Summary.outcome_of_stats (Pipeline.stats p ~table:name)) changes
   with exn ->
-    let published = published_groups t !plan in
+    let published = published_groups !plan in
     List.iter
       (fun (e, batch) ->
         let residual = unpublished_suffix e.def published batch in

@@ -51,11 +51,12 @@ val refresh :
   Summary.outcome list
 (** Propagate every queued batch as one maintenance round
     ({!Vnl_core.Pipeline}) and return per-view outcomes (in view order).
-    Each view's net deltas are classified in one batched index pass
-    ({!Summary.plan_batch}), partitioned into dependency-disjoint stripes
-    (at most [workers], default 1, further capped at n - 1), and applied
-    with VNs published strictly in order, each stripe under the crash-safe
-    flag → data → catalog → publish ladder.  With [workers = 1] the round
+    Each view's net deltas are probed for their rids in one pass over the
+    unique-key index ({!Summary.plan_batch}), partitioned into
+    dependency-disjoint stripes (at most [workers], default 1, further
+    capped at n - 1), and classified and written on their page bytes, one
+    page run per page, with VNs published strictly in order, each stripe
+    under the crash-safe flag → data → catalog → publish ladder.  With [workers = 1] the round
     is one stripe on the calling domain: one VN, one maintenance commit.
     Readers run throughout; with the warehouse created at
     [n >= workers + 1], sessions opened at round begin stay valid across
@@ -67,8 +68,8 @@ val refresh :
     support drops to zero counts as deleted, whatever physical action
     (usually an in-place update carrying the delete mark) 2VNL uses for it.
 
-    If the refresh fails — in classification, in planning, or in any
-    stripe — the unpublished stripes are reverted with the §7 no-log abort
+    If the refresh fails — in planning, or in any stripe (classification
+    included, which runs inside the page runs) — the unpublished stripes are reverted with the §7 no-log abort
     and made durable, and the source changes they carried are re-enqueued
     at the front of each affected view's queue in their original order
     before the exception re-raises.  No queued change is lost and the

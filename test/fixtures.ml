@@ -194,3 +194,45 @@ let check_ladder ?(publishes = 1) ~ctx base ~setup ~run =
   match List.find_index is_data pids with
   | Some i -> { writes; catalog_changed; first_data = i + 1 }
   | None -> Alcotest.failf "%s: no data write between the flag and the publish" ctx
+
+(* ---------- hand-built refresh rounds ---------- *)
+
+let op_key base = function
+  | Vnl_core.Batch.Insert t -> Tuple.key_of base t
+  | Vnl_core.Batch.Update (k, _) | Vnl_core.Batch.Delete k -> k
+
+(* A refresh round's changes for the table's [ops] (at most one per key in
+   a round): each key probed against the table's current state, and each
+   change deciding its own operation whatever the stored record holds. *)
+let changes_of_ops vnl name ops =
+  let h = Vnl_core.Twovnl.handle_exn vnl name in
+  let table = Vnl_core.Twovnl.table h and base = Schema_ext.base (Vnl_core.Twovnl.ext h) in
+  List.map
+    (fun op ->
+      let key = op_key base op in
+      {
+        Vnl_core.Batch.key;
+        rid = Option.map fst (Table.find_by_key table key);
+        decide = (fun _ -> Some op);
+      })
+    ops
+
+(* [Pipeline.stripe_keys] with each key mapped back to its operation in
+   [per_table] (the ops a round of [changes_of_ops] was built from): the
+   round's serial reference schedule. *)
+let stripe_ops vnl plan per_table =
+  List.map
+    (fun (vn, stripe) ->
+      ( vn,
+        List.map
+          (fun (name, keys) ->
+            let base =
+              Schema_ext.base (Vnl_core.Twovnl.ext (Vnl_core.Twovnl.handle_exn vnl name))
+            in
+            let ops = List.assoc name per_table in
+            let of_key key =
+              List.find (fun op -> List.equal Value.equal (op_key base op) key) ops
+            in
+            (name, List.map of_key keys))
+          stripe ))
+    (Vnl_core.Pipeline.stripe_keys plan)

@@ -35,4 +35,5 @@ let () =
       ("catalog-evolve", Test_catalog_evolve.suite);
       ("reader-path", Test_reader_path.suite);
       ("durability", Test_durability.suite);
+      ("refresh", Test_refresh.suite);
     ]

@@ -50,7 +50,9 @@ let row_of i sales = Tuple.make Fixtures.daily_sales (key_of i @ [ Value.Int sal
 let sales_table vnl = Twovnl.table (Twovnl.handle_exn vnl table_name)
 
 (* [Warehouse.refresh]'s path: one pipelined round of one stripe. *)
-let refresh vnl ops = ignore (Pipeline.run (Pipeline.plan vnl ~workers:1 [ (table_name, ops) ]))
+let refresh vnl ops =
+  let changes = Fixtures.changes_of_ops vnl table_name ops in
+  ignore (Pipeline.run (Pipeline.plan vnl ~workers:1 [ (table_name, changes) ]))
 
 let visible vnl =
   let s = Twovnl.Session.begin_ vnl in

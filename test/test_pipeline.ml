@@ -3,11 +3,12 @@
    reader/worker interleavings against the full-history oracle, and the
    crash-at-every-write sweep landing on a VN (stripe) boundary.
 
-   The serial reference for a round is {!Vnl_core.Pipeline.stripe_ops}:
-   applying stripe i's operations as one classic transaction committing at
-   vn_i, in stripe order.  Everything here is phrased against that
-   reference — the pipelined executor may only reorder what the reference
-   proves independent. *)
+   The serial reference for a round is {!Vnl_core.Pipeline.stripe_keys}
+   (mapped back to the operations the round's changes were built from,
+   {!Fixtures.stripe_ops}): applying stripe i's operations as one classic
+   transaction committing at vn_i, in stripe order.  Everything here is
+   phrased against that reference — the pipelined executor may only
+   reorder what the reference proves independent. *)
 
 module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
@@ -69,9 +70,12 @@ let gen_net_ops rng =
   done;
   List.rev !ops
 
-let op_key = function
-  | Batch.Insert t -> Tuple.key_of Fixtures.daily_sales t
-  | Batch.Update (k, _) | Batch.Delete k -> k
+(* A hand-built round of [ops] against [vnl]'s current state, and its
+   serial reference schedule. *)
+let plan_round vnl ~workers ops =
+  Pipeline.plan vnl ~workers [ (table_name, Fixtures.changes_of_ops vnl table_name ops) ]
+
+let stripe_ops vnl plan ops = Fixtures.stripe_ops vnl plan [ (table_name, ops) ]
 
 (* --- partitioning laws ------------------------------------------------ *)
 
@@ -97,14 +101,16 @@ let qcheck_partition_laws =
           base
       in
       let ops = base @ dups in
-      let parts = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts ops in
+      let changes = Fixtures.changes_of_ops vnl table_name ops in
+      let parts = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts changes in
       (* Bounded. *)
       List.length parts <= max_parts
       (* Complete and order-preserving: each partition is a subsequence,
          and together they tile the batch. *)
-      && List.concat_map (fun p -> p.Sched_batch.ops) parts
-         |> List.for_all (fun op -> List.memq op ops)
-      && List.length (List.concat_map (fun p -> p.Sched_batch.ops) parts) = List.length ops
+      && List.concat_map (fun p -> p.Sched_batch.changes) parts
+         |> List.for_all (fun c -> List.memq c changes)
+      && List.length (List.concat_map (fun p -> p.Sched_batch.changes) parts)
+         = List.length changes
       && List.for_all
            (fun p ->
              let rec subseq xs ys =
@@ -113,30 +119,24 @@ let qcheck_partition_laws =
                | _, [] -> false
                | x :: xs', y :: ys' -> if x == y then subseq xs' ys' else subseq xs ys'
              in
-             subseq p.Sched_batch.ops ops)
+             subseq p.Sched_batch.changes changes)
            parts
       (* Key-disjoint. *)
       && (let seen = Hashtbl.create 64 in
           List.for_all
             (fun (i, p) ->
               List.for_all
-                (fun op ->
-                  let k = op_key op in
-                  match Hashtbl.find_opt seen k with
+                (fun (c : Batch.change) ->
+                  match Hashtbl.find_opt seen c.key with
                   | Some j -> j = i
                   | None ->
-                    Hashtbl.add seen k i;
+                    Hashtbl.add seen c.key i;
                     true)
-                p.Sched_batch.ops)
+                p.Sched_batch.changes)
             (List.mapi (fun i p -> (i, p)) parts))
-      (* Counts are truthful, and positions name each operation's place
-         in the input, ascending. *)
+      (* Counts are truthful. *)
       && List.for_all
-           (fun p ->
-             let positions = Array.to_list p.Sched_batch.positions in
-             p.Sched_batch.op_count = List.length p.Sched_batch.ops
-             && List.equal ( == ) (List.map (List.nth ops) positions) p.Sched_batch.ops
-             && List.sort_uniq Int.compare positions = positions)
+           (fun p -> p.Sched_batch.op_count = List.length p.Sched_batch.changes)
            parts)
 
 (* A secondary index is a shared structure: updates assigning an indexed
@@ -147,17 +147,20 @@ let qcheck_partition_laws =
 let test_secondary_index_forces_merge () =
   let _, vnl = build () in
   let h = Twovnl.handle_exn vnl table_name in
+  let changes ops = Fixtures.changes_of_ops vnl table_name ops in
   let ops =
     List.init 12 (fun i -> Batch.Update (key_of i 13, [ (4, Value.Int (100 + i)) ]))
   in
-  let before = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 ops in
+  let before = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 (changes ops) in
   Alcotest.(check bool) "without the index the batch splits" true (List.length before > 1);
   Table.create_index (Twovnl.table h) ~name:"by_sales" [ "total_sales" ];
-  let after = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 ops in
+  let after = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 (changes ops) in
   check Alcotest.int "the shared index footprint merges every partition" 1 (List.length after);
   (* Mixed batch: inserts enter every index, so they too glue partitions. *)
   let mixed = Batch.Insert (row_of (key_of 0 20) 5) :: List.tl ops in
-  let merged = Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 mixed in
+  let merged =
+    Sched_batch.partition (Twovnl.ext h) (Twovnl.table h) ~max_parts:4 (changes mixed)
+  in
   check Alcotest.int "structural ops share every index footprint" 1 (List.length merged)
 
 (* --- differential equivalence ----------------------------------------- *)
@@ -190,8 +193,8 @@ let run_differential ~workers seed =
   let db_p, vnl_p = build ~n:(workers + 1) () in
   let db_s, vnl_s = build ~n:(workers + 1) () in
   let ops = gen_net_ops (Xorshift.create seed) in
-  let plan = Pipeline.plan vnl_p ~workers [ (table_name, ops) ] in
-  let reference = Pipeline.stripe_ops plan in
+  let plan = plan_round vnl_p ~workers ops in
+  let reference = stripe_ops vnl_p plan ops in
   let report = Pipeline.run plan in
   check Alcotest.int "every stripe published" report.Pipeline.stripes
     (List.length reference);
@@ -243,13 +246,13 @@ let scheduled_round ~data_seed ~sched_seed ~workers =
   let oracle = Oracle.create Fixtures.daily_sales in
   Oracle.apply_txn oracle ~vn:1 (List.map (fun t -> Oracle.Ins t) initial_rows);
   let ops = gen_net_ops (Xorshift.create data_seed) in
-  let plan = Pipeline.plan vnl ~workers [ (table_name, ops) ] in
+  let plan = plan_round vnl ~workers ops in
   List.iter
     (fun (vn, per_table) ->
       List.iter
         (fun (_, ops) -> Oracle.apply_txn oracle ~vn (List.map oracle_op ops))
         per_table)
-    (Pipeline.stripe_ops plan);
+    (stripe_ops vnl plan ops);
   let reader name =
     ( name,
       fun () ->
@@ -302,7 +305,7 @@ let test_session_survives_round () =
   let pre = visible vnl in
   let s = Twovnl.Session.begin_ vnl in
   let ops = gen_net_ops (Xorshift.create 11) in
-  let plan = Pipeline.plan vnl ~workers:3 [ (table_name, ops) ] in
+  let plan = plan_round vnl ~workers:3 ops in
   let report = Pipeline.run plan in
   check Alcotest.int "round used every slot n - 1 allows" 3 report.Pipeline.stripes;
   Alcotest.(check bool) "round-begin session survives the round" true
@@ -328,8 +331,8 @@ let build_base () =
 let reopen disk = Recovery.reopen ~pool_capacity:4 ~n:4 disk ~tables
 
 let run_pipelined_round vnl ops ~workers =
-  let plan = Pipeline.plan vnl ~workers [ (table_name, ops) ] in
-  (Pipeline.stripe_ops plan, Pipeline.run plan)
+  let plan = plan_round vnl ~workers ops in
+  (stripe_ops vnl plan ops, Pipeline.run plan)
 
 (* Crash at every physical write of a pipelined round of [ops]; §7
    adapted to rounds: recovery must land exactly on a published-VN prefix —

@@ -735,6 +735,72 @@ let test_heap_update_many_matches_one_by_one () =
         (match Heap_file.get h_runs rid with Some t' -> Tuple.equal t t' | None -> false))
     updates
 
+(* Insert runs.  [insert_many] must put every tuple where a lone insert
+   would: the lowest free slot of the lowest page with one, across holes
+   left by deletes in several pages and past the last page (allocating
+   mid-batch).  The slot choice is modelled from the occupancy alone. *)
+let test_heap_insert_many_matches_lone_inserts () =
+  let d = Disk.create ~page_size:256 () in
+  let pool = Buffer_pool.create ~capacity:4 d in
+  let h = Heap_file.create pool named_schema in
+  let per = Heap_file.tuples_per_page h in
+  for id = 1 to 3 * per do
+    ignore (Heap_file.insert h (named id "x" id))
+  done;
+  (* Holes: every third record of the first and the last page. *)
+  List.iter
+    (fun (rid, _) ->
+      if rid.Heap_file.slot mod 3 = 1 && rid.Heap_file.page <> List.nth (Heap_file.pages h) 1 then
+        Heap_file.delete h rid)
+    (Heap_file.to_list h);
+  let used = Hashtbl.create 64 in
+  List.iter (fun (rid, _) -> Hashtbl.replace used rid ()) (Heap_file.to_list h);
+  let pages = Heap_file.pages h and before = Heap_file.tuple_count h in
+  let k = 2 * per in
+  let tuples = Array.init k (fun i -> named (1000 + i) "y" i) in
+  let rids = Heap_file.insert_many h tuples in
+  (* The model: scan the known pages in id order for the lowest free slot;
+     once they are full, fresh pages fill from slot 0 in allocation order. *)
+  let sorted_pages = List.sort Int.compare pages in
+  let fresh = ref [] in
+  Array.iteri
+    (fun i (rid : Heap_file.rid) ->
+      let expected =
+        match
+          List.find_map
+            (fun page ->
+              List.find_map
+                (fun slot ->
+                  let r = { Heap_file.page; slot } in
+                  if Hashtbl.mem used r then None else Some r)
+                (List.init per Fun.id))
+            sorted_pages
+        with
+        | Some r -> r
+        | None ->
+          (* Fresh pages fill one after another. *)
+          let n = List.length !fresh in
+          let page =
+            match !fresh with
+            | last :: _ when n mod per <> 0 -> last.Heap_file.page
+            | _ ->
+              Alcotest.(check bool) "a new page" false
+                (List.mem rid.page pages || List.exists (fun (r : Heap_file.rid) -> r.page = rid.page) !fresh);
+              rid.page
+          in
+          fresh := rid :: !fresh;
+          { Heap_file.page; slot = n mod per }
+      in
+      Hashtbl.replace used expected ();
+      if not (Heap_file.rid_equal rid expected) then
+        Alcotest.failf "tuple %d landed at %d/%d, a lone insert picks %d/%d" i rid.page rid.slot
+          expected.page expected.slot;
+      Alcotest.(check bool) "insert landed" true
+        (match Heap_file.get h rid with Some t -> Tuple.equal t tuples.(i) | None -> false))
+    rids;
+  Alcotest.(check bool) "the batch outgrew the known pages" true (!fresh <> []);
+  check Alcotest.int "tuple count" (before + k) (Heap_file.tuple_count h)
+
 (* A free slot in the middle of a run: [Invalid_argument], the run's
    earlier records written, the rest untouched, and no pin left behind —
    with two frames, a nested access to two other pages needs both. *)
@@ -1074,6 +1140,8 @@ let suite =
     Alcotest.test_case "heap update free slot rejected" `Quick test_heap_update_free_slot_rejected;
     Alcotest.test_case "heap update_many = one-by-one updates, byte for byte" `Quick
       test_heap_update_many_matches_one_by_one;
+    Alcotest.test_case "heap insert_many = lone inserts, slot for slot" `Quick
+      test_heap_insert_many_matches_lone_inserts;
     Alcotest.test_case "heap update_many free slot mid-run releases pins" `Quick
       test_heap_update_many_free_slot_releases_pins;
     Alcotest.test_case "heap page run: optimistic reader sees all or nothing" `Quick
