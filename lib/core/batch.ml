@@ -19,34 +19,20 @@ type outcome = {
   physical_deletes : int;
 }
 
-(* Per-key fold state: the record image as the batch's operations on this
-   key leave it, before any storage write. *)
+(* Per-key fold state: the record as the batch's operations on this key
+   leave it, before any storage write. *)
 type entry = {
-  mutable stored : (Heap_file.rid * Tuple.t) option;
-      (** Existing record and its image as fetched (for [~old]), resolved
-          once. *)
-  mutable cur : Tuple.t option;
-      (** In-memory image; [None] = absent.  Never aliases the stored
-          image (it starts as a copy), so the transitions mutate it in
-          place. *)
+  key : Value.t list;
+  mutable rid : Heap_file.rid option;  (** Where the index holds the key. *)
+  mutable img : bytes option;
+      (** The record's bytes, [None] = absent: a private copy of the
+          stored record, or a freshly encoded one, which the Tables 2-4
+          transitions write in place. *)
   mutable over_delete : bool;
       (** This fold re-inserted the key over an older logical delete
           (Table 2 row 1); with [was_insert_over_delete] for earlier
           statements of the transaction, governs the Table 4 row 2
           correction. *)
-}
-
-(* The write plan a [stage] pass produces: every physical action decided,
-   nothing written.  Updates and deletes are already rid-sorted, inserts
-   are extended tuples in first-touch order — [apply_staged] just executes
-   them. *)
-type staged = {
-  s_updates : (Heap_file.rid * Tuple.t) array;
-  s_olds : Tuple.t array;  (** Stored image of each [s_updates] record. *)
-  s_deletes : (Heap_file.rid * Tuple.t) list;  (** With the stored image. *)
-  s_inserts : Tuple.t list;
-  s_logical : int;
-  s_distinct : int;
 }
 
 let op_key base = function
@@ -56,53 +42,59 @@ let op_key base = function
 (* The grouping pass nets operations by key with the unique index's own
    key equality and hash, so [Int n] and [Float (float n)] are one key
    here as they are in the table. *)
+module Key = Vnl_index.Hash_index.Key
 module Key_tbl = Vnl_index.Hash_index.Key_tbl
 
 let stats_of = function Some s -> s | None -> Maintenance.fresh_stats ()
-
-(* Tables without a unique key admit only inserts (there is no key to net
-   over), each necessarily fresh: stage them directly, in order. *)
-let stage_keyless ?stats ext ~vn ops =
-  let st = stats_of stats in
-  let inserts =
-    List.map
-      (fun op ->
-        match op with
-        | Insert base ->
-          st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
-          Maintenance.insert_tuple ext ~vn None base
-        | Update _ | Delete _ ->
-          invalid_arg "Batch.apply: update/delete requires a unique key")
-      ops
-  in
-  {
-    s_updates = [||];
-    s_olds = [||];
-    s_deletes = [];
-    s_inserts = inserts;
-    s_logical = List.length inserts;
-    s_distinct = List.length inserts;
-  }
-
-let fresh_entry () = { stored = None; cur = None; over_delete = false }
 
 let by_rid (a : Heap_file.rid) (b : Heap_file.rid) =
   let c = Int.compare a.Heap_file.page b.Heap_file.page in
   if c <> 0 then c else Int.compare a.Heap_file.slot b.Heap_file.slot
 
-let stage ?stats ?(on_over_delete = fun _ -> ())
-    ?(was_insert_over_delete = fun _ -> false) ext table ~vn ops =
-  if not (Table.has_key table) then stage_keyless ?stats ext ~vn ops
+let outcome ~logical ~distinct ~inserts ~updates ~deletes =
+  {
+    logical_ops = logical;
+    distinct_keys = distinct;
+    folded_ops = logical - (inserts + updates + deletes);
+    physical_inserts = inserts;
+    physical_updates = updates;
+    physical_deletes = deletes;
+  }
+
+let insert_fresh (st : Maintenance.stats) table fresh =
+  st.physical_inserts <- st.physical_inserts + Array.length fresh;
+  Table.insert_many ~check:false table fresh
+
+(* Tables without a unique key admit only inserts (there is no key to net
+   over), each necessarily fresh: insert them directly, in order. *)
+let apply_keyless st ext table ~vn ops =
+  let fresh =
+    Array.of_list
+      (List.map
+         (function
+           | Insert base ->
+             st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
+             Schema_ext.fresh_insert ext ~vn base
+           | Update _ | Delete _ -> invalid_arg "Batch.apply: update/delete requires a unique key")
+         ops)
+  in
+  Obs.with_span "batch.apply" (fun () -> ignore (insert_fresh st table fresh));
+  let n = Array.length fresh in
+  outcome ~logical:n ~distinct:n ~inserts:n ~updates:0 ~deletes:0
+
+let apply ?stats ?(on_over_delete = fun _ -> ()) ?(was_insert_over_delete = fun _ -> false) ext
+    table ~vn ops =
+  let st = stats_of stats in
+  if not (Table.has_key table) then apply_keyless st ext table ~vn ops
   else begin
-    let base = Schema_ext.base ext in
+    let base = Schema_ext.base ext and schema = Schema_ext.extended ext in
     let key_positions = Schema.key_indices base in
-    let st = stats_of stats in
     let ops = Array.of_list ops in
     let n = Array.length ops in
     (* 1. Net-effect grouping: [entry_of.(i)] is the entry of [ops.(i)]'s
        key and [order] the distinct entries in first-touch order, built
        before any storage access. *)
-    let entry_of, order, keys =
+    let entry_of, order =
       Obs.with_span "batch.group" @@ fun () ->
       Array.iter
         (function
@@ -115,7 +107,7 @@ let stage ?stats ?(on_over_delete = fun _ -> ())
           | Insert _ | Delete _ -> ())
         ops;
       let tbl : entry Key_tbl.t = Key_tbl.create (max 64 n) in
-      let order = ref [] and keys = ref [] in
+      let order = ref [] in
       let entry_of =
         Array.map
           (fun op ->
@@ -123,132 +115,104 @@ let stage ?stats ?(on_over_delete = fun _ -> ())
             match Key_tbl.find_opt tbl key with
             | Some e -> e
             | None ->
-              let e = fresh_entry () in
+              let e = { key; rid = None; img = None; over_delete = false } in
               Key_tbl.add tbl key e;
               order := e :: !order;
-              keys := key :: !keys;
               e)
           ops
       in
-      (entry_of, Array.of_list (List.rev !order), Array.of_list (List.rev !keys))
+      (entry_of, List.rev !order)
     in
-    (* 2. Resolve every key -> stored record: one index probe per key,
-       then the hit records fetched in ascending (page, slot) order.  The
-       fold works on a private copy of each stored record, made once here,
-       so every Tables 2-4 transition writes its cells in place; [orig]
-       stays the stored image the apply passes as [~old]. *)
-    let found = Obs.with_span "batch.resolve" (fun () -> Table.find_many_by_key table keys) in
-    Array.iteri
-      (fun i e ->
-        match found.(i) with
-        | Some (_, tuple) as stored ->
-          e.stored <- stored;
-          e.cur <- Some (Tuple.copy tuple)
-        | None -> ())
-      order;
+    (* 2. Resolve every key to its rid with one index probe, then copy the
+       hit records' bytes in ascending (page, slot) order, so a small
+       buffer pool sees each page once.  The fold writes only these
+       private copies. *)
+    let stored =
+      Obs.with_span "batch.resolve" @@ fun () ->
+      let hits =
+        List.filter_map
+          (fun e ->
+            e.rid <- Table.probe table ~hash:(Key.hash e.key) e.key;
+            Option.map (fun rid -> (rid, e)) e.rid)
+          order
+      in
+      let stored = List.sort (fun (a, _) (b, _) -> by_rid a b) hits in
+      List.iter (fun (rid, e) -> e.img <- Heap_file.copy_record (Table.heap table) rid) stored;
+      stored
+    in
     (* 3. Fold each operation through the Tables 2-4 transitions on the
-       in-memory image — a key touched k times costs k transitions but will
+       private bytes — a key touched k times costs k transitions but will
        cost one physical action.  Nothing is written yet, so a rejected
-       operation (Op.Impossible, non-updatable assignment) leaves the table
-       untouched. *)
+       operation (Op.Impossible, non-updatable assignment) leaves the
+       table untouched. *)
     Obs.with_span "batch.fold" (fun () ->
         Array.iteri
           (fun i op ->
             let e = entry_of.(i) in
-            match op with
-            | Insert b ->
+            match (op, e.img) with
+            | Insert b, None ->
+              st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
+              (* Table 2, row 3: a freshly encoded record. *)
+              let img = Bytes.create (Schema.width schema) in
+              Tuple.encode_into schema (Schema_ext.fresh_insert ext ~vn b) img 0;
+              e.img <- Some img
+            | Insert b, Some img ->
               st.Maintenance.logical_inserts <- st.Maintenance.logical_inserts + 1;
               let fire () =
                 e.over_delete <- true;
-                match e.stored with
-                | Some (rid, _) -> on_over_delete rid
-                | None -> assert false (* Table 2 row 1 needs an existing record *)
+                match e.rid with
+                | Some rid -> on_over_delete rid
+                | None -> assert false (* Table 2 row 1 needs a stored record *)
               in
-              e.cur <-
-                Some (Maintenance.insert_tuple ~on_over_delete:fire ~own:true ext ~vn e.cur b)
-            | Update (_, assignments) -> (
+              Maintenance.insert_record ~on_over_delete:fire ext ~vn img 0 b
+            | Update (_, assignments), Some img ->
               st.Maintenance.logical_updates <- st.Maintenance.logical_updates + 1;
-              match e.cur with
-              | None -> invalid_arg "Batch.apply: update of an absent key"
-              | Some existing ->
-                e.cur <- Some (Maintenance.update_tuple ~own:true ext ~vn existing assignments))
-            | Delete _ -> (
+              Maintenance.update_record ext ~vn img 0 assignments
+            | Delete _, Some img ->
               st.Maintenance.logical_deletes <- st.Maintenance.logical_deletes + 1;
-              match e.cur with
-              | None -> invalid_arg "Batch.apply: delete of an absent key"
-              | Some existing ->
-                (* Only a delete asks whether the transaction re-inserted
-                   this key over an older delete, so only a delete pays for
-                   the lookup. *)
-                let insert_over_delete =
-                  e.over_delete
-                  || match e.stored with Some (rid, _) -> was_insert_over_delete rid | None -> false
-                in
-                e.cur <-
-                  Maintenance.delete_tuple ~insert_over_delete ~own:true ext ~vn existing))
+              (* Only a delete asks whether the transaction re-inserted
+                 this key over an older delete, so only a delete pays for
+                 the lookup. *)
+              let insert_over_delete =
+                e.over_delete
+                || match e.rid with Some rid -> was_insert_over_delete rid | None -> false
+              in
+              if Maintenance.delete_record ~insert_over_delete ext ~vn img 0 then e.img <- None
+            | Update _, None -> invalid_arg "Batch.apply: update of an absent key"
+            | Delete _, None -> invalid_arg "Batch.apply: delete of an absent key")
           ops);
-    (* 4. Order the write plan: one physical action per key, existing
-       records in ascending (page, slot) order, then fresh inserts in
-       first-touch order (matching the slots per-op application would have
-       assigned them). *)
-    let updates = ref [] and deletes = ref [] and inserts = ref [] in
-    for i = Array.length order - 1 downto 0 do
-      let e = order.(i) in
-      match (e.stored, e.cur) with
-      | Some (rid, orig), Some t -> updates := (rid, orig, t) :: !updates
-      | Some stored, None -> deletes := stored :: !deletes
-      | None, Some t -> inserts := t :: !inserts
-      | None, None -> () (* net nothing: fresh insert cancelled by delete *)
-    done;
-    let updates = Array.of_list !updates in
-    Array.stable_sort (fun (a, _, _) (b, _, _) -> by_rid a b) updates;
-    {
-      s_updates = Array.map (fun (rid, _, t) -> (rid, t)) updates;
-      s_olds = Array.map (fun (_, orig, _) -> orig) updates;
-      s_deletes = List.sort (fun (a, _) (b, _) -> by_rid a b) !deletes;
-      s_inserts = !inserts;
-      s_logical = n;
-      s_distinct = Array.length order;
-    }
+    (* 4. One physical action per key: stored records rewritten, then
+       deleted, in ascending (page, slot) order, then fresh inserts as
+       insert runs in first-touch order (the slots per-op application
+       would have assigned them). *)
+    Obs.with_span "batch.apply" @@ fun () ->
+    let rewrites, deletes =
+      List.partition_map
+        (fun (rid, e) -> match e.img with Some img -> Left (rid, img) | None -> Right rid)
+        stored
+    in
+    let rewrites = Array.of_list rewrites and width = Schema.width schema in
+    Table.rewrite_many table (Array.map fst rewrites) (fun i img off ->
+        Bytes.blit (snd rewrites.(i)) 0 img off width);
+    st.Maintenance.physical_updates <- st.Maintenance.physical_updates + Array.length rewrites;
+    List.iter
+      (fun rid ->
+        st.Maintenance.physical_deletes <- st.Maintenance.physical_deletes + 1;
+        Table.delete table rid)
+      deletes;
+    (* Keys were resolved absent by the index probes and are distinct per
+       entry, so the records go in without a duplicate probe. *)
+    let fresh =
+      Array.of_list
+        (List.filter_map
+           (fun e -> match (e.rid, e.img) with None, Some img -> Some (e.key, img) | _ -> None)
+           order)
+    in
+    st.Maintenance.physical_inserts <- st.Maintenance.physical_inserts + Array.length fresh;
+    ignore (Table.insert_records table fresh);
+    outcome ~logical:n ~distinct:(List.length order) ~inserts:(Array.length fresh)
+      ~updates:(Array.length rewrites) ~deletes:(List.length deletes)
   end
-
-let staged_ops s = Array.length s.s_updates + List.length s.s_deletes + List.length s.s_inserts
-
-let staged_outcome s =
-  {
-    logical_ops = s.s_logical;
-    distinct_keys = s.s_distinct;
-    folded_ops = s.s_logical - staged_ops s;
-    physical_inserts = List.length s.s_inserts;
-    physical_updates = Array.length s.s_updates;
-    physical_deletes = List.length s.s_deletes;
-  }
-
-let apply_staged ?stats table s =
-  let st = stats_of stats in
-  Obs.with_span "batch.apply" @@ fun () ->
-  st.Maintenance.physical_updates <- st.Maintenance.physical_updates + Array.length s.s_updates;
-  Table.update_many ~olds:s.s_olds table s.s_updates;
-  List.iter
-    (fun (rid, old) ->
-      st.Maintenance.physical_deletes <- st.Maintenance.physical_deletes + 1;
-      Table.delete ~old table rid)
-    s.s_deletes;
-  (* Keys were resolved absent by the index probes and are distinct per
-     entry, so the duplicate probe is redundant; the inserts go in as
-     insert runs. *)
-  st.Maintenance.physical_inserts <-
-    st.Maintenance.physical_inserts + List.length s.s_inserts;
-  let inserted = Table.insert_many ~check:false table (Array.of_list s.s_inserts) in
-  ( staged_outcome s,
-    Array.fold_right
-      (fun (rid, _) acc -> rid :: acc)
-      s.s_updates
-      (List.map fst s.s_deletes @ Array.to_list inserted) )
-
-let apply ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops =
-  let s = stage ?stats ?on_over_delete ?was_insert_over_delete ext table ~vn ops in
-  fst (apply_staged ?stats table s)
 
 (* ---------- the refresh: one visit per changed record ---------- *)
 
@@ -295,7 +259,9 @@ let apply_in_place ~stats:st ~pad ~on_over_delete ext table ~vn r =
           Maintenance.update_record ext ~vn img off assignments
         | Delete _ ->
           st.Maintenance.logical_deletes <- st.Maintenance.logical_deletes + 1;
-          Maintenance.delete_record ext ~vn img off));
+          (* Row 1 ([current_cells] rejected this VN's stamps): a logical
+             delete, never a physical one. *)
+          ignore (Maintenance.delete_record ext ~vn img off : bool)));
   Array.fold_right (fun (rid : Heap_file.rid) acc -> rid.Heap_file.page :: acc) r.rids []
 
 let apply_fresh ~stats:st ~pad ext table ~vn r =
@@ -312,6 +278,4 @@ let apply_fresh ~stats:st ~pad ext table ~vn r =
         | Some (Delete _) -> invalid_arg "Batch.apply: delete of an absent key")
       r.absent
   in
-  let fresh = Array.of_list fresh in
-  st.Maintenance.physical_inserts <- st.Maintenance.physical_inserts + Array.length fresh;
-  Array.to_list (Table.insert_many ~check:false table fresh)
+  Array.to_list (insert_fresh st table (Array.of_list fresh))

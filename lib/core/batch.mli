@@ -1,31 +1,34 @@
 (** Batched maintenance application (§3.3 Tables 2-4 over whole batches).
 
-    Two executors share the Tables 2-4 transitions of {!Maintenance}.
+    Both executors run the Tables 2-4 transitions of {!Maintenance} on
+    record bytes ({!Maintenance.insert_record} and its siblings); they
+    differ only in whose bytes and when.
 
     {b Hand-driven batches} ({!apply}, under [Twovnl.Txn.apply_batch])
     take an entire maintenance batch against one relation and reduce it
     to the minimum physical work before touching storage:
 
-    + {b Net-effect reduction}: operations are grouped by unique key and
-      folded through the same Tables 2-4 transitions the per-op path uses
-      ({!Maintenance.insert_tuple} / [update_tuple] / [delete_tuple]), on an
-      in-memory record image — a key touched k times costs k (cheap, pure)
-      transitions but exactly one physical action, instead of k probe +
-      decode + rewrite cycles.
-    + {b One key probe per key}: every key→rid lookup is one probe of the
-      unique-key hash index ({!Vnl_query.Table.find_many_by_key}), and the
-      hit records are fetched in ascending (page, slot) order.
-    + {b Page-ordered apply}: the per-key physical actions are applied in
-      ascending (page, slot) order (fresh inserts last, in first-touch
-      order), so a small buffer pool sees near-sequential page access
-      instead of one random page per logical operation.
+    + {b One key probe per key}: operations are grouped by unique key,
+      each key is probed once in the unique-key hash index
+      ({!Vnl_query.Table.probe}), and each hit record's bytes are copied
+      out in ascending (page, slot) order.
+    + {b Net-effect reduction}: each key's operations are folded through
+      the transitions on that private copy (or, for an absent key, on a
+      freshly encoded record) — a key touched k times costs k in-memory
+      transitions but exactly one physical action.  A record this
+      transaction already stamped takes row 2 of the tables, as it would
+      one operation at a time.
+    + {b Page-ordered apply}: each copy is written back over its record
+      in ascending (page, slot) order as page runs
+      ({!Vnl_query.Table.rewrite_many}, which moves secondary index
+      entries whose cells changed), then physical deletes, then fresh
+      inserts as insert runs in first-touch order.
 
-    Because the batched fold and the per-op appliers run the {e same}
-    transition code, applying a batch produces byte-identical table state
-    and identical reader-visible results at every session VN as applying
-    its operations one at a time — the correctness contract the randomized
-    differential test enforces.  Two deliberate exceptions, both outside
-    the paper's maintenance pattern:
+    Applying a batch produces byte-identical table state and identical
+    reader-visible results at every session VN as applying its operations
+    one at a time — the correctness contract the randomized differential
+    test enforces.  Two deliberate exceptions, both outside the paper's
+    maintenance pattern:
 
     - A batch that inserts a {e brand-new} key and deletes it again nets to
       no storage action at all, where per-op application would transiently
@@ -47,15 +50,13 @@
     {!apply_fresh}, under {!Pipeline}) receives one {!change} per key,
     each already carrying the rid the unique-key index gave for it, and
     touches each changed record once, on its page bytes.  The changes are
-    grouped by the page of their rid; each page is one page run
-    ({!Vnl_query.Table.rewrite_many}) in which every record is classified
-    from its cells read in place and written through the row-1
-    transitions on bytes ({!Maintenance.update_record} and its
-    siblings).  No stored record becomes a tuple.  Changes whose key is
-    absent become fresh inserts, written as insert runs.  A refresh
-    writes each key once, at a VN above every stored stamp, so only row 1
-    of Tables 2-4 occurs; the records come out byte-identical to the
-    hand-driven path's. *)
+    grouped by the page of their rid; each page is one page run in which
+    every record is classified from its cells read in place
+    ({!Maintenance.current_cells}) and written by its transition.  No
+    stored record becomes a tuple.  Changes whose key is absent become
+    fresh inserts, written as insert runs.  A refresh writes each key
+    once, at a VN above every stored stamp, so its page runs meet row 1
+    only and reject a record already stamped at the round's VN. *)
 
 type op =
   | Insert of Vnl_relation.Tuple.t  (** Base tuple to logically insert. *)
@@ -74,47 +75,6 @@ type outcome = {
   physical_deletes : int;
 }
 
-type staged
-(** A batch's complete write plan: grouped, resolved, and folded, with every
-    physical action decided but nothing written.  Updates and deletes are
-    rid-sorted, fresh inserts carry their extended tuples in first-touch
-    order.  Staging reads the table (index probes, record fetches); a staged
-    plan is only valid against the table state it was staged from — apply it
-    before any other writer touches the relation. *)
-
-val stage :
-  ?stats:Maintenance.stats ->
-  ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->
-  ?was_insert_over_delete:(Vnl_storage.Heap_file.rid -> bool) ->
-  Schema_ext.t ->
-  Vnl_query.Table.t ->
-  vn:int ->
-  op list ->
-  staged
-(** Group, resolve, and fold a batch at maintenance version [vn] without
-    writing.  [on_over_delete] and [was_insert_over_delete] carry the
-    transaction-level bookkeeping for inserts over older logical deletes
-    (exactly as in {!Maintenance.apply_insert} / [apply_delete]); within
-    the batch that bookkeeping is tracked automatically.  [stats] receives
-    the logical counts.  A rejected operation (impossible transition,
-    assignment to a key or non-updatable attribute) raises here, before
-    any write.
-
-    Each stored record is copied once, and the Tables 2-4 transitions then
-    write that private image in place. *)
-
-val apply_staged :
-  ?stats:Maintenance.stats ->
-  Vnl_query.Table.t ->
-  staged ->
-  outcome * Vnl_storage.Heap_file.rid list
-(** Execute a staged plan: updates in rid order as page runs
-    ({!Vnl_query.Table.update_many}), then deletes in rid order, then
-    fresh inserts as insert runs ({!Vnl_query.Table.insert_many}).
-    [stats] receives the physical counts.  Returns the batch outcome and
-    {e every} rid physically written — updated, deleted, and freshly
-    inserted. *)
-
 val apply :
   ?stats:Maintenance.stats ->
   ?on_over_delete:(Vnl_storage.Heap_file.rid -> unit) ->
@@ -124,9 +84,14 @@ val apply :
   vn:int ->
   op list ->
   outcome
-(** [stage] then [apply_staged] back to back: apply a whole batch at
-    maintenance version [vn].  [stats] receives the same logical counts as
-    per-op application and the {e reduced} physical counts. *)
+(** Apply a whole batch at maintenance version [vn].  [on_over_delete]
+    and [was_insert_over_delete] carry the transaction-level bookkeeping
+    for inserts over older logical deletes (exactly as in
+    {!Maintenance.apply_insert} / [apply_delete]); within the batch that
+    bookkeeping is tracked automatically.  [stats] receives the same
+    logical counts as per-op application and the {e reduced} physical
+    counts.  A rejected operation (impossible transition, assignment to a
+    key or non-updatable attribute) raises before any write. *)
 
 
 (** {2 The refresh} *)

@@ -24,114 +24,6 @@ let fresh_stats () =
 
 let count f = function Some s -> f s | None -> ()
 
-let push_back ext tuple =
-  let nslots = Schema_ext.slots ext in
-  if nslots = 1 then tuple
-  else begin
-    (* Move slot i into slot i+1, oldest first so nothing is clobbered. *)
-    let updates = ref [] in
-    for slot = nslots - 1 downto 1 do
-      let src_vn = Schema_ext.tuple_vn_index ext ~slot
-      and dst_vn = Schema_ext.tuple_vn_index ext ~slot:(slot + 1)
-      and src_op = Schema_ext.operation_index ext ~slot
-      and dst_op = Schema_ext.operation_index ext ~slot:(slot + 1) in
-      updates := (dst_vn, Tuple.get tuple src_vn) :: (dst_op, Tuple.get tuple src_op) :: !updates;
-      let src_pre = Schema_ext.pre_indices ext ~slot
-      and dst_pre = Schema_ext.pre_indices ext ~slot:(slot + 1) in
-      Array.iteri
-        (fun r src -> updates := (dst_pre.(r), Tuple.get tuple src) :: !updates)
-        src_pre
-    done;
-    Tuple.set_many tuple !updates
-  end
-
-(* Inverse of push_back: slot_i <- slot_{i+1}, emptying the last slot.
-   Used to restore a tuple's pushed-back history (abort, and the
-   insert-over-delete-then-delete case below). *)
-let shift_forward ext tuple =
-  let updates = ref [] in
-  let nslots = Schema_ext.slots ext in
-  for slot = 1 to nslots - 1 do
-    let src_vn = Schema_ext.tuple_vn_index ext ~slot:(slot + 1)
-    and dst_vn = Schema_ext.tuple_vn_index ext ~slot
-    and src_op = Schema_ext.operation_index ext ~slot:(slot + 1)
-    and dst_op = Schema_ext.operation_index ext ~slot in
-    updates := (dst_vn, Tuple.get tuple src_vn) :: (dst_op, Tuple.get tuple src_op) :: !updates;
-    let src_pre = Schema_ext.pre_indices ext ~slot:(slot + 1)
-    and dst_pre = Schema_ext.pre_indices ext ~slot in
-    Array.iteri
-      (fun r src -> updates := (dst_pre.(r), Tuple.get tuple src) :: !updates)
-      src_pre
-  done;
-  updates := (Schema_ext.tuple_vn_index ext ~slot:nslots, Value.Null) :: !updates;
-  updates := (Schema_ext.operation_index ext ~slot:nslots, Value.Null) :: !updates;
-  Array.iter
-    (fun i -> updates := (i, Value.Null) :: !updates)
-    (Schema_ext.pre_indices ext ~slot:nslots);
-  Tuple.set_many tuple !updates
-
-let slot1_vn ext tuple =
-  match Schema_ext.tuple_vn ext ~slot:1 tuple with
-  | Some vn -> vn
-  | None -> invalid_arg "Maintenance: tuple without slot 1"
-
-(* Write slot 1 bookkeeping, optionally the pre-update values, and the
-   [set] base-attribute assignments, all in one tuple copy.  [`From_current]
-   pre values are read from [tuple] before [set] lands, so they capture the
-   pre-assignment state.  With [in_place] the tuple is mutated instead of
-   copied — only for callers that own the sole reference (the batch fold). *)
-let set_slot1 ?(in_place = false) ?(set = []) ext tuple ~vn ~op ~pre =
-  if in_place then begin
-    (* Sole-reference fast path (the batch fold): write fields directly,
-       no update list.  Pre copies land before [set] so they capture the
-       pre-assignment state; [set] runs reversed to preserve the list
-       path's first-assignment-wins order on duplicate positions. *)
-    (match pre with
-    | `Keep -> ()
-    | `Nulls ->
-      Array.iter
-        (fun i -> Tuple.unsafe_set_in_place tuple i Value.Null)
-        (Schema_ext.pre_indices ext ~slot:1)
-    | `From_current ->
-      let pre1 = Schema_ext.pre_indices ext ~slot:1
-      and upd = Schema_ext.updatable_array ext in
-      Array.iteri
-        (fun r j ->
-          Tuple.unsafe_set_in_place tuple pre1.(r)
-            (Tuple.get tuple (Schema_ext.base_index ext j)))
-        upd);
-    List.iter
-      (fun (j, v) -> Tuple.unsafe_set_in_place tuple (Schema_ext.base_index ext j) v)
-      (List.rev set);
-    Tuple.unsafe_set_in_place tuple (Schema_ext.tuple_vn_index ext ~slot:1) (Value.Int vn);
-    Tuple.unsafe_set_in_place tuple (Schema_ext.operation_index ext ~slot:1) (Op.to_value op);
-    tuple
-  end
-  else begin
-    let updates =
-      ref
-        [
-          (Schema_ext.tuple_vn_index ext ~slot:1, Value.Int vn);
-          (Schema_ext.operation_index ext ~slot:1, Op.to_value op);
-        ]
-    in
-    List.iter (fun (j, v) -> updates := (Schema_ext.base_index ext j, v) :: !updates) set;
-    (match pre with
-    | `Keep -> ()
-    | `Nulls ->
-      Array.iter
-        (fun i -> updates := (i, Value.Null) :: !updates)
-        (Schema_ext.pre_indices ext ~slot:1)
-    | `From_current ->
-      let pre1 = Schema_ext.pre_indices ext ~slot:1
-      and upd = Schema_ext.updatable_array ext in
-      Array.iteri
-        (fun r j ->
-          updates := (pre1.(r), Tuple.get tuple (Schema_ext.base_index ext j)) :: !updates)
-        upd);
-    Tuple.set_many tuple !updates
-  end
-
 let check_updatable ext assignments =
   List.iter
     (fun (j, _) ->
@@ -145,232 +37,237 @@ let is_logically_live ext tuple =
   | Op.Insert | Op.Update -> true
 
 (* ------------------------------------------------------------------ *)
-(* Pure tuple transitions (Tables 2-4).                               *)
+(* Tables 2-4 on record bytes.                                        *)
 (*                                                                    *)
-(* Each function maps the in-memory image of a record to the image    *)
-(* the logical operation leaves behind, without touching storage.     *)
-(* The per-op appliers below wrap them with one table read and one    *)
-(* physical action; the batched path (Batch) folds a whole batch      *)
-(* through them and performs a single physical action per key, which  *)
-(* is what makes batched and per-op application byte-identical: both  *)
-(* run exactly this code.                                             *)
+(* Every transition reads slot 1's cells and the base cells in place   *)
+(* and writes only the cells it changes, on whatever bytes hold the    *)
+(* record: a page slot inside a page run, or the batch fold's private  *)
+(* copy.  Each validates every value before its first byte lands.      *)
 (* ------------------------------------------------------------------ *)
 
-let insert_tuple ?(on_over_delete = fun () -> ()) ?(own = false) ext ~vn existing base_tuple =
-  match existing with
-  | None ->
-    (* Table 2, row 3: no conflicting tuple. *)
-    Schema_ext.fresh_insert ext ~vn base_tuple
-  | Some existing ->
-    let prev_op = Schema_ext.operation ext ~slot:1 existing in
-    let mv = List.mapi (fun j v -> (j, v)) (Tuple.values base_tuple) in
-    let tvn = slot1_vn ext existing in
-    if tvn < vn then begin
-      (* Table 2, row 1: conflict from an older transaction — only a
-         logically deleted tuple can collide. *)
-      Op.check_older_txn ~previous:prev_op Op.Insert;
-      on_over_delete ();
-      let t = push_back ext existing in
-      set_slot1 ~in_place:own ~set:mv ext t ~vn ~op:Op.Insert ~pre:`Nulls
-    end
-    else begin
-      (* Table 2, row 2: conflict with this same transaction. *)
-      match Op.combine_same_txn ~previous:prev_op Op.Insert with
-      | `Becomes net -> set_slot1 ~in_place:own ~set:mv ext existing ~vn ~op:net ~pre:`Keep
-      | `Physically_delete -> assert false (* insert never physically deletes *)
-    end
+(* The extended record's cell types and byte offsets, looked up once per
+   transition.  Slot 1's stamp is read and written raw, as the reader's
+   fast path reads it (Schema_ext.visibility): the tupleVN cell is an
+   int32 whose NULL is [Int32.min_int], the operation cell one byte, its
+   {!Op.code}. *)
+type layout = {
+  dts : Vnl_relation.Dtype.t array;
+  offs : int array;
+  vn1 : int;  (** Byte offset of slot 1's tupleVN cell. *)
+  op1 : int;  (** Byte offset of slot 1's operation cell. *)
+}
 
-let update_tuple ?(own = false) ext ~vn existing assignments =
+let layout ext =
+  let s = Schema_ext.extended ext in
+  let offs = Schema.cell_offsets s in
+  {
+    dts = Schema.dtypes s;
+    offs;
+    vn1 = offs.(Schema_ext.tuple_vn_index ext ~slot:1);
+    op1 = offs.(Schema_ext.operation_index ext ~slot:1);
+  }
+
+let cell l p img off = Value.decode l.dts.(p) img (off + l.offs.(p))
+
+let write_cell l p v img off = Value.write_cell l.dts.(p) v img (off + l.offs.(p))
+
+let copy_cell l ~src ~dst img off =
+  Bytes.blit img (off + l.offs.(src)) img (off + l.offs.(dst))
+    (Vnl_relation.Dtype.width l.dts.(src))
+
+let record_stamp ext img off =
+  let l = layout ext in
+  let n = Bytes.get_int32_le img (off + l.vn1) in
+  if Int32.equal n Int32.min_int then None
+  else Some (Int32.to_int n, Op.of_code (Bytes.get img (off + l.op1)))
+
+(* Whether this transaction wrote the record: a stamp at [vn] selects row
+   2 of Tables 2-4, one below it row 1. *)
+let same_txn l ~vn img off =
+  let n = Bytes.get_int32_le img (off + l.vn1) in
+  if Int32.equal n Int32.min_int then invalid_arg "Maintenance: tuple without slot 1";
+  let tvn = Int32.to_int n in
+  if tvn > vn then invalid_arg "Maintenance: record stamped above this VN";
+  tvn = vn
+
+let stored_op l img off = Op.of_code (Bytes.get img (off + l.op1))
+
+let write_stamp l ~vn op img off =
+  Bytes.set_int32_le img (off + l.vn1) (Int32.of_int vn);
+  Bytes.set img (off + l.op1) (Op.code op)
+
+let restamp ext ~vn op img off = write_stamp (layout ext) ~vn op img off
+
+let current_cells ext ~vn img off =
+  let l = layout ext in
+  if same_txn l ~vn img off then invalid_arg "Maintenance: record already written at this VN";
+  match stored_op l img off with
+  | Op.Delete -> None
+  | Op.Insert | Op.Update -> Some (fun j -> cell l (Schema_ext.base_index ext j) img off)
+
+(* Copy slot [src]'s stamp and pre-update cells over slot [dst]'s. *)
+let copy_slot l ext img off ~src ~dst =
+  let move a b = copy_cell l ~src:a ~dst:b img off in
+  move (Schema_ext.tuple_vn_index ext ~slot:src) (Schema_ext.tuple_vn_index ext ~slot:dst);
+  move (Schema_ext.operation_index ext ~slot:src) (Schema_ext.operation_index ext ~slot:dst);
+  let dst_pre = Schema_ext.pre_indices ext ~slot:dst in
+  Array.iteri (fun r p -> move p dst_pre.(r)) (Schema_ext.pre_indices ext ~slot:src)
+
+(* Move slot i into slot i+1, oldest first so nothing is clobbered; slot 1
+   is left for the caller to fill. *)
+let push_back l ext img off =
+  for slot = Schema_ext.slots ext - 1 downto 1 do
+    copy_slot l ext img off ~src:slot ~dst:(slot + 1)
+  done
+
+let push_back_record ext img off = push_back (layout ext) ext img off
+
+let shift_forward_record ext img off =
+  let l = layout ext and nslots = Schema_ext.slots ext in
+  for slot = 1 to nslots - 1 do
+    copy_slot l ext img off ~src:(slot + 1) ~dst:slot
+  done;
+  let null p = write_cell l p Value.Null img off in
+  null (Schema_ext.tuple_vn_index ext ~slot:nslots);
+  null (Schema_ext.operation_index ext ~slot:nslots);
+  Array.iter null (Schema_ext.pre_indices ext ~slot:nslots)
+
+let restore_current ext img off =
+  let l = layout ext and upd = Schema_ext.updatable_array ext in
+  Array.iteri
+    (fun r p -> copy_cell l ~src:p ~dst:(Schema_ext.base_index ext upd.(r)) img off)
+    (Schema_ext.pre_indices ext ~slot:1)
+
+(* Slot 1 for the transition: the pre-update copies, then the base
+   assignments (reversed, so the first of duplicate positions wins), then
+   the stamp. *)
+let write_slot1 l ext img off ~vn ~op ~pre ~set =
+  (match pre with
+  | `Keep -> ()
+  | `Nulls ->
+    Array.iter (fun p -> write_cell l p Value.Null img off) (Schema_ext.pre_indices ext ~slot:1)
+  | `From_current ->
+    let upd = Schema_ext.updatable_array ext in
+    Array.iteri
+      (fun r p -> copy_cell l ~src:(Schema_ext.base_index ext upd.(r)) ~dst:p img off)
+      (Schema_ext.pre_indices ext ~slot:1));
+  List.iter (fun (j, v) -> write_cell l (Schema_ext.base_index ext j) v img off) (List.rev set);
+  write_stamp l ~vn op img off
+
+let check_cells ext set =
+  let s = Schema_ext.extended ext in
+  List.iter (fun (j, v) -> Tuple.check_value s (Schema_ext.base_index ext j) v) set
+
+(* Row 2: the net effect of this transaction's operations on the record. *)
+let net ~previous op =
+  match Op.combine_same_txn ~previous op with
+  | `Becomes net -> net
+  | `Physically_delete -> assert false (* only a delete physically deletes *)
+
+let insert_record ?(on_over_delete = fun () -> ()) ext ~vn img off base_tuple =
+  let l = layout ext in
+  let same = same_txn l ~vn img off in
+  let previous = stored_op l img off in
+  (* Table 2, row 1: only a logically deleted record can collide. *)
+  if not same then Op.check_older_txn ~previous Op.Insert;
+  if Tuple.arity base_tuple <> Schema_ext.base_arity ext then
+    invalid_arg "Maintenance: base tuple arity mismatch";
+  let set = List.mapi (fun j v -> (j, v)) (Tuple.values base_tuple) in
+  check_cells ext set;
+  if same then
+    (* Table 2, row 2. *)
+    write_slot1 l ext img off ~vn ~op:(net ~previous Op.Insert) ~pre:`Keep ~set
+  else begin
+    on_over_delete ();
+    push_back l ext img off;
+    write_slot1 l ext img off ~vn ~op:Op.Insert ~pre:`Nulls ~set
+  end
+
+let update_record ext ~vn img off assignments =
   check_updatable ext assignments;
-  let prev_op = Schema_ext.operation ext ~slot:1 existing in
-  let tvn = slot1_vn ext existing in
-  if tvn < vn then begin
-    (* Table 3, row 1. *)
-    Op.check_older_txn ~previous:prev_op Op.Update;
-    let t = push_back ext existing in
-    set_slot1 ~in_place:own ~set:assignments ext t ~vn ~op:Op.Update ~pre:`From_current
+  let l = layout ext in
+  let same = same_txn l ~vn img off in
+  let previous = stored_op l img off in
+  if same then begin
+    (* Table 3, row 2: the net effect keeps the existing operation. *)
+    let op = net ~previous Op.Update in
+    check_cells ext assignments;
+    write_slot1 l ext img off ~vn ~op ~pre:`Keep ~set:assignments
   end
   else begin
-    (* Table 3, row 2: net effect keeps the existing operation. *)
-    match Op.combine_same_txn ~previous:prev_op Op.Update with
-    | `Becomes net -> set_slot1 ~in_place:own ~set:assignments ext existing ~vn ~op:net ~pre:`Keep
-    | `Physically_delete -> assert false
+    (* Table 3, row 1. *)
+    Op.check_older_txn ~previous Op.Update;
+    check_cells ext assignments;
+    push_back l ext img off;
+    write_slot1 l ext img off ~vn ~op:Op.Update ~pre:`From_current ~set:assignments
   end
 
-let delete_tuple ?(insert_over_delete = false) ?(own = false) ext ~vn existing =
-  let prev_op = Schema_ext.operation ext ~slot:1 existing in
-  let tvn = slot1_vn ext existing in
-  if tvn < vn then begin
-    (* Table 4, row 1: logical delete is a physical update preserving the
-       pre-update version. *)
-    Op.check_older_txn ~previous:prev_op Op.Delete;
-    let t = push_back ext existing in
-    Some (set_slot1 ~in_place:own ext t ~vn ~op:Op.Delete ~pre:`From_current)
+let delete_record ?(insert_over_delete = false) ext ~vn img off =
+  let l = layout ext in
+  let same = same_txn l ~vn img off in
+  let previous = stored_op l img off in
+  if not same then begin
+    (* Table 4, row 1: a logical delete is a physical update preserving
+       the pre-update version. *)
+    Op.check_older_txn ~previous Op.Delete;
+    push_back l ext img off;
+    write_slot1 l ext img off ~vn ~op:Op.Delete ~pre:`From_current ~set:[];
+    false
   end
-  else begin
+  else
     (* Table 4, row 2. *)
-    match Op.combine_same_txn ~previous:prev_op Op.Delete with
-    | `Physically_delete when not insert_over_delete -> None
+    match Op.combine_same_txn ~previous Op.Delete with
+    | `Becomes op ->
+      write_slot1 l ext img off ~vn ~op ~pre:`Keep ~set:[];
+      false
+    | `Physically_delete when not insert_over_delete -> true
     | `Physically_delete ->
       (* Correction to Table 4 row 2: the same-transaction insert landed on
          a logically deleted key (Table 2 row 1), so the record still
          carries history older readers may need — physically deleting it
          would lose that.  Restore the deleted state instead: shift the
          pushed-back slots forward under nVNL; under plain 2VNL re-stamp
-         the tuple as deleted at vn - 1 (invisible to every non-expired
+         the record as deleted at vn - 1 (invisible to every non-expired
          session, exactly like the committed delete it stands for). *)
-      if Schema_ext.slots ext >= 2 && Schema_ext.tuple_vn ext ~slot:2 existing <> None then
-        Some (shift_forward ext existing)
-      else
-        Some
-          (Tuple.set_many existing
-             [
-               (Schema_ext.tuple_vn_index ext ~slot:1, Value.Int (vn - 1));
-               (Schema_ext.operation_index ext ~slot:1, Op.to_value Op.Delete);
-             ])
-    | `Becomes net -> Some (set_slot1 ext existing ~vn ~op:net ~pre:`Keep)
-  end
+      if
+        Schema_ext.slots ext >= 2
+        && cell l (Schema_ext.tuple_vn_index ext ~slot:2) img off <> Value.Null
+      then shift_forward_record ext img off
+      else write_stamp l ~vn:(vn - 1) Op.Delete img off;
+      false
 
 (* ------------------------------------------------------------------ *)
-(* Row-1 transitions on record bytes.                                 *)
-(*                                                                    *)
-(* The refresh writes each changed record once, on its page bytes,    *)
-(* inside a page run: it reads slot 1's cells and the base cells in   *)
-(* place and writes only the cells a transition changes.  Within one  *)
-(* refresh every stored tupleVN is below the writing VN (a round      *)
-(* touches each key once), so only row 1 of Tables 2-4 occurs; a      *)
-(* record already stamped at the VN is rejected rather than handled.  *)
-(* Each function validates every value before its first byte lands,   *)
-(* and writes exactly the cells [Tuple.encode_into] of the tuple      *)
-(* transition's result would change.                                  *)
+(* Per-operation appliers: one key probe and a one-record page run per *)
+(* logical operation.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let cell ext p img off =
-  let s = Schema_ext.extended ext in
-  Value.decode (Schema.dtypes s).(p) img (off + (Schema.cell_offsets s).(p))
-
-let write_cell ext p v img off =
-  let s = Schema_ext.extended ext in
-  Value.write_cell (Schema.dtypes s).(p) v img (off + (Schema.cell_offsets s).(p))
-
-let copy_cell ext ~src ~dst img off =
-  let s = Schema_ext.extended ext in
-  let offs = Schema.cell_offsets s in
-  Bytes.blit img (off + offs.(src)) img (off + offs.(dst))
-    (Vnl_relation.Dtype.width (Schema.dtypes s).(src))
-
-(* Slot 1's operation, once its version number is checked below [vn]. *)
-let stored_op ext ~vn img off =
-  (match cell ext (Schema_ext.tuple_vn_index ext ~slot:1) img off with
-  | Value.Int tvn when tvn < vn -> ()
-  | Value.Int _ -> invalid_arg "Maintenance: record already written at this VN"
-  | _ -> invalid_arg "Maintenance: tuple without slot 1");
-  Op.of_value (cell ext (Schema_ext.operation_index ext ~slot:1) img off)
-
-let current_cells ext ~vn img off =
-  match stored_op ext ~vn img off with
-  | Op.Delete -> None
-  | Op.Insert | Op.Update -> Some (fun j -> cell ext (Schema_ext.base_index ext j) img off)
-
-let push_back_record ext img off =
-  for slot = Schema_ext.slots ext - 1 downto 1 do
-    let move src dst = copy_cell ext ~src ~dst img off in
-    move (Schema_ext.tuple_vn_index ext ~slot) (Schema_ext.tuple_vn_index ext ~slot:(slot + 1));
-    move (Schema_ext.operation_index ext ~slot) (Schema_ext.operation_index ext ~slot:(slot + 1));
-    let dst_pre = Schema_ext.pre_indices ext ~slot:(slot + 1) in
-    Array.iteri (fun r src -> move src dst_pre.(r)) (Schema_ext.pre_indices ext ~slot)
-  done
-
-(* Slot 1 after a push-back: the pre-update copies, then the base
-   assignments (reversed, so the first of duplicate positions wins, as in
-   [set_slot1]), then the stamp. *)
-let write_slot1 ext img off ~vn ~op ~pre ~set =
-  let pre1 = Schema_ext.pre_indices ext ~slot:1 in
-  (match pre with
-  | `Nulls -> Array.iter (fun p -> write_cell ext p Value.Null img off) pre1
-  | `From_current ->
-    let upd = Schema_ext.updatable_array ext in
-    Array.iteri
-      (fun r p -> copy_cell ext ~src:(Schema_ext.base_index ext upd.(r)) ~dst:p img off)
-      pre1);
-  List.iter (fun (j, v) -> write_cell ext (Schema_ext.base_index ext j) v img off) (List.rev set);
-  write_cell ext (Schema_ext.tuple_vn_index ext ~slot:1) (Value.Int vn) img off;
-  write_cell ext (Schema_ext.operation_index ext ~slot:1) (Op.to_value op) img off
-
-let check_cells ext set =
-  List.iter
-    (fun (j, v) -> Tuple.check_value (Schema_ext.extended ext) (Schema_ext.base_index ext j) v)
-    set
-
-let insert_record ?(on_over_delete = fun () -> ()) ext ~vn img off base_tuple =
-  (* Table 2, row 1: only a logically deleted record can collide. *)
-  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Insert;
-  let set = List.mapi (fun j v -> (j, v)) (Tuple.values base_tuple) in
-  check_cells ext set;
-  on_over_delete ();
-  push_back_record ext img off;
-  write_slot1 ext img off ~vn ~op:Op.Insert ~pre:`Nulls ~set
-
-let update_record ext ~vn img off assignments =
-  (* Table 3, row 1. *)
-  check_updatable ext assignments;
-  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Update;
-  check_cells ext assignments;
-  push_back_record ext img off;
-  write_slot1 ext img off ~vn ~op:Op.Update ~pre:`From_current ~set:assignments
-
-let delete_record ext ~vn img off =
-  (* Table 4, row 1: a logical delete is a physical update. *)
-  Op.check_older_txn ~previous:(stored_op ext ~vn img off) Op.Delete;
-  push_back_record ext img off;
-  write_slot1 ext img off ~vn ~op:Op.Delete ~pre:`From_current ~set:[]
-
-(* ------------------------------------------------------------------ *)
-(* Per-operation appliers: one table probe and one physical action    *)
-(* per logical operation.                                             *)
-(* ------------------------------------------------------------------ *)
+let rewrite table rid f = Table.rewrite_many table [| rid |] (fun _ img off -> f img off)
 
 let apply_insert ?stats ?on_over_delete ext table ~vn base_tuple =
   count (fun s -> s.logical_inserts <- s.logical_inserts + 1) stats;
-  let conflict =
-    if Vnl_query.Table.has_key table then
-      Table.find_by_key table (Tuple.key_of (Schema_ext.base ext) base_tuple)
-    else None
-  in
-  match conflict with
+  let key = Tuple.key_of (Schema_ext.base ext) base_tuple in
+  match Table.probe table ~hash:(Vnl_index.Hash_index.Key.hash key) key with
   | None ->
+    (* Table 2, row 3: no conflicting record. *)
     count (fun s -> s.physical_inserts <- s.physical_inserts + 1) stats;
-    Table.insert ~check:false table (insert_tuple ext ~vn None base_tuple)
-  | Some (rid, existing) ->
-    let on_over_delete =
-      match on_over_delete with Some f -> Some (fun () -> f rid) | None -> None
-    in
-    let t = insert_tuple ?on_over_delete ext ~vn (Some existing) base_tuple in
+    Table.insert ~check:false table (Schema_ext.fresh_insert ext ~vn base_tuple)
+  | Some rid ->
+    let on_over_delete = Option.map (fun f () -> f rid) on_over_delete in
+    rewrite table rid (fun img off -> insert_record ?on_over_delete ext ~vn img off base_tuple);
     count (fun s -> s.physical_updates <- s.physical_updates + 1) stats;
-    Table.update_in_place ~old:existing table rid t;
     rid
 
 let apply_update ?stats ext table ~vn rid assignments =
   count (fun s -> s.logical_updates <- s.logical_updates + 1) stats;
-  check_updatable ext assignments;
-  match Table.get table rid with
-  | None -> invalid_arg "Maintenance.apply_update: no tuple at rid"
-  | Some existing ->
-    let t = update_tuple ext ~vn existing assignments in
-    count (fun s -> s.physical_updates <- s.physical_updates + 1) stats;
-    Table.update_in_place ~old:existing table rid t
+  rewrite table rid (fun img off -> update_record ext ~vn img off assignments);
+  count (fun s -> s.physical_updates <- s.physical_updates + 1) stats
 
 let apply_delete ?stats ?(was_insert_over_delete = fun _ -> false) ext table ~vn rid =
   count (fun s -> s.logical_deletes <- s.logical_deletes + 1) stats;
-  match Table.get table rid with
-  | None -> invalid_arg "Maintenance.apply_delete: no tuple at rid"
-  | Some existing -> (
-    match
-      delete_tuple ~insert_over_delete:(was_insert_over_delete rid) ext ~vn existing
-    with
-    | None ->
-      count (fun s -> s.physical_deletes <- s.physical_deletes + 1) stats;
-      Table.delete ~old:existing table rid
-    | Some t ->
-      count (fun s -> s.physical_updates <- s.physical_updates + 1) stats;
-      Table.update_in_place ~old:existing table rid t)
+  let insert_over_delete = was_insert_over_delete rid and remove = ref false in
+  rewrite table rid (fun img off -> remove := delete_record ~insert_over_delete ext ~vn img off);
+  if !remove then begin
+    count (fun s -> s.physical_deletes <- s.physical_deletes + 1) stats;
+    Table.delete table rid
+  end
+  else count (fun s -> s.physical_updates <- s.physical_updates + 1) stats

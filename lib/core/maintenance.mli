@@ -1,4 +1,4 @@
-(** Maintenance-transaction tuple operations (§3.3, Tables 2-4; §5).
+(** Maintenance-transaction record operations (§3.3, Tables 2-4; §5).
 
     Given the maintenance transaction's [maintenanceVN] and a target tuple's
     [tupleVN]/[operation], each logical operation maps to a physical action
@@ -18,7 +18,11 @@
       same-transaction update — mark delete.
 
     "Impossible" cells raise {!Op.Impossible}.  For nVNL, "push back" shifts
-    every version slot down by one, discarding slot n-1. *)
+    every version slot down by one, discarding slot n-1.  Per §4 the new
+    state replaces the old record on its page: the transitions below act on
+    the record's bytes, and every maintenance path — the per-operation
+    appliers, {!Batch.apply}'s fold and the refresh's page runs — runs
+    them. *)
 
 type stats = {
   mutable logical_inserts : int;
@@ -32,75 +36,28 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-val push_back : Schema_ext.t -> Vnl_relation.Tuple.t -> Vnl_relation.Tuple.t
-(** Shift slots 1..n-2 into 2..n-1 (dropping the oldest); slot 1 is left for
-    the caller to fill.  For 2VNL this just discards slot 1's bookkeeping. *)
+(** {2 Tables 2-4 on record bytes}
 
-(** {2 Pure tuple transitions}
-
-    The Tables 2-4 state machine on in-memory record images, with no
-    storage access.  The [apply_*] functions below wrap each transition
-    with one table probe and one physical action; {!Batch.apply} folds a
-    whole batch of logical operations through the same transitions and
-    performs a single physical action per key — running identical code is
-    what guarantees the two paths produce byte-identical records. *)
-
-val insert_tuple :
-  ?on_over_delete:(unit -> unit) ->
-  ?own:bool ->
-  Schema_ext.t ->
-  vn:int ->
-  Vnl_relation.Tuple.t option ->
-  Vnl_relation.Tuple.t ->
-  Vnl_relation.Tuple.t
-(** [insert_tuple ext ~vn existing base] is the record image after logically
-    inserting [base]: a fresh extended tuple when [existing] is [None]
-    (Table 2 row 3), otherwise the Table 2 row 1/2 resolution against the
-    conflicting image.  [on_over_delete] fires on row 1 (insert over an
-    older transaction's logical delete).  [own] declares that the caller
-    holds the sole reference to [existing], letting the transition mutate it
-    instead of copying (the batch fold's repeated-key fast path); the result
-    may then alias the input. *)
-
-val update_tuple :
-  ?own:bool ->
-  Schema_ext.t ->
-  vn:int ->
-  Vnl_relation.Tuple.t ->
-  (int * Vnl_relation.Value.t) list ->
-  Vnl_relation.Tuple.t
-(** Table 3 on a record image; assignments are by base position and may
-    touch only updatable attributes.  [own] as in {!insert_tuple}. *)
-
-val delete_tuple :
-  ?insert_over_delete:bool ->
-  ?own:bool ->
-  Schema_ext.t ->
-  vn:int ->
-  Vnl_relation.Tuple.t ->
-  Vnl_relation.Tuple.t option
-(** Table 4 on a record image.  [None] means the record is physically
-    deleted (same-transaction fresh insert); [insert_over_delete] marks a
-    record this transaction re-inserted over an older logical delete, for
-    which the row 2 correction restores the deleted state instead. *)
-
-(** {2 Row-1 transitions on record bytes}
-
-    The refresh's page runs apply each changed record's transition on its
-    page bytes ([img], record at byte offset [off]), writing only the
-    cells the transition changes, with the bytes {!Vnl_relation.Tuple.encode_into}
-    of the tuple transition's result would leave.  A refresh round writes
-    each record once at a VN above its stamp, so only row 1 of Tables 2-4
-    occurs: each function raises [Invalid_argument] on a record already
-    stamped at or above [vn], as on any rejected value, before its first
-    byte lands.  Impossible transitions raise {!Op.Impossible}. *)
+    The one implementation of Tables 2-4.  Each transition acts on a
+    record's bytes ([img], record at byte offset [off]) — a page slot
+    inside a page run ({!Vnl_query.Table.rewrite_many}), or the batch
+    fold's private copy — reading slot 1's cells and the base cells in
+    place and writing only the cells it changes.  Slot 1's stamp selects
+    the row: below [vn], row 1 (an older transaction's record: push back,
+    then write slot 1); at [vn], row 2 (this transaction's record: the net
+    effect per {!Op.combine_same_txn}, no push-back).  A stamp above [vn]
+    raises [Invalid_argument].  Every value is validated before the first
+    byte lands, so a rejected transition ([Invalid_argument],
+    {!Op.Impossible}) leaves the bytes as they were. *)
 
 val current_cells :
   Schema_ext.t -> vn:int -> bytes -> int -> (int -> Vnl_relation.Value.t) option
-(** A reader of the record's current base cells by base position, or
-    [None] when the record is logically deleted (what a maintenance read
-    sees, per the first row of Table 1).  The reader decodes cells in
-    place, so it is valid only while the page image is. *)
+(** The refresh's entry point: a reader of the record's current base cells
+    by base position, or [None] when the record is logically deleted (what
+    a maintenance read sees, per the first row of Table 1).  Raises
+    [Invalid_argument] on a record stamped at or above [vn]: a refresh
+    writes each key once, so its page runs meet row 1 only.  The reader
+    decodes cells in place, so it is valid only while the bytes are. *)
 
 val insert_record :
   ?on_over_delete:(unit -> unit) ->
@@ -110,15 +67,53 @@ val insert_record :
   int ->
   Vnl_relation.Tuple.t ->
   unit
-(** Table 2 row 1: insert the base tuple over the record's logical delete;
-    [on_over_delete] fires as in {!insert_tuple}. *)
+(** Table 2 rows 1 and 2: insert the base tuple over the record with its
+    key.  [on_over_delete] fires on row 1 (an insert over an older
+    transaction's logical delete), the bookkeeping no-log rollback needs. *)
 
 val update_record :
   Schema_ext.t -> vn:int -> bytes -> int -> (int * Vnl_relation.Value.t) list -> unit
-(** Table 3 row 1, assignments as in {!update_tuple}. *)
+(** Table 3; the assignments give new values by base position and may
+    touch only updatable attributes. *)
 
-val delete_record : Schema_ext.t -> vn:int -> bytes -> int -> unit
-(** Table 4 row 1: a logical delete. *)
+val delete_record :
+  ?insert_over_delete:bool -> Schema_ext.t -> vn:int -> bytes -> int -> bool
+(** Table 4; [true] when the record must be physically deleted (row 2
+    over this transaction's fresh insert), in which case no byte changed.
+    [insert_over_delete] marks a record this transaction re-inserted over
+    an older logical delete: deleting it restores the deleted state
+    instead (a correction to the paper's row 2, which assumes the insert
+    was fresh) — the pushed-back slots shift forward under nVNL, and
+    under plain 2VNL slot 1 is re-stamped deleted at [vn - 1]. *)
+
+(** {2 Byte helpers}
+
+    The slot moves the transitions are built from: the no-log rollback
+    ({!Rollback}) reverts records with them, and the property tests check
+    {!shift_forward_record} against {!push_back_record}. *)
+
+val record_stamp : Schema_ext.t -> bytes -> int -> (int * Op.t) option
+(** Slot 1's tupleVN and operation; [None] when slot 1 is empty. *)
+
+val push_back_record : Schema_ext.t -> bytes -> int -> unit
+(** Shift slots 1..n-2 into 2..n-1 (dropping the oldest); slot 1 is left
+    for the caller to fill.  For 2VNL this writes nothing. *)
+
+val shift_forward_record : Schema_ext.t -> bytes -> int -> unit
+(** Inverse of {!push_back_record}: shift slots 2..n-1 into 1..n-2 and
+    empty the last slot.  Exact for every session inside the version
+    window. *)
+
+val restamp : Schema_ext.t -> vn:int -> Op.t -> bytes -> int -> unit
+(** Write slot 1's tupleVN and operation. *)
+
+val restore_current : Schema_ext.t -> bytes -> int -> unit
+(** Copy slot 1's pre-update values back over the updatable attributes. *)
+
+(** {2 Per-operation appliers}
+
+    Each probes the unique key's rid or takes a rid, and runs its
+    transition as a one-record page run. *)
 
 val apply_insert :
   ?stats:stats ->
@@ -145,7 +140,7 @@ val apply_update :
 (** Table 3 on the tuple at [rid]; the assignment list gives new values by
     {e base} attribute position and may touch only updatable attributes.
     Raises {!Op.Impossible} on a logically deleted target and
-    [Invalid_argument] on non-updatable positions. *)
+    [Invalid_argument] on non-updatable positions or a free slot. *)
 
 val apply_delete :
   ?stats:stats ->
@@ -155,16 +150,10 @@ val apply_delete :
   vn:int ->
   Vnl_storage.Heap_file.rid ->
   unit
-(** Table 4 on the tuple at [rid].  [was_insert_over_delete] (default
-    everywhere-false) marks tuples this transaction re-inserted over a
-    logically deleted key; deleting such a tuple restores the deleted
-    marker instead of physically removing the record, because the record
-    still carries pre-update history (a correction to the paper's row 2,
-    which assumes the insert was fresh). *)
-
-val shift_forward : Schema_ext.t -> Vnl_relation.Tuple.t -> Vnl_relation.Tuple.t
-(** Inverse of {!push_back}: shift slots 2..n-1 into 1..n-2 and empty the
-    last slot.  Exact for every session inside the version window. *)
+(** Table 4 on the tuple at [rid], physically deleting the record when
+    {!delete_record} says so.  [was_insert_over_delete] (default
+    everywhere-false) gives {!delete_record}'s [insert_over_delete] per
+    rid. *)
 
 val is_logically_live : Schema_ext.t -> Vnl_relation.Tuple.t -> bool
 (** Current version exists (operation of slot 1 is not delete); what a

@@ -35,6 +35,14 @@ let of_value = function
   | Value.Str "d" -> Delete
   | v -> invalid_arg (Printf.sprintf "Op.of_value: %s" (Value.to_string v))
 
+let code = function Insert -> 'i' | Update -> 'u' | Delete -> 'd'
+
+let of_code = function
+  | 'i' -> Insert
+  | 'u' -> Update
+  | 'd' -> Delete
+  | c -> invalid_arg (Printf.sprintf "Op.of_code: %C" c)
+
 let pp ppf op = Format.pp_print_string ppf (to_string op)
 
 let equal a b = a = b

@@ -37,6 +37,14 @@ val to_value : t -> Vnl_relation.Value.t
 val of_value : Vnl_relation.Value.t -> t
 (** Raises [Invalid_argument] on anything but the three codes. *)
 
+val code : t -> char
+(** The byte {!to_value}'s one-character string encodes to: the operation
+    cell's raw content. *)
+
+val of_code : char -> t
+(** Inverse of {!code}; raises [Invalid_argument] on any other byte (a
+    [NULL] operation cell holds ['\xff']). *)
+
 val to_string : t -> string
 (** Paper-style spelling: ["insert"], ["update"], ["delete"]. *)
 

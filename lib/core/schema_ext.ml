@@ -79,7 +79,7 @@ let slots t = t.n - 1
 
 let base_arity t = Schema.arity t.base
 
-let updatable_count t = List.length t.updatable
+let updatable_count t = Array.length t.updatable_arr
 
 let check_slot t slot =
   if slot < 1 || slot > t.n - 1 then
@@ -88,9 +88,12 @@ let check_slot t slot =
 let slot_start t slot =
   (* Slot 1 bookkeeping sits at 0; later slots are appended after the base
      attributes and slot 1's pre-update copies. *)
-  check_slot t slot;
-  let b = base_arity t and k = updatable_count t in
-  if slot = 1 then 0 else 2 + b + k + ((slot - 2) * (2 + k))
+  if slot = 1 then 0
+  else begin
+    check_slot t slot;
+    let b = base_arity t and k = updatable_count t in
+    2 + b + k + ((slot - 2) * (2 + k))
+  end
 
 let tuple_vn_index t ~slot = slot_start t slot
 

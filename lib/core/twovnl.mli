@@ -224,8 +224,8 @@ module Txn : sig
 
   val record_over_delete : m -> Vnl_storage.Heap_file.rid -> unit
   (** Record an insert over a logically deleted record, for the no-log
-      rollback (thread-safe).  The DML entry points record their own; a
-      caller staging batches itself ({!Batch.stage}) passes this. *)
+      rollback (thread-safe).  The DML entry points record their own; the
+      refresh's page runs ({!Batch.apply_in_place}) are passed this. *)
 
   val was_insert_over_delete : m -> Vnl_storage.Heap_file.rid -> bool
 

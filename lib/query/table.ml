@@ -57,38 +57,56 @@ let version t = t.version
 
 let key_of t tuple = Tuple.key_of (schema t) tuple
 
-let sec_entry_key sec tuple (rid : Heap_file.rid) =
-  Tuple.project tuple sec.positions
-  @ [ Vnl_relation.Value.Int rid.Heap_file.page; Vnl_relation.Value.Int rid.Heap_file.slot ]
+(* A secondary entry's key: the indexed cells, then the rid. *)
+let sec_key cells (rid : Heap_file.rid) =
+  cells @ Vnl_relation.Value.[ Int rid.Heap_file.page; Int rid.Heap_file.slot ]
+
+let sec_entry_key sec tuple rid = sec_key (Tuple.project tuple sec.positions) rid
 
 let iter_secondaries t f =
   List.iter (fun iname -> f (Hashtbl.find t.secondaries iname)) t.sec_order
 
-let sec_insert t tuple rid =
-  iter_secondaries t (fun sec -> Bptree.insert sec.tree (sec_entry_key sec tuple rid) ())
-
 let sec_remove t tuple rid =
   iter_secondaries t (fun sec -> ignore (Bptree.remove sec.tree (sec_entry_key sec tuple rid)))
+
+(* The cells at [positions] of the record at [off], decoded in place. *)
+let cells_at schema img off positions =
+  let dts = Schema.dtypes schema and offs = Schema.cell_offsets schema in
+  List.map (fun p -> Vnl_relation.Value.decode dts.(p) img (off + offs.(p))) positions
 
 (* [~check:false] skips the duplicate-key probe for callers that already
    resolved the key against the index this transaction (the maintenance
    appliers and the batch pipeline); everyone else keeps the check.  Index
-   entries go in inside the insert run, just after each record's bytes. *)
+   entries go in inside the insert run, just after each record's bytes;
+   [key i] and [cells i positions] read record [i]'s unique key and
+   indexed cells. *)
+let insert_run ~check t n ~key ~cells write =
+  let after i rid =
+    (match t.index with Some index -> Hash_index.replace index (key i) rid | None -> ());
+    iter_secondaries t (fun sec -> Bptree.insert sec.tree (sec_key (cells i sec.positions) rid) ())
+  in
+  let before i =
+    match t.index with
+    | Some index when check && Hash_index.mem index (key i) ->
+      raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name))
+    | Some _ | None -> ()
+  in
+  Heap_file.insert_many ~before ~after t.heap n write
+
 let insert_many ?(check = true) t tuples =
-  match t.index with
-  | None -> Heap_file.insert_many ~after:(fun i rid -> sec_insert t tuples.(i) rid) t.heap tuples
-  | Some index ->
-    let before i =
-      if check && Hash_index.mem index (key_of t tuples.(i)) then
-        raise (Unique_violation (Printf.sprintf "table %s: duplicate key" t.name))
-    in
-    let after i rid =
-      Hash_index.replace index (key_of t tuples.(i)) rid;
-      sec_insert t tuples.(i) rid
-    in
-    Heap_file.insert_many ~before ~after t.heap tuples
+  insert_run ~check t (Array.length tuples)
+    ~key:(fun i -> key_of t tuples.(i))
+    ~cells:(fun i positions -> Tuple.project tuples.(i) positions)
+    (fun i -> Tuple.encode_into (schema t) tuples.(i))
 
 let insert ?check t tuple = (insert_many ?check t [| tuple |]).(0)
+
+let insert_records t records =
+  let s = schema t in
+  insert_run ~check:false t (Array.length records)
+    ~key:(fun i -> fst records.(i))
+    ~cells:(fun i positions -> cells_at s (snd records.(i)) 0 positions)
+    (fun i img off -> Bytes.blit (snd records.(i)) 0 img off (Schema.width s))
 
 (* Do [a] and [b] agree at every position?  Compared in place: the
    common update leaves every key alone, so no key list is built unless
@@ -119,39 +137,14 @@ let reindex t rid old tuple =
         Bptree.insert sec.tree (sec_entry_key sec tuple rid) ()
       end)
 
-let update_many ?olds t updates =
-  (* [olds], when the caller already holds the stored tuples, skips the
-     re-fetch and decode; each must be exactly what [get t rid] would
-     return, or index maintenance goes wrong.  Index upkeep runs per
-     record inside its page run, just before the record's bytes land, so
-     a failure partway leaves every record's entries matching its bytes
-     (up to the failing record's own entries when its tuple is rejected,
-     as with one-by-one updates). *)
-  let reindex_at old i =
-    let rid, tuple = updates.(i) in
-    reindex t rid old tuple
-  in
-  let before =
-    match olds with
-    | Some olds ->
-      if Array.length olds <> Array.length updates then
-        invalid_arg "Table.update_many: olds/updates length mismatch";
-      fun i -> reindex_at olds.(i) i
-    | None ->
-      (* Fetched before the runs: a read of the page from inside its own
-         exclusive latch would wait on itself. *)
-      let olds = Array.map (fun (rid, _) -> Heap_file.get t.heap rid) updates in
-      fun i -> Option.iter (fun old -> reindex_at old i) olds.(i)
-  in
-  Heap_file.update_many ~before t.heap updates
-
-let update_in_place ?old t rid tuple =
-  update_many ?olds:(Option.map (fun o -> [| o |]) old) t [| (rid, tuple) |]
-
-(* The cells at [positions] of the record at [off], decoded in place. *)
-let cells_at schema img off positions =
-  let dts = Schema.dtypes schema and offs = Schema.cell_offsets schema in
-  List.map (fun p -> Vnl_relation.Value.decode dts.(p) img (off + offs.(p))) positions
+(* The old record is fetched before the run (a read of the page from
+   inside its own exclusive latch would wait on itself); its index entries
+   move inside the run, just before the new bytes land. *)
+let update_in_place t rid tuple =
+  let old = Heap_file.get t.heap rid in
+  Heap_file.modify_many t.heap [| rid |] (fun _ img off ->
+      Option.iter (fun old -> reindex t rid old tuple) old;
+      Tuple.encode_into (schema t) tuple img off)
 
 let rewrite_many t rids f =
   let write =
@@ -170,19 +163,15 @@ let rewrite_many t rids f =
           (fun sec old ->
             let cur = cells_at s img off sec.positions in
             if not (List.equal Vnl_relation.Value.equal old cur) then begin
-              let suffix =
-                Vnl_relation.Value.[ Int rid.Heap_file.page; Int rid.Heap_file.slot ]
-              in
-              ignore (Bptree.remove sec.tree (old @ suffix));
-              Bptree.insert sec.tree (cur @ suffix) ()
+              ignore (Bptree.remove sec.tree (sec_key old rid));
+              Bptree.insert sec.tree (sec_key cur rid) ()
             end)
           secs olds
   in
   Heap_file.modify_many t.heap rids write
 
-let delete ?old t rid =
-  let old = match old with Some _ -> old | None -> Heap_file.get t.heap rid in
-  (match old with
+let delete t rid =
+  (match Heap_file.get t.heap rid with
   | Some old ->
     (match t.index with
     | Some index -> ignore (Hash_index.remove index (key_of t old))
@@ -206,32 +195,6 @@ let find_by_key t key =
 
 let probe t ~hash key =
   match t.index with None -> None | Some index -> Hash_index.find_hashed index ~hash key
-
-let find_many_by_key t keys =
-  let out = Array.make (Array.length keys) None in
-  (match t.index with
-  | None -> ()
-  | Some index ->
-    (* Probe every key, then fetch the hit records in ascending (page,
-       slot) order so a small buffer pool sees each page once. *)
-    let hits = ref [] in
-    Array.iteri
-      (fun i key ->
-        match Hash_index.find index key with
-        | Some rid -> hits := (rid, i) :: !hits
-        | None -> ())
-      keys;
-    List.iter
-      (fun (rid, i) ->
-        match Heap_file.get t.heap rid with
-        | Some tuple -> out.(i) <- Some (rid, tuple)
-        | None -> ())
-      (List.sort
-         (fun ((a : Heap_file.rid), _) ((b : Heap_file.rid), _) ->
-           let c = Int.compare a.page b.page in
-           if c <> 0 then c else Int.compare a.slot b.slot)
-         !hits));
-  out
 
 let scan t f = Heap_file.scan t.heap f
 

@@ -60,29 +60,23 @@ val insert_many :
     failure leaves the tuples before it inserted.  The rids align with the
     input. *)
 
-val update_many :
-  ?olds:Vnl_relation.Tuple.t array ->
-  t ->
-  (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) array ->
-  unit
-(** [update_many t updates] overwrites each record in place, as page runs
-    ({!Vnl_storage.Heap_file.update_many}): pass them rid-sorted.  Index
-    upkeep runs per record inside its run, just before the record's bytes
-    land: the unique-key entry moves if the key values changed (2VNL
-    itself never changes keys, but the engine supports it) and a secondary
-    entry moves if its attributes changed; both tests compare the
-    positions in place, so an update that keeps them allocates no key.  A
-    failure partway (a free slot, a rejected tuple, a moved key already
-    present) leaves what the same one-record updates would: the records
-    before it written with their entries moved, the ones after it
-    untouched.  [olds.(i)], when the caller already holds the stored tuple at
-    [updates.(i)]'s rid, skips the re-fetch; it must equal the stored
-    record.  Raises {!Unique_violation} if a moved key is already
-    present. *)
+val insert_records :
+  t -> (Vnl_relation.Value.t list * bytes) array -> Vnl_storage.Heap_file.rid array
+(** {!insert_many} [~check:false] of records already encoded, each given
+    with its unique key (which the caller resolved absent, as in
+    [~check:false]): the record is [Schema.width] bytes at offset 0,
+    copied into its slot, and its secondary entries are read from its
+    cells. *)
 
-val update_in_place :
-  ?old:Vnl_relation.Tuple.t -> t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit
-(** {!update_many} of one record. *)
+val update_in_place : t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit
+(** Overwrite the record in place ({!Vnl_storage.Heap_file.modify_many} of
+    one record, encoding the tuple over it).  Index upkeep runs inside the
+    run, just before the bytes land: the unique-key entry moves if the key
+    values changed (2VNL itself never changes keys, but the engine supports
+    it) and a secondary entry moves if its attributes changed; both tests
+    compare the positions in place, so an update that keeps them allocates
+    no key.  Raises {!Unique_violation} if a moved key is already present,
+    and [Invalid_argument] on a free slot or a rejected tuple. *)
 
 val rewrite_many :
   t -> Vnl_storage.Heap_file.rid array -> (int -> bytes -> int -> unit) -> unit
@@ -94,10 +88,8 @@ val rewrite_many :
     after the record's write, so a failure leaves every written record's
     entries matching its bytes and the records after it untouched. *)
 
-val delete : ?old:Vnl_relation.Tuple.t -> t -> Vnl_storage.Heap_file.rid -> unit
-(** Physically remove the record and its index entries.  [old], when the
-    caller already holds the stored tuple for [rid], skips the re-fetch;
-    it must equal the stored record. *)
+val delete : t -> Vnl_storage.Heap_file.rid -> unit
+(** Physically remove the record and its index entries. *)
 
 val get : t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t option
 
@@ -110,14 +102,6 @@ val probe :
 (** The rid the unique-key index holds for the key, without touching any
     page; [hash] must be the key's {!Vnl_index.Hash_index.Key.hash}.
     [None] for keyless tables or absent keys. *)
-
-val find_many_by_key :
-  t ->
-  Vnl_relation.Value.t list array ->
-  (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option array
-(** Batched {!find_by_key}: every key is probed, then the hit records are
-    fetched in ascending (page, slot) order.  Results align with the input
-    array; keys may be in any order.  All-[None] for keyless tables. *)
 
 val scan : t -> (Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit) -> unit
 

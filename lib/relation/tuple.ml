@@ -45,8 +45,6 @@ let set_many t updates =
   List.iter (fun (i, v) -> t'.(i) <- v) updates;
   t'
 
-let unsafe_set_in_place t i v = t.(i) <- v
-
 let values = Array.to_list
 
 let project t positions = List.map (fun i -> t.(i)) positions
@@ -91,8 +89,6 @@ let encode schema t =
   let buf = Bytes.make (Schema.width schema) '\000' in
   encode_into schema t buf 0;
   buf
-
-let copy = Array.copy
 
 let decode_from schema buf start =
   let dts = Schema.dtypes schema and offs = Schema.cell_offsets schema in

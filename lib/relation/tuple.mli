@@ -41,16 +41,6 @@ val set : t -> int -> Value.t -> t
 
 val set_many : t -> (int * Value.t) list -> t
 
-val copy : t -> t
-(** A fresh tuple with the same values, which the caller then owns (see
-    {!unsafe_set_in_place}). *)
-
-val unsafe_set_in_place : t -> int -> Value.t -> unit
-(** Write the position directly, without copying.  Only for engine-internal
-    hot paths where the caller holds the sole reference to the tuple (the
-    batched maintenance fold); anywhere else it breaks the immutability
-    contract above. *)
-
 val values : t -> Value.t list
 
 val project : t -> int list -> Value.t list

@@ -40,20 +40,14 @@ let alloc_page t =
   t.free <- Iset.add pid t.free;
   pid
 
-(* Records are encoded straight into the frame.  [Tuple.encode_into]
-   validates the whole tuple before its first byte lands and the slot's
-   flag goes up after, so a rejected tuple leaves the page as it was. *)
-let write_record t img slot tuple =
-  Page.write_slot_with t.layout img slot (Tuple.encode_into t.schema tuple)
-
 (* An insert run fills one page's free slots, lowest first, under one heap
    latch, one pin and one exclusive frame latch, then moves on to the
    lowest page that still has one (allocating when none does).  Each
    record lands where a lone insert would put it: the lowest free slot of
-   the lowest page with one.  A failure mid-run leaves the records before
-   it inserted, as the same lone inserts would. *)
-let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t tuples =
-  let n = Array.length tuples in
+   the lowest page with one.  The slot's flag goes up after [write], so a
+   raising [write] leaves its slot free; a failure mid-run leaves the
+   records before it inserted, as the same lone inserts would. *)
+let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t n write =
   let rids = Array.make n { page = 0; slot = 0 } in
   let rec fill pid img i from =
     if i >= n then i
@@ -62,7 +56,7 @@ let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t tuples =
       | None -> i
       | Some slot ->
         before i;
-        write_record t img slot tuples.(i);
+        Page.write_slot_with t.layout img slot (write i);
         t.count <- t.count + 1;
         let rid = { page = pid; slot } in
         rids.(i) <- rid;
@@ -84,7 +78,9 @@ let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t tuples =
   run 0;
   rids
 
-let insert t tuple = (insert_many t [| tuple |]).(0)
+(* [Tuple.encode_into] validates the whole tuple before its first byte
+   lands, so a rejected tuple leaves the page as it was. *)
+let insert t tuple = (insert_many t 1 (fun _ -> Tuple.encode_into t.schema tuple)).(0)
 
 let get t rid =
   (* Optimistic: decoding one tuple is pure and bounds-checked, so a torn
@@ -92,6 +88,12 @@ let get t rid =
   Buffer_pool.read_page t.pool rid.page (fun img ->
       if Page.slot_used t.layout img rid.slot then
         Some (Tuple.decode_from t.schema img (Page.record_offset t.layout rid.slot))
+      else None)
+
+let copy_record t rid =
+  Buffer_pool.read_page t.pool rid.page (fun img ->
+      if Page.slot_used t.layout img rid.slot then
+        Some (Bytes.sub img (Page.record_offset t.layout rid.slot) (Schema.width t.schema))
       else None)
 
 (* A page run — consecutive records of one page — costs one heap latch,
@@ -134,12 +136,8 @@ let modify_many t rids f =
   in
   run 0
 
-let update_many ?(before = ignore) t updates =
-  modify_many t (Array.map fst updates) (fun i img off ->
-      before i;
-      Tuple.encode_into t.schema (snd updates.(i)) img off)
-
-let update_in_place t rid tuple = update_many t [| (rid, tuple) |]
+let update_in_place t rid tuple =
+  modify_many t [| rid |] (fun _ img off -> Tuple.encode_into t.schema tuple img off)
 
 let delete t rid =
   Latch.with_latch t.latch (fun () ->
@@ -149,10 +147,6 @@ let delete t rid =
           Page.clear_slot t.layout img rid.slot));
   t.free <- Iset.add rid.page t.free;
   t.count <- t.count - 1
-
-let delete_then_insert t rid tuple =
-  delete t rid;
-  insert t tuple
 
 let scan t f =
   List.iter

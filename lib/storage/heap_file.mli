@@ -2,10 +2,9 @@
 
     A heap file stores fixed-width encoded tuples of one schema across
     slotted pages obtained from a buffer pool.  Physical updates overwrite
-    the record in its slot ({!update_in_place}), satisfying the paper's §4
-    requirement that "the new state of the tuple replaces the old tuple on
-    the page"; the delete-then-insert fallback the paper warns about is
-    provided for completeness and ablation. *)
+    the record in its slot ({!modify_many}, {!update_in_place}), satisfying
+    the paper's §4 requirement that "the new state of the tuple replaces
+    the old tuple on the page". *)
 
 type t
 
@@ -27,19 +26,28 @@ val insert_many :
   ?before:(int -> unit) ->
   ?after:(int -> rid -> unit) ->
   t ->
-  Vnl_relation.Tuple.t array ->
+  int ->
+  (int -> bytes -> int -> unit) ->
   rid array
-(** {!insert} each tuple in order, as {e insert runs}: one run fills the
-    free slots of one page, lowest first, under one heap latch, one pin and
-    one exclusive frame latch, so every tuple lands in the slot its lone
-    {!insert} would have picked.  [before i] runs just before tuple [i]'s
-    bytes land and [after i rid] just after, both inside the run: neither
-    may touch this file or its buffer pool (a table checks and enters its
-    index entries there).  A failure leaves the tuples before it inserted
-    and every pin released.  The rids come back aligned with the input. *)
+(** [insert_many t n write] inserts [n] records in order, as {e insert
+    runs}: one run fills the free slots of one page, lowest first, under
+    one heap latch, one pin and one exclusive frame latch, so every record
+    lands in the slot its lone {!insert} would have picked.  [write i img
+    off] writes record [i]'s [Schema.width] bytes at [off] in the page
+    image ({!insert} encodes a tuple there); a raising [write] leaves its
+    slot free.  [before i] runs just before record [i]'s bytes land and
+    [after i rid] just after, both inside the run: none of the three may
+    touch this file or its buffer pool (a table checks and enters its
+    index entries there).  A failure leaves the records before it
+    inserted and every pin released.  The rids come back in input
+    order. *)
 
 val get : t -> rid -> Vnl_relation.Tuple.t option
 (** [None] if the slot is free (e.g. after {!delete}). *)
+
+val copy_record : t -> rid -> bytes option
+(** A copy of the record's [Schema.width] bytes, read latch-free;
+    [None] if the slot is free. *)
 
 val modify_many : t -> rid array -> (int -> bytes -> int -> unit) -> unit
 (** [modify_many t rids f] runs [f i img off] on each live record
@@ -55,26 +63,15 @@ val modify_many : t -> rid array -> (int -> bytes -> int -> unit) -> unit
     whatever [f] raises; the records before it stay written (as with
     one-by-one writes) and every pin is released. *)
 
-val update_many :
-  ?before:(int -> unit) -> t -> (rid * Vnl_relation.Tuple.t) array -> unit
-(** {!modify_many} that encodes each tuple over its record
-    ({!Vnl_relation.Tuple.encode_into}).  [before i] runs after
-    [updates.(i)]'s slot is found live and before its record is written,
-    under the run's latches, with {!modify_many}'s restrictions.  A
-    rejected tuple raises [Invalid_argument] with its record's bytes
-    untouched. *)
-
 val update_in_place : t -> rid -> Vnl_relation.Tuple.t -> unit
-(** {!update_many} of one record: a one-record run under a short-duration
-    latch.  Raises [Invalid_argument] if the slot is free. *)
+(** Encode the tuple over the record ({!Vnl_relation.Tuple.encode_into})
+    in a one-record {!modify_many} run.  Raises [Invalid_argument] if the
+    slot is free, or on a rejected tuple, with the record's bytes
+    untouched. *)
 
 val delete : t -> rid -> unit
 (** Physically remove the tuple.  Raises [Invalid_argument] if the slot is
     already free. *)
-
-val delete_then_insert : t -> rid -> Vnl_relation.Tuple.t -> rid
-(** The update strategy for engines without in-place update: physically
-    delete and re-insert, possibly at a different rid. *)
 
 val scan : t -> (rid -> Vnl_relation.Tuple.t -> unit) -> unit
 (** Visit every live tuple in page/slot order.  Each page is decoded into

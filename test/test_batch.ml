@@ -1,8 +1,14 @@
 (* Differential tests for the batched maintenance path: Batch.apply must be
-   a pure performance change.  Two warehouses receive the same logical
+   a pure performance change.  Three warehouses receive the same logical
    operation stream — one op at a time on the first, as one Batch.apply per
-   transaction on the second — and after every commit the physical page
-   bytes and the reader-visible state of every live session must agree. *)
+   transaction on the second, as two Batch.apply statements per transaction
+   (split at a seeded point) on the third — and after every commit the
+   physical page bytes and the reader-visible state of every live session
+   must agree.  All three run the same Tables 2-4 transitions, so each live
+   session is also checked against the full-history oracle (Oracle): the
+   third warehouse's second statement folds over records its first one
+   stamped (row 2 of the tables), and the oracle is the witness for those
+   rows that is not the code under test. *)
 
 module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
@@ -14,6 +20,8 @@ module Buffer_pool = Vnl_storage.Buffer_pool
 module Heap_file = Vnl_storage.Heap_file
 module Twovnl = Vnl_core.Twovnl
 module Batch = Vnl_core.Batch
+module Maintenance = Vnl_core.Maintenance
+module Key = Vnl_index.Hash_index.Key
 
 let check = Alcotest.check
 
@@ -50,11 +58,35 @@ let key_of_id id =
 
 let sales_index = 4 (* total_sales in the base schema *)
 
+(* Every warehouse carries a secondary index on the updatable attribute,
+   so each path's index upkeep (page runs, insert runs, deletes) is
+   checked too. *)
 let mk_wh n =
   let db = Database.create ~page_size:512 ~pool_capacity:8 () in
   let wh = Twovnl.init db in
   ignore (Twovnl.register_table wh ~n ~name:"T" Fixtures.daily_sales);
+  Table.create_index (Twovnl.table (Twovnl.handle_exn wh "T")) ~name:"by_sales" [ "total_sales" ];
   (db, wh)
+
+(* Every record is found under its indexed value, and the entries under
+   every value ever written add up to the records: no stale entry. *)
+let check_sales_index ctx wh ~written =
+  let t = Twovnl.table (Twovnl.handle_exn wh "T") in
+  let pos = Schema.index_of (Table.schema t) "total_sales" in
+  let records = ref 0 in
+  Table.scan t (fun rid tuple ->
+      incr records;
+      if
+        not
+          (List.exists (Heap_file.rid_equal rid)
+             (Table.index_lookup t ~name:"by_sales" [ Tuple.get tuple pos ]))
+      then Alcotest.failf "%s: a record is missing from by_sales" ctx);
+  let entries =
+    Hashtbl.fold
+      (fun v () acc -> acc + List.length (Table.index_lookup t ~name:"by_sales" [ v ]))
+      written 0
+  in
+  check Alcotest.int (ctx ^ ": by_sales entries = records") !records entries
 
 type gop = G_insert of int * int | G_update of int * int | G_delete of int
 
@@ -138,19 +170,31 @@ let check_bytes_identical ctx db_a db_b =
 
 let sorted_rows rows = List.sort Tuple.compare rows
 
-let check_readers_agree ctx wh_a wh_b sessions =
+let oracle_op = function
+  | Batch.Insert t -> Oracle.Ins t
+  | Batch.Update (k, a) -> Oracle.Upd (k, a)
+  | Batch.Delete k -> Oracle.Del k
+
+(* Each session tuple holds one session per warehouse, all begun at the
+   same VN.  Validity must agree; a valid session must read the oracle's
+   state at its VN on every warehouse.  Returns the still-valid ones. *)
+let check_readers_agree ctx whs oracle sessions =
   List.filter
-    (fun (sa, sb) ->
-      let va = Twovnl.Session.is_valid wh_a sa and vb = Twovnl.Session.is_valid wh_b sb in
-      check Alcotest.bool (ctx ^ ": session validity agrees") va vb;
-      if va then begin
-        let ra = sorted_rows (Twovnl.Session.read_table wh_a sa "T")
-        and rb = sorted_rows (Twovnl.Session.read_table wh_b sb "T") in
-        check Fixtures.base_testable
-          (Printf.sprintf "%s: session at vn %d" ctx (Twovnl.Session.vn sa))
-          ra rb
+    (fun ss ->
+      let valid = List.map2 Twovnl.Session.is_valid whs ss in
+      List.iter (check Alcotest.bool (ctx ^ ": session validity agrees") (List.hd valid)) valid;
+      if List.hd valid then begin
+        let vn = Twovnl.Session.vn (List.hd ss) in
+        let expected = Oracle.visible oracle ~vn in
+        List.iteri
+          (fun i (wh, s) ->
+            check Fixtures.base_testable
+              (Printf.sprintf "%s: warehouse %d, session at vn %d = oracle" ctx i vn)
+              expected
+              (sorted_rows (Twovnl.Session.read_table wh s "T")))
+          (List.combine whs ss)
       end;
-      va)
+      List.hd valid)
     sessions
 
 let check_keyed_lookups_agree ctx wh_a wh_b =
@@ -170,27 +214,49 @@ let check_keyed_lookups_agree ctx wh_a wh_b =
   done
 
 let run_differential ~n ~seed ~txns ~batch_size () =
-  let rng = make_rng seed in
-  let db_a, wh_a = mk_wh n and db_b, wh_b = mk_wh n in
-  let model = Hashtbl.create nkeys in
-  let sessions = ref [ (Twovnl.Session.begin_ wh_a, Twovnl.Session.begin_ wh_b) ] in
+  let rng = make_rng seed and split = make_rng (seed + 1) in
+  let (db_a, wh_a), (db_b, wh_b), (db_c, wh_c) = (mk_wh n, mk_wh n, mk_wh n) in
+  let whs = [ wh_a; wh_b; wh_c ] in
+  let oracle = Oracle.create Fixtures.daily_sales in
+  let model = Hashtbl.create nkeys and written = Hashtbl.create 64 in
+  let begin_all () = List.map Twovnl.Session.begin_ whs in
+  let sessions = ref [ begin_all () ] in
   for txn = 1 to txns do
     let ops, sim = gen_batch rng model batch_size in
+    let batch = to_batch_ops ops in
     let ma = Twovnl.Txn.begin_ wh_a in
     apply_per_op ma ops;
+    Oracle.apply_txn oracle ~vn:(Twovnl.Txn.vn ma) (List.map oracle_op batch);
     Twovnl.Txn.commit ma;
     let mb = Twovnl.Txn.begin_ wh_b in
-    let outcome = Twovnl.Txn.apply_batch mb ~table:"T" (to_batch_ops ops) in
+    let outcome = Twovnl.Txn.apply_batch mb ~table:"T" batch in
     Twovnl.Txn.commit mb;
     check Alcotest.int "batch saw every logical op" (List.length ops)
       outcome.Batch.logical_ops;
+    let mc = Twovnl.Txn.begin_ wh_c in
+    let cut = split (List.length batch + 1) in
+    let first = Twovnl.Txn.apply_batch mc ~table:"T" (List.filteri (fun i _ -> i < cut) batch)
+    and second = Twovnl.Txn.apply_batch mc ~table:"T" (List.filteri (fun i _ -> i >= cut) batch) in
+    Twovnl.Txn.commit mc;
+    check Alcotest.int "two statements saw every logical op" (List.length ops)
+      (first.Batch.logical_ops + second.Batch.logical_ops);
     Hashtbl.reset model;
     Hashtbl.iter (Hashtbl.replace model) sim;
+    (* Pre-update cells are not indexed, so only values written to the
+       current attribute can hold entries. *)
+    List.iter
+      (function
+        | G_insert (_, v) | G_update (_, v) -> Hashtbl.replace written (Value.Int v) ()
+        | G_delete _ -> ())
+      ops;
     let ctx = Printf.sprintf "n=%d seed=%d txn=%d" n seed txn in
     check_bytes_identical ctx db_a db_b;
-    sessions := check_readers_agree ctx wh_a wh_b !sessions;
+    check_bytes_identical (ctx ^ " split at " ^ string_of_int cut) db_a db_c;
+    sessions := check_readers_agree ctx whs oracle !sessions;
     check_keyed_lookups_agree ctx wh_a wh_b;
-    sessions := (Twovnl.Session.begin_ wh_a, Twovnl.Session.begin_ wh_b) :: !sessions
+    check_keyed_lookups_agree ctx wh_a wh_c;
+    List.iter (check_sales_index ctx ~written) whs;
+    sessions := begin_all () :: !sessions
   done
 
 let test_differential_2vnl () =
@@ -284,6 +350,42 @@ let test_key_assignment_rejected () =
      with Invalid_argument _ -> true);
   Twovnl.Txn.commit m
 
+(* The refresh's page runs meet row 1 only: a record the transaction
+   already stamped at the run's VN is refused before its change is
+   classified, and its bytes stay as the first statement left them. *)
+let test_refresh_run_refuses_same_vn () =
+  List.iter
+    (fun n ->
+      let _db, wh = mk_wh n in
+      let m0 = Twovnl.Txn.begin_ wh in
+      apply_per_op m0 [ G_insert (0, 100) ];
+      Twovnl.Txn.commit m0;
+      let m = Twovnl.Txn.begin_ wh in
+      ignore (Twovnl.Txn.apply_batch m ~table:"T" (to_batch_ops [ G_update (0, 200) ]));
+      let h = Twovnl.handle_exn wh "T" and key = key_of_id 0 in
+      let table = Twovnl.table h in
+      let rid = Table.probe table ~hash:(Key.hash key) key in
+      let record () = Option.bind rid (Heap_file.copy_record (Table.heap table)) in
+      let before = record () in
+      let decided = ref false in
+      let decide _ =
+        decided := true;
+        Some (Batch.Update (key, [ (sales_index, Value.Int 300) ]))
+      in
+      let runs = Batch.group [ { Batch.key; rid; decide } ] in
+      Alcotest.(check bool) "a record stamped at the run's VN is refused" true
+        (try
+           ignore
+             (Batch.apply_in_place ~stats:(Maintenance.fresh_stats ()) ~pad:Fun.id
+                ~on_over_delete:ignore (Twovnl.ext h) table ~vn:(Twovnl.Txn.vn m) runs);
+           false
+         with Invalid_argument _ -> true);
+      Alcotest.(check bool) "decide never called" false !decided;
+      Alcotest.(check bool) "record bytes unchanged" true
+        (Option.is_some before && Option.equal Bytes.equal before (record ()));
+      ignore (Twovnl.Txn.abort m))
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "differential vs per-op (2VNL)" `Quick test_differential_2vnl;
@@ -294,4 +396,6 @@ let suite =
     Alcotest.test_case "rejected batch leaves table untouched" `Quick
       test_rejected_batch_leaves_table_untouched;
     Alcotest.test_case "key assignment rejected" `Quick test_key_assignment_rejected;
+    Alcotest.test_case "refresh page run refuses a record stamped at its VN" `Quick
+      test_refresh_run_refuses_same_vn;
   ]

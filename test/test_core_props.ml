@@ -1,6 +1,7 @@
 (* Structural property tests for the schema extension and slot mechanics:
-   the index maps must tile the extended tuple exactly, and shift_forward
-   must invert push_back whenever the last slot is free. *)
+   the index maps must tile the extended tuple exactly, and the byte
+   helpers' shift_forward must invert push_back whenever the last slot is
+   free. *)
 
 module Dtype = Vnl_relation.Dtype
 module Value = Vnl_relation.Value
@@ -93,6 +94,27 @@ let gen_ext_tuple rng ext ~occupied =
   done;
   Tuple.of_array schema values
 
+(* Run a byte helper on the tuple's record, encoded at an offset inside a
+   larger buffer, and decode the result; the bytes around the record must
+   not change. *)
+let on_record f ext t =
+  let s = Schema_ext.extended ext in
+  let off = 7 in
+  let img = Bytes.make (Schema.width s + 2 * off) '\x5a' in
+  Tuple.encode_into s t img off;
+  f ext img off;
+  let guard = Bytes.make off '\x5a' in
+  if
+    not
+      (Bytes.equal (Bytes.sub img 0 off) guard
+      && Bytes.equal (Bytes.sub img (off + Schema.width s) off) guard)
+  then failwith "byte helper wrote outside its record";
+  Tuple.decode_from s img off
+
+let push_back = on_record Maintenance.push_back_record
+
+let shift_forward = on_record Maintenance.shift_forward_record
+
 let qcheck_shift_forward_inverts_push_back =
   QCheck.Test.make ~name:"shift_forward inverts push_back (free last slot)" ~count:200
     (QCheck.make QCheck.Gen.(pair (int_range 1 1_000_000) (int_range 3 6))
@@ -104,7 +126,7 @@ let qcheck_shift_forward_inverts_push_back =
       (* Leave the last slot unused so push_back is lossless. *)
       let occupied = 1 + Xorshift.int rng (Schema_ext.slots ext - 1) in
       let t = gen_ext_tuple rng ext ~occupied in
-      let roundtrip = Maintenance.shift_forward ext (Maintenance.push_back ext t) in
+      let roundtrip = shift_forward ext (push_back ext t) in
       (* push_back leaves slot 1 for the caller to overwrite; after
          shift_forward it is restored from the copy in slot 2, so the whole
          tuple must be back. *)
@@ -120,7 +142,7 @@ let qcheck_push_back_preserves_history =
       let ext = Schema_ext.extend ~n base in
       let occupied = 1 + Xorshift.int rng (Schema_ext.slots ext) in
       let t = gen_ext_tuple rng ext ~occupied in
-      let pushed = Maintenance.push_back ext t in
+      let pushed = push_back ext t in
       let ok = ref true in
       for slot = 1 to Schema_ext.slots ext - 1 do
         if Schema_ext.tuple_vn ext ~slot:(slot + 1) pushed <> Schema_ext.tuple_vn ext ~slot t

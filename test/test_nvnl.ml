@@ -126,13 +126,8 @@ let test_round_outstanding_charges_readers () =
   check_sessions vnl oracle ~n ~outstanding:3 [ older; at_round_begin ];
   for i = 0 to 2 do
     let ops = [ Batch.Update (key_of i 13, [ (4, Value.Int (7000 + i)) ]) ] in
-    let s =
-      Batch.stage
-        (Twovnl.ext (Twovnl.handle_exn vnl table_name))
-        (Twovnl.table (Twovnl.handle_exn vnl table_name))
-        ~vn:(Twovnl.Txn.vn round) ops
-    in
-    ignore (Batch.apply_staged (Twovnl.table (Twovnl.handle_exn vnl table_name)) s);
+    let h = Twovnl.handle_exn vnl table_name in
+    ignore (Batch.apply (Twovnl.ext h) (Twovnl.table h) ~vn:(Twovnl.Txn.vn round) ops);
     Oracle.apply_txn oracle ~vn:(Twovnl.Txn.vn round) (List.map oracle_op ops);
     Twovnl.Txn.publish round;
     (* Publishing trades one outstanding slot for one VN of distance: the

@@ -664,16 +664,6 @@ let test_heap_spans_pages () =
       done;
       Alcotest.(check bool) "multiple pages" true (Heap_file.page_count h > 1))
 
-let test_heap_delete_then_insert_moves () =
-  with_heap (fun h ->
-      ignore (Heap_file.insert h (mk_tuple 1 1));
-      let rid = Heap_file.insert h (mk_tuple 2 2) in
-      let rid' = Heap_file.delete_then_insert h rid (mk_tuple 2 20) in
-      (match Heap_file.get h rid' with
-      | Some t -> check Alcotest.string "new value" "20" (Value.to_string (Tuple.get t 1))
-      | None -> Alcotest.fail "missing");
-      check Alcotest.int "count stable" 2 (Heap_file.tuple_count h))
-
 let test_heap_update_free_slot_rejected () =
   with_heap (fun h ->
       let rid = Heap_file.insert h (mk_tuple 1 1) in
@@ -684,8 +674,9 @@ let test_heap_update_free_slot_rejected () =
            false
          with Invalid_argument _ -> true))
 
-(* Page runs.  [update_many] must leave exactly the bytes the same
-   updates applied one record at a time leave — including the zeroed tail
+(* Page runs.  [modify_many] encoding each tuple over its record must
+   leave exactly the bytes the same updates applied one record at a time
+   leave — including the zeroed tail
    of a string cell rewritten shorter — on two clones of one disk. *)
 let named_schema =
   Schema.make
@@ -697,7 +688,12 @@ let named_schema =
 
 let named id name v = Tuple.make named_schema [ Value.Int id; Value.Str name; Value.Int v ]
 
-let test_heap_update_many_matches_one_by_one () =
+(* [modify_many] writing each update's tuple over its record. *)
+let encode_run h updates =
+  Heap_file.modify_many h (Array.map fst updates) (fun i img off ->
+      Tuple.encode_into (Heap_file.schema h) (snd updates.(i)) img off)
+
+let test_heap_modify_many_matches_one_by_one () =
   let d = Disk.create ~page_size:256 () in
   let pool = Buffer_pool.create ~capacity:4 d in
   let h = Heap_file.create pool named_schema in
@@ -724,7 +720,7 @@ let test_heap_update_many_matches_one_by_one () =
     Buffer_pool.flush_all pool';
     (h', List.init (Disk.page_count d') (Disk.read d'))
   in
-  let h_runs, runs = image (fun h' -> Heap_file.update_many h' updates) in
+  let h_runs, runs = image (fun h' -> encode_run h' updates) in
   let _, one_by_one =
     image (fun h' -> Array.iter (fun (rid, t) -> Heap_file.update_in_place h' rid t) updates)
   in
@@ -758,7 +754,7 @@ let test_heap_insert_many_matches_lone_inserts () =
   let pages = Heap_file.pages h and before = Heap_file.tuple_count h in
   let k = 2 * per in
   let tuples = Array.init k (fun i -> named (1000 + i) "y" i) in
-  let rids = Heap_file.insert_many h tuples in
+  let rids = Heap_file.insert_many h k (fun i -> Tuple.encode_into named_schema tuples.(i)) in
   (* The model: scan the known pages in id order for the lowest free slot;
      once they are full, fresh pages fill from slot 0 in allocation order. *)
   let sorted_pages = List.sort Int.compare pages in
@@ -804,7 +800,7 @@ let test_heap_insert_many_matches_lone_inserts () =
 (* A free slot in the middle of a run: [Invalid_argument], the run's
    earlier records written, the rest untouched, and no pin left behind —
    with two frames, a nested access to two other pages needs both. *)
-let test_heap_update_many_free_slot_releases_pins () =
+let test_heap_modify_many_free_slot_releases_pins () =
   let d = Disk.create ~page_size:256 () in
   let pool = Buffer_pool.create ~capacity:2 d in
   let h = Heap_file.create pool small_schema in
@@ -817,7 +813,7 @@ let test_heap_update_many_free_slot_releases_pins () =
   let updates = Array.init (2 * per) (fun i -> (rids.(i), mk_tuple (i + 1) (-1))) in
   Alcotest.(check bool) "raises" true
     (try
-       Heap_file.update_many h updates;
+       encode_run h updates;
        false
      with Invalid_argument _ -> true);
   let v rid =
@@ -837,12 +833,12 @@ let test_heap_update_many_free_slot_releases_pins () =
 (* The same free slot one level up: a table whose secondary index covers
    the updated column.  Index upkeep rides each record's write, so after
    the failure every live record is found under its stored value and
-   every entry names a record that still holds it — with and without the
-   caller's [olds]. *)
-let test_table_update_many_free_slot_keeps_index () =
+   every entry names a record that still holds it — whether the write
+   re-encodes the whole record or only the indexed cell. *)
+let test_table_rewrite_many_free_slot_keeps_index () =
   let module Table = Vnl_query.Table in
   List.iter
-    (fun with_olds ->
+    (fun whole ->
       let pool = Buffer_pool.create ~capacity:2 (Disk.create ~page_size:256 ()) in
       let t = Table.create pool ~name:"t" small_schema in
       Table.create_index t ~name:"by_v" [ "v" ];
@@ -853,14 +849,21 @@ let test_table_update_many_free_slot_keeps_index () =
       done;
       let stored = Array.of_list (Table.to_list t) in
       Table.delete t (fst stored.(per + 2));
-      let updates = Array.init (2 * per) (fun i -> (fst stored.(i), mk_tuple (i + 1) (-(i + 1)))) in
-      let olds = if with_olds then Some (Array.init (2 * per) (fun i -> snd stored.(i))) else None in
+      let rids = Array.init (2 * per) (fun i -> fst stored.(i)) in
+      let write i img off =
+        if whole then Tuple.encode_into small_schema (mk_tuple (i + 1) (-(i + 1))) img off
+        else
+          Value.write_cell Dtype.Int
+            (Value.Int (-(i + 1)))
+            img
+            (off + (Schema.cell_offsets small_schema).(1))
+      in
       Alcotest.(check bool) "raises" true
         (try
-           Table.update_many ?olds t updates;
+           Table.rewrite_many t rids write;
            false
          with Invalid_argument _ -> true);
-      let label = if with_olds then " (olds)" else "" in
+      let label = if whole then "" else " (one cell)" in
       List.iter
         (fun (rid, tuple) ->
           Alcotest.(check bool) ("live record indexed under its value" ^ label) true
@@ -910,7 +913,7 @@ let test_heap_page_run_all_or_nothing () =
                      List.init run_len (fun slot ->
                          Sched.yield ();
                          Tuple.get (Tuple.decode_from small_schema img (Page.record_offset l slot)) 1)) );
-           ("writer", fun () -> Heap_file.update_many h run);
+           ("writer", fun () -> encode_run h run);
          ]);
     let all v = List.for_all (Value.equal (Value.Int v)) !seen in
     Alcotest.(check bool) (Printf.sprintf "seed %d: all old or all new" seed) true (all 0 || all 1);
@@ -1136,14 +1139,13 @@ let suite =
     Alcotest.test_case "heap slot reuse" `Quick test_heap_slot_reuse;
     Alcotest.test_case "heap scan order" `Quick test_heap_scan_order_and_count;
     Alcotest.test_case "heap spans pages" `Quick test_heap_spans_pages;
-    Alcotest.test_case "heap delete-then-insert" `Quick test_heap_delete_then_insert_moves;
     Alcotest.test_case "heap update free slot rejected" `Quick test_heap_update_free_slot_rejected;
-    Alcotest.test_case "heap update_many = one-by-one updates, byte for byte" `Quick
-      test_heap_update_many_matches_one_by_one;
+    Alcotest.test_case "heap modify_many = one-by-one updates, byte for byte" `Quick
+      test_heap_modify_many_matches_one_by_one;
     Alcotest.test_case "heap insert_many = lone inserts, slot for slot" `Quick
       test_heap_insert_many_matches_lone_inserts;
-    Alcotest.test_case "heap update_many free slot mid-run releases pins" `Quick
-      test_heap_update_many_free_slot_releases_pins;
+    Alcotest.test_case "heap modify_many free slot mid-run releases pins" `Quick
+      test_heap_modify_many_free_slot_releases_pins;
     Alcotest.test_case "heap page run: optimistic reader sees all or nothing" `Quick
       test_heap_page_run_all_or_nothing;
     Alcotest.test_case "latch discipline" `Quick test_latch_discipline;
@@ -1156,6 +1158,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_crc32c_differential;
     QCheck_alcotest.to_alcotest qcheck_crc32c_hardware_differential;
     QCheck_alcotest.to_alcotest qcheck_heap_model;
-    Alcotest.test_case "table update_many free slot mid-run keeps indexes" `Quick
-      test_table_update_many_free_slot_keeps_index;
+    Alcotest.test_case "table rewrite_many free slot mid-run keeps indexes" `Quick
+      test_table_rewrite_many_free_slot_keeps_index;
   ]
