@@ -341,6 +341,100 @@ let run_plans_json ?(smoke = false) () =
     \   per-statement parse, rewrite, and tree-walk cost without touching\n\
     \   physical I/O.\n"
 
+(* READER: where a cold §4.1 rollup's time goes, step by step, on a fixed
+   table held entirely in the pool (43 seeded days of sales: 3,796 groups
+   on 56 pages, the rollup benchmark's table size; 512 frames, so no step
+   pays a miss).  Each row adds one step to the one above it, per full
+   scan:
+   - the visibility verdict alone (slot 1's two cells per record);
+   - the verdict plus [decode_visible] into a row list, as an uncached
+     extraction does;
+   - the verdict plus a decoded-record cache hit (the extraction a session
+     runs once the table's cache is warm);
+   - that extraction plus the plan's grouping: [Session.query] in a fresh
+     session, so the rollup cannot be served from a session memo.
+   The gap between the last two rows and the first bounds what a fused
+   rollup (grouping straight off the page bytes) could still save. *)
+let reader_fixture =
+  lazy
+    (let wh =
+       Vnl_warehouse.Warehouse.create ~pool_capacity:512
+         [ Vnl_workload.Sales_gen.daily_sales_view () ]
+     in
+     Vnl_warehouse.Warehouse.queue_changes wh ~view:"DailySales"
+       (Vnl_workload.Sales_gen.initial_load (Vnl_util.Xorshift.create 7) ~days:43
+          ~sales_per_day:235);
+     ignore (Vnl_warehouse.Warehouse.refresh wh);
+     let vnl = Vnl_warehouse.Warehouse.vnl wh in
+     let h = Twovnl.handle_exn vnl "DailySales" in
+     let s = Twovnl.Session.begin_ vnl in
+     (* Warms the pool, the plan cache and the handle's decode cache. *)
+     ignore (Twovnl.Session.query vnl s analyst_query);
+     Twovnl.Session.end_ vnl s;
+     (vnl, Twovnl.ext h, Twovnl.table h, Twovnl.current_vn vnl))
+
+let verdict_scan () =
+  let _, ext, table, session_vn = Lazy.force reader_fixture in
+  Table.fold_pages table ~init:0 ~f:(fun n ~page:_ img iter ->
+      let n = ref n in
+      iter (fun _ off ->
+          match Schema_ext.visibility ext ~session_vn img off with
+          | Schema_ext.Visible -> incr n
+          | Schema_ext.Invisible | Schema_ext.Slow -> ());
+      !n)
+
+(* A hint of another arity: every record is decoded. *)
+let no_hint = Tuple.unsafe_of_array [||]
+
+let decode_scan () =
+  let _, ext, table, session_vn = Lazy.force reader_fixture in
+  let strings = Value.Intern.create () in
+  Table.fold_pages table ~init:[] ~f:(fun rows ~page:_ img iter ->
+      let rows = ref rows in
+      iter (fun _ off ->
+          match Schema_ext.visibility ext ~session_vn img off with
+          | Schema_ext.Visible ->
+            rows := Schema_ext.decode_visible ext strings ~cached:no_hint img off :: !rows
+          | Schema_ext.Invisible | Schema_ext.Slow -> ());
+      !rows)
+
+let reader_cache = lazy (Reader.create_cache ())
+
+let cached_scan () =
+  let _, ext, table, session_vn = Lazy.force reader_fixture in
+  Reader.visible_relation ~cache:(Lazy.force reader_cache) ext ~session_vn table
+
+let cold_rollup () =
+  let vnl, _, _, _ = Lazy.force reader_fixture in
+  let s = Twovnl.Session.begin_ vnl in
+  let r = Twovnl.Session.query vnl s analyst_query in
+  Twovnl.Session.end_ vnl s;
+  r
+
+let reader_steps =
+  [
+    ("visibility verdict", fun () -> ignore (verdict_scan ()));
+    ("verdict + decode_visible", fun () -> ignore (decode_scan ()));
+    ("verdict + cache hit (visible_relation)", fun () -> ignore (cached_scan ()));
+    ("+ plan grouping (cold-session rollup)", fun () -> ignore (cold_rollup ()));
+  ]
+
+let run_reader_attribution ?(smoke = false) () =
+  Vnl_util.Ascii_table.section "READER  a cold rollup, step by step (56 cached pages)";
+  Vnl_obs.Obs.enabled := false;
+  let _, _, table, _ = Lazy.force reader_fixture in
+  let records = Table.tuple_count table in
+  ignore (cached_scan ());
+  let min_time = if smoke then 0.005 else 0.5 in
+  Vnl_util.Ascii_table.print
+    ~header:[ "step"; "us/scan"; "ns/record" ]
+    (List.map
+       (fun (name, f) ->
+         let ns = ns_per_run ~min_time f in
+         [ name; Printf.sprintf "%.1f" (ns /. 1e3); Printf.sprintf "%.1f" (ns /. float records) ])
+       reader_steps);
+  Printf.printf "-> %d records on %d pages, all resident.\n" records (Table.page_count table)
+
 let tests =
   Test.make_grouped ~name:"vnl"
     ([
@@ -390,6 +484,7 @@ let smoke () =
       Printf.printf "  ok  %s\n" name)
     thunks;
   print_endline "-> all microbenchmark workloads executed once.";
+  run_reader_attribution ~smoke:true ();
   (* Short sampling windows: the smoke run still records BENCH_plans.json
      (with its registry-sourced phases) for the bench-compare CI gate. *)
   run_plans_json ~smoke:true ()
@@ -420,5 +515,6 @@ let run ?(smoke_only = false) () =
     print_endline
       "-> per-tuple extraction and decision-table steps are tens to hundreds of\n\
       \   nanoseconds: the run-time overhead 2VNL adds to reads is small (§6).";
+    run_reader_attribution ();
     run_plans_json ()
   end

@@ -9,6 +9,10 @@ let m_decodes = Obs.Registry.counter "reader.visibility_decodes"
 
 let m_slow_decodes = Obs.Registry.counter "reader.slow_decodes"
 
+(* Visible records whose cached decode no longer matched their bytes (or
+   that had none), and were decoded afresh. *)
+let m_misses = Obs.Registry.counter "reader.decode_cache_misses"
+
 exception Session_expired of { session_vn : int; tuple_vn : int }
 
 type case =
@@ -67,26 +71,71 @@ let extract ext ~session_vn tuple =
     | Op.Insert -> None
     | Op.Update | Op.Delete -> Some (Schema_ext.pre_update_tuple ext ~slot tuple))
 
+(* The decoded-record cache: per heap page, one slot per record slot,
+   each holding the base tuple last decoded there.  The slot is only a
+   hint to [Schema_ext.decode_visible], which returns it when the
+   record's base cells still decode to its values and a fresh tuple
+   otherwise, so a row is always exactly the decode of the bytes being
+   read.  Nothing ever invalidates a slot: a record a refresh, GC, abort
+   or recovery rewrote simply misses once and takes its new decode.  A
+   fill is one pointer write of an immutable tuple, so racing reader
+   domains and fills from torn optimistic attempts can leave a slot
+   stale, never wrong.  Pages enter the map by CAS, once each. *)
+module Pages = Map.Make (Int)
+
+type cache = { pages : Tuple.t array Pages.t Atomic.t }
+
+let create_cache () = { pages = Atomic.make Pages.empty }
+
+(* Arity 0: matches no record, since every base schema has a column. *)
+let empty_slot = Tuple.unsafe_of_array [||]
+
+let rec page_slots cache ~page ~slots =
+  let pages = Atomic.get cache.pages in
+  match Pages.find_opt page pages with
+  | Some a -> a
+  | None ->
+    let a = Array.make slots empty_slot in
+    if Atomic.compare_and_set cache.pages pages (Pages.add page a pages) then a
+    else page_slots cache ~page ~slots
+
 (* One page attempt's tallies, seeded from the validated pages before it.
    Rows are consed onto the validated list, which an invalidated attempt
    never mutates, so discarding the attempt discards its rows and counts
    together. *)
-type scan = { mutable rows : Tuple.t list; mutable decodes : int; mutable slow : int }
+type scan = {
+  mutable rows : Tuple.t list;
+  mutable decodes : int;
+  mutable slow : int;
+  mutable misses : int;
+}
 
-let visible_relation ext ~session_vn table =
+let visible_relation ?(cache = create_cache ()) ext ~session_vn table =
   let extended = Schema_ext.extended ext in
+  let slots = Vnl_storage.Heap_file.tuples_per_page (Vnl_query.Table.heap table) in
   let strings = Value.Intern.create () in
   (* The scan runs on the latch-free [fold_pages] path; per visible
-     record it allocates only the base tuple and its list cell (and one
-     more cell in the final reversal).  The tallies hit the gated
-     observability counters once, after the fold, keeping the hottest
-     loop of the read path free of global-ref loads. *)
-  let page (done_ : scan) img iter =
-    let s = { rows = done_.rows; decodes = done_.decodes; slow = done_.slow } in
-    iter (fun off ->
+     record it allocates only the list cell (and one more cell in the
+     final reversal), plus the base tuple when the record changed.  The
+     tallies hit the gated observability counters once, after the fold,
+     keeping the hottest loop of the read path free of global-ref
+     loads. *)
+  let page (done_ : scan) ~page img iter =
+    let s =
+      { rows = done_.rows; decodes = done_.decodes; slow = done_.slow; misses = done_.misses }
+    in
+    let cached = page_slots cache ~page ~slots in
+    iter (fun slot off ->
         s.decodes <- s.decodes + 1;
         match Schema_ext.visibility ext ~session_vn img off with
-        | Schema_ext.Visible -> s.rows <- Schema_ext.decode_visible ext strings img off :: s.rows
+        | Schema_ext.Visible ->
+          let hint = cached.(slot) in
+          let base = Schema_ext.decode_visible ext strings ~cached:hint img off in
+          if base != hint then begin
+            s.misses <- s.misses + 1;
+            cached.(slot) <- base
+          end;
+          s.rows <- base :: s.rows
         | Schema_ext.Invisible -> ()
         | Schema_ext.Slow -> (
           s.slow <- s.slow + 1;
@@ -96,10 +145,13 @@ let visible_relation ext ~session_vn table =
     s
   in
   let s =
-    Vnl_query.Table.fold_pages table ~init:{ rows = []; decodes = 0; slow = 0 } ~f:page
+    Vnl_query.Table.fold_pages table
+      ~init:{ rows = []; decodes = 0; slow = 0; misses = 0 }
+      ~f:page
   in
   Obs.Counter.record m_decodes s.decodes;
   Obs.Counter.record m_slow_decodes s.slow;
+  Obs.Counter.record m_misses s.misses;
   List.rev s.rows
 
 let expired_by_state ~session_vn ~current_vn ~maintenance_active =

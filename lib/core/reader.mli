@@ -34,10 +34,25 @@ val extract :
 (** The base tuple this reader sees, or [None] if the tuple is invisible at
     [session_vn].  Raises {!Session_expired} in the expired case. *)
 
+type cache
+(** A decoded-record cache for one table: per record slot, the base tuple
+    last decoded there.  Each {!Twovnl} handle owns one, so it dies with
+    its physical table (drop, evolution, reopen).  Reader domains may
+    share it without a lock. *)
+
+val create_cache : unit -> cache
+
 val visible_relation :
+  ?cache:cache ->
   Schema_ext.t -> session_vn:int -> Vnl_query.Table.t -> Vnl_relation.Tuple.t list
 (** Extract every visible base tuple from an extended table, in scan
-    order. *)
+    order.  A record that reads its current version is served from
+    [cache] (default: a fresh, empty one) when its base cells still hold
+    the cached tuple's values, and is decoded and cached otherwise, the
+    cells that did not change shared with the cached tuple.  Either way
+    the row is exactly the decode of its bytes, so the cache needs no
+    invalidation.  Rows may be shared with earlier extractions through
+    the cache; tuples are immutable. *)
 
 val expired_by_state : session_vn:int -> current_vn:int -> maintenance_active:bool -> bool
 (** The global pessimistic check of §4.1: the session is still valid iff

@@ -42,13 +42,15 @@ let revert_tuple ext table ~vn ~was_insert_over_delete rid =
    carries at most one unpublished VN in slot 1 and each touched tuple
    reverts independently at its own stamp. *)
 let revert_above ext table ~current ~over_deleted =
-  let touched = ref [] in
-  Table.scan table (fun rid tuple ->
-      match Schema_ext.tuple_vn ext ~slot:1 tuple with
-      | Some tvn when tvn > current -> touched := (rid, tvn) :: !touched
-      | Some _ | None -> ());
+  (* Slot 1's stamp is read in place; nothing is decoded. *)
+  let touched =
+    Table.fold_raw table ~init:[] ~f:(fun acc ~page ~slot img off ->
+        match Maintenance.record_stamp ext img off with
+        | Some (tvn, _) when tvn > current -> ({ Vnl_storage.Heap_file.page; slot }, tvn) :: acc
+        | Some _ | None -> acc)
+  in
   List.iter
     (fun (rid, tvn) ->
       revert_tuple ext table ~vn:tvn ~was_insert_over_delete:(over_deleted rid) rid)
-    !touched;
-  List.length !touched
+    touched;
+  List.length touched

@@ -68,6 +68,10 @@ type handle = {
       (** Columns appended by evolution (oldest first) with their defaults;
           short insert tuples from pre-evolution view templates are padded
           from the suffix of this list. *)
+  decoded : Reader.cache;
+      (** [table]'s decoded-record cache, shared by every session's
+          extraction.  A new physical table gets a new handle and so a new
+          cache. *)
 }
 
 (* Cached reader plans, keyed by the pre-rewrite SQL text.  [generic] is
@@ -189,7 +193,7 @@ let register_handle t h =
 let register_table t ?n ~name schema =
   let ext = Schema_ext.extend ?n schema in
   let table = Database.create_table t.db name (Schema_ext.extended ext) in
-  let h = { name; ext; table; added = [] } in
+  let h = { name; ext; table; added = []; decoded = Reader.create_cache () } in
   register_handle t h;
   h
 
@@ -200,7 +204,7 @@ let attach_table t ?n ~name base =
     invalid_arg
       (Printf.sprintf "Twovnl.attach_table: stored schema of %S does not match the extension"
          name);
-  let h = { name; ext; table; added = [] } in
+  let h = { name; ext; table; added = []; decoded = Reader.create_cache () } in
   register_handle t h;
   h
 
@@ -409,6 +413,7 @@ let attach_generations t =
       in
       let live = head_meta :: older in
       Database.set_generations_meta t.db live;
+      let caches = Hashtbl.create 8 in
       let build gm =
         let registry = ref StrMap.empty and order = ref [] in
         List.iter
@@ -431,7 +436,16 @@ let attach_generations t =
                             gm.Catalog.g_index aname mb.Catalog.m_logical)))
                 mb.Catalog.m_added
             in
-            let h = { name = mb.Catalog.m_logical; ext; table; added } in
+            (* A table every live generation shares gets one cache. *)
+            let decoded =
+              match Hashtbl.find_opt caches mb.Catalog.m_storage with
+              | Some c -> c
+              | None ->
+                let c = Reader.create_cache () in
+                Hashtbl.add caches mb.Catalog.m_storage c;
+                c
+            in
+            let h = { name = mb.Catalog.m_logical; ext; table; added; decoded } in
             registry := StrMap.add h.name h !registry;
             order := h.name :: !order)
           gm.Catalog.g_members;
@@ -662,7 +676,7 @@ module Session = struct
       rows
     | None ->
       let rows =
-        try Reader.visible_relation h.ext ~session_vn:s.vn h.table
+        try Reader.visible_relation ~cache:h.decoded h.ext ~session_vn:s.vn h.table
         with Reader.Session_expired _ -> raise (expired t s)
       in
       Atomic.set s.views ((h.name, rows) :: Atomic.get s.views);
@@ -793,10 +807,11 @@ module Txn = struct
       (Maintenance.apply_insert ~stats:m.txn_stats ~on_over_delete:(record_over_delete m) h.ext
          h.table ~vn:(vn m) base)
 
+  (* Liveness is slot 1's operation, read on the record's bytes. *)
   let live_by_key h key =
-    match Table.find_by_key h.table key with
-    | Some (rid, tuple) when Maintenance.is_logically_live h.ext tuple -> Some rid
-    | Some _ | None -> None
+    match Table.read_by_key h.table key (Maintenance.record_stamp h.ext) with
+    | Some (rid, Some (_, (Op.Insert | Op.Update))) -> Some rid
+    | Some (_, (Some (_, Op.Delete) | None)) | None -> None
 
   let read_current m ~table:name ~key =
     check_live m;
@@ -919,7 +934,7 @@ module Txn = struct
       st.s_created <- name :: st.s_created
     end;
     Database.rename_table t.db scratch name;
-    let h = { name; ext = new_ext; table; added } in
+    let h = { name; ext = new_ext; table; added; decoded = Reader.create_cache () } in
     st.s_registry <- StrMap.add name h st.s_registry;
     sync_meta m st;
     h
@@ -951,7 +966,7 @@ module Txn = struct
       invalid_arg (Printf.sprintf "Twovnl.Txn.add_table: %S already registered" name);
     let ext = Schema_ext.extend ?n schema in
     let table = Database.create_table m.owner.db name (Schema_ext.extended ext) in
-    let h = { name; ext; table; added = [] } in
+    let h = { name; ext; table; added = []; decoded = Reader.create_cache () } in
     st.s_registry <- StrMap.add name h st.s_registry;
     st.s_order <- name :: st.s_order;
     st.s_created <- name :: st.s_created;

@@ -182,16 +182,18 @@ let delete t rid =
 
 let get t rid = Heap_file.get t.heap rid
 
-let find_by_key t key =
+let read_by_key t key f =
   match t.index with
   | None -> None
   | Some index -> (
     match Hash_index.find index key with
     | None -> None
     | Some rid -> (
-      match Heap_file.get t.heap rid with
-      | Some tuple -> Some (rid, tuple)
+      match Heap_file.read_record t.heap rid f with
+      | Some r -> Some (rid, r)
       | None -> None))
+
+let find_by_key t key = read_by_key t key (Tuple.decode_from (schema t))
 
 let probe t ~hash key =
   match t.index with None -> None | Some index -> Hash_index.find_hashed index ~hash key

@@ -97,6 +97,12 @@ val find_by_key :
   t -> Vnl_relation.Value.t list -> (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option
 (** Index probe; [None] for keyless tables or absent keys. *)
 
+val read_by_key :
+  t -> Vnl_relation.Value.t list -> (bytes -> int -> 'a) ->
+  (Vnl_storage.Heap_file.rid * 'a) option
+(** {!find_by_key} reading the record's bytes with [f] instead of decoding
+    it (see {!Vnl_storage.Heap_file.read_record}; [f] must be pure). *)
+
 val probe :
   t -> hash:int -> Vnl_relation.Value.t list -> Vnl_storage.Heap_file.rid option
 (** The rid the unique-key index holds for the key, without touching any
@@ -110,7 +116,7 @@ val iter_tuples : t -> (Vnl_relation.Tuple.t -> unit) -> unit
     {!Vnl_storage.Heap_file.iter_tuples}); [f] must not modify the table. *)
 
 val fold_pages :
-  t -> init:'a -> f:('a -> bytes -> ((int -> unit) -> unit) -> 'a) -> 'a
+  t -> init:'a -> f:('a -> page:int -> bytes -> ((int -> int -> unit) -> unit) -> 'a) -> 'a
 (** Latch-free pure per-page fold over undecoded records (see
     {!Vnl_storage.Heap_file.fold_pages}); [f] must be pure — it may be
     re-run against a torn page image and that attempt discarded. *)

@@ -82,19 +82,18 @@ let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t n write =
    lands, so a rejected tuple leaves the page as it was. *)
 let insert t tuple = (insert_many t 1 (fun _ -> Tuple.encode_into t.schema tuple)).(0)
 
-let get t rid =
-  (* Optimistic: decoding one tuple is pure and bounds-checked, so a torn
-     attempt is safely discarded and re-run by [read_page]. *)
+(* Optimistic: [f] is pure and bounds-checked, so a torn attempt is
+   safely discarded and re-run by [read_page]. *)
+let read_record t rid f =
   Buffer_pool.read_page t.pool rid.page (fun img ->
       if Page.slot_used t.layout img rid.slot then
-        Some (Tuple.decode_from t.schema img (Page.record_offset t.layout rid.slot))
+        Some (f img (Page.record_offset t.layout rid.slot))
       else None)
 
+let get t rid = read_record t rid (Tuple.decode_from t.schema)
+
 let copy_record t rid =
-  Buffer_pool.read_page t.pool rid.page (fun img ->
-      if Page.slot_used t.layout img rid.slot then
-        Some (Bytes.sub img (Page.record_offset t.layout rid.slot) (Schema.width t.schema))
-      else None)
+  read_record t rid (fun img off -> Bytes.sub img off (Schema.width t.schema))
 
 (* A page run — consecutive records of one page — costs one heap latch,
    one pin (two pool-mutex round trips) and one exclusive frame latch,
@@ -205,8 +204,7 @@ let fold_pages t ~init ~f =
   in
   List.fold_left
     (fun acc pid ->
-      read t.pool pid (fun img ->
-          f acc img (fun g -> Page.iter_used_offsets t.layout img (fun _slot off -> g off))))
+      read t.pool pid (fun img -> f acc ~page:pid img (Page.iter_used_offsets t.layout img)))
     init pages
 
 let fold_raw t ~init ~f =

@@ -42,6 +42,12 @@ val insert_many :
     inserted and every pin released.  The rids come back in input
     order. *)
 
+val read_record : t -> rid -> (bytes -> int -> 'a) -> 'a option
+(** [read_record t rid f] is [f img off] over the record's bytes in its
+    page image, read latch-free ({!Buffer_pool.read_page}); [None] if the
+    slot is free.  [f] must be pure: it may run on a torn image, whose
+    result is discarded. *)
+
 val get : t -> rid -> Vnl_relation.Tuple.t option
 (** [None] if the slot is free (e.g. after {!delete}). *)
 
@@ -93,16 +99,18 @@ val iter_records : t -> (bytes -> int -> unit) -> unit
     {!fold_pages}. *)
 
 val fold_pages :
-  t -> init:'a -> f:('a -> bytes -> ((int -> unit) -> unit) -> 'a) -> 'a
-(** Fold [f] over the pages in order, latch-free: [f acc img iter] runs
-    under {!Buffer_pool.read_page} with the page image and an iterator
-    over its live records' byte offsets, in slot order.  [f] must be pure
-    with respect to [acc] and external state (it may be re-run against a
-    torn image and that attempt's result discarded) and must not retain
-    the image; only a validated attempt's result is threaded on, so
-    per-page tallies in it stay exact.  The reader hot path.  When the
-    file has more pages than the pool has frames, pages are read with
-    {!Buffer_pool.scan_page}, so the scan does not flush the pool. *)
+  t -> init:'a -> f:('a -> page:int -> bytes -> ((int -> int -> unit) -> unit) -> 'a) -> 'a
+(** Fold [f] over the pages in order, latch-free: [f acc ~page img iter]
+    runs under {!Buffer_pool.read_page} with the page's id, its image and
+    an iterator that calls [g slot off] for each live record, in slot
+    order.  [f] must be pure with respect to [acc] and external state (it
+    may be re-run against a torn image and that attempt's result
+    discarded) and must not retain the image; only a validated attempt's
+    result is threaded on, so per-page tallies in it stay exact.  The one
+    external write allowed is one that no torn image can make wrong, such
+    as the reader's content-validated decode cache.  The reader hot path.
+    When the file has more pages than the pool has frames, pages are read
+    with {!Buffer_pool.scan_page}, so the scan does not flush the pool. *)
 
 val fold_raw :
   t -> init:'a -> f:('a -> page:int -> slot:int -> bytes -> int -> 'a) -> 'a

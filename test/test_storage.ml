@@ -457,9 +457,9 @@ let heap_with_pages pool pages =
   h
 
 let scan_count h =
-  Heap_file.fold_pages h ~init:0 ~f:(fun acc _img iter ->
+  Heap_file.fold_pages h ~init:0 ~f:(fun acc ~page:_ _img iter ->
       let n = ref acc in
-      iter (fun _off -> incr n);
+      iter (fun _slot _off -> incr n);
       !n)
 
 (* Scanning N > C pages through C frames is LRU's worst case: each page
