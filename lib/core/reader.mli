@@ -35,24 +35,34 @@ val extract :
     [session_vn].  Raises {!Session_expired} in the expired case. *)
 
 type cache
-(** A decoded-record cache for one table: per record slot, the base tuple
-    last decoded there.  Each {!Twovnl} handle owns one, so it dies with
-    its physical table (drop, evolution, reopen).  Reader domains may
-    share it without a lock. *)
+(** A decoded-record cache for one table.  Per heap page it holds, for
+    each record slot, the base tuple last decoded there and a snapshot of
+    the exact base-cell bytes that tuple was decoded from
+    ([Schema.width] of the base schema per slot, one block per page),
+    with a per-page seqlock guarding refills.  It serves the extractions
+    of one table, under one base layout: each {!Twovnl} handle owns one,
+    so it dies with its physical table (drop, evolution, reopen).  Reader
+    domains may share it without a lock. *)
 
 val create_cache : unit -> cache
+
+val filling : cache -> int
+(** Pages whose refill is in progress (their seqlock is odd): 0 whenever
+    no extraction is running, also after one that raised. *)
 
 val visible_relation :
   ?cache:cache ->
   Schema_ext.t -> session_vn:int -> Vnl_query.Table.t -> Vnl_relation.Tuple.t list
 (** Extract every visible base tuple from an extended table, in scan
     order.  A record that reads its current version is served from
-    [cache] (default: a fresh, empty one) when its base cells still hold
-    the cached tuple's values, and is decoded and cached otherwise, the
-    cells that did not change shared with the cached tuple.  Either way
-    the row is exactly the decode of its bytes, so the cache needs no
-    invalidation.  Rows may be shared with earlier extractions through
-    the cache; tuples are immutable. *)
+    [cache] (default: a fresh, empty one) when its base-cell bytes equal
+    its slot's snapshot; otherwise the cells whose bytes differ are copied
+    into the snapshot and decoded from it, the others shared with the
+    slot's old tuple, and the new tuple is cached.  Either way the row is
+    exactly the decode of the bytes being read, so the cache needs no
+    invalidation.  A record on a page that another domain is refilling
+    is decoded without touching the cache.  Rows may be shared with
+    earlier extractions through the cache; tuples are immutable. *)
 
 val expired_by_state : session_vn:int -> current_vn:int -> maintenance_active:bool -> bool
 (** The global pessimistic check of §4.1: the session is still valid iff

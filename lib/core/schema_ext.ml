@@ -175,28 +175,18 @@ let visibility t ~session_vn buf off =
     | 'i' | 'u' -> Visible
     | _ -> Slow
 
-let decode_visible t strings ~cached buf off =
+let decode_visible t strings buf off =
   (* Only the base attributes are read — no extended tuple, no pre-update
-     copies.  Cells that still decode to [cached]'s values are taken from
-     it; the first that does not ends the shared prefix, and from there
-     each cell is compared or decoded once. *)
+     copies. *)
   let offs = Schema.cell_offsets t.extended and dts = Schema.dtypes t.extended in
   let b = base_arity t in
-  let like = Tuple.arity cached = b in
-  let k = if like then Tuple.matching_prefix t.extended ~first:2 buf off cached else 0 in
-  if k = b then cached
-  else begin
-    let values = Array.make b Value.Null in
-    for j = 0 to b - 1 do
-      let dt = Array.unsafe_get dts (2 + j) and cell = off + Array.unsafe_get offs (2 + j) in
-      Array.unsafe_set values j
-        (if j < k then Tuple.get cached j
-         else if j > k && like && Value.decodes_to dt buf cell (Tuple.get cached j) then
-           Tuple.get cached j
-         else Value.Intern.decode strings dt buf cell)
-    done;
-    Tuple.unsafe_of_array values
-  end
+  let values = Array.make b Value.Null in
+  for j = 0 to b - 1 do
+    Array.unsafe_set values j
+      (Value.Intern.decode strings (Array.unsafe_get dts (2 + j)) buf
+         (off + Array.unsafe_get offs (2 + j)))
+  done;
+  Tuple.unsafe_of_array values
 
 type raw_collectability = Raw_collect | Raw_keep | Raw_unknown
 

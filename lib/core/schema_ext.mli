@@ -100,16 +100,9 @@ val visibility : t -> session_vn:int -> bytes -> int -> visibility
     whenever the answer needs the real classification logic. *)
 
 val decode_visible :
-  t -> Vnl_relation.Value.Intern.t -> cached:Vnl_relation.Tuple.t -> bytes -> int ->
-  Vnl_relation.Tuple.t
-(** The base tuple of a record {!visibility} judged [Visible]: exactly
-    what decoding its base attributes gives, whatever [cached] is.  When
-    every base cell still decodes to [cached]'s value
-    ({!Vnl_relation.Value.decodes_to}) the result is [cached] itself and
-    nothing is allocated; otherwise it is a fresh tuple whose still-equal
-    cells share [cached]'s values and whose other cells are decoded,
-    strings through the scan's dictionary.  Pass a tuple of another arity
-    (the reader's empty cache slot) for a plain decode. *)
+  t -> Vnl_relation.Value.Intern.t -> bytes -> int -> Vnl_relation.Tuple.t
+(** The base tuple of a record {!visibility} judged [Visible]: its base
+    attributes decoded, strings through the scan's dictionary. *)
 
 type raw_collectability =
   | Raw_collect  (** Expired delete: reclaimable at this horizon. *)

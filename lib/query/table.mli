@@ -117,8 +117,8 @@ val iter_tuples : t -> (Vnl_relation.Tuple.t -> unit) -> unit
 
 val fold_pages :
   t -> init:'a -> f:('a -> page:int -> bytes -> ((int -> int -> unit) -> unit) -> 'a) -> 'a
-(** Latch-free pure per-page fold over undecoded records (see
-    {!Vnl_storage.Heap_file.fold_pages}); [f] must be pure — it may be
+(** Latch-free pure per-page fold over undecoded records, newest page and
+    slot first (see {!Vnl_storage.Heap_file.fold_pages}); [f] must be pure — it may be
     re-run against a torn page image and that attempt discarded. *)
 
 val fold_raw :

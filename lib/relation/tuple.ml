@@ -102,23 +102,6 @@ let decode_from schema buf start =
 
 let decode schema buf = decode_from schema buf 0
 
-let rec prefix_from dts offs first buf off t i =
-  if
-    i < Array.length t
-    && Value.decodes_to
-         (Array.unsafe_get dts (first + i))
-         buf
-         (off + Array.unsafe_get offs (first + i))
-         (Array.unsafe_get t i)
-  then prefix_from dts offs first buf off t (i + 1)
-  else i
-
-let matching_prefix schema ~first buf off t =
-  let dts = Schema.dtypes schema and offs = Schema.cell_offsets schema in
-  if first < 0 || first + Array.length t > Array.length dts then
-    invalid_arg "Tuple.matching_prefix: cells out of range";
-  prefix_from dts offs first buf off t 0
-
 let pp schema ppf t =
   ignore schema;
   Format.fprintf ppf "(%a)"

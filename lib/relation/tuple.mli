@@ -80,13 +80,6 @@ val decode_from : Schema.t -> bytes -> int -> t
     letting page scans decode straight out of the frame image without
     copying the record bytes first. *)
 
-val matching_prefix : Schema.t -> first:int -> bytes -> int -> t -> int
-(** [matching_prefix schema ~first buf off t] is how many leading values
-    of [t] the record's cells [first], [first + 1], ... at [off] decode to
-    ({!Value.decodes_to}), stopping at the first cell that does not:
-    [arity t] when every one does.  Compares in place, without
-    allocating. *)
-
 val pp : Schema.t -> Format.formatter -> t -> unit
 (** Render as [(v1, v2, ...)] with paper-style value formatting. *)
 

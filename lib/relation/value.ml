@@ -156,52 +156,6 @@ let decode dt buf off =
   | Dtype.Bool -> (
     match Bytes.get buf off with '\000' -> Bool false | '\001' -> Bool true | _ -> Null)
 
-(* [decode]'s case analysis, answered against a value instead of building
-   one.  A string matches only up to [decode]'s terminator: no NUL inside
-   it, and a NUL (or the cell's end) right after it. *)
-let rec same_str s buf off i =
-  i >= String.length s
-  || (let c = String.unsafe_get s i in
-      c <> '\000' && c = Bytes.unsafe_get buf (off + i) && same_str s buf off (i + 1))
-
-let decodes_to dt buf off v =
-  match dt with
-  | Dtype.Int -> (
-    let n = Bytes.get_int32_le buf off in
-    match v with
-    | Null -> Int32.equal n int_null
-    | Int m -> (not (Int32.equal n int_null)) && Int32.to_int n = m
-    | Float _ | Str _ | Date _ | Bool _ -> false)
-  | Dtype.Date -> (
-    let n = Bytes.get_int32_le buf off in
-    match v with
-    | Null -> Int32.equal n date_null
-    | Date m -> (not (Int32.equal n date_null)) && Int32.to_int n = m
-    | Int _ | Float _ | Str _ | Bool _ -> false)
-  | Dtype.Float -> (
-    let bits = Bytes.get_int64_le buf off in
-    match v with
-    | Null -> Float.is_nan (Int64.float_of_bits bits)
-    | Float g -> (not (Float.is_nan g)) && Int64.equal (Int64.bits_of_float g) bits
-    | Int _ | Str _ | Date _ | Bool _ -> false)
-  | Dtype.Bool -> (
-    match (Bytes.get buf off, v) with
-    | '\000', Bool false | '\001', Bool true -> true
-    | ('\000' | '\001'), _ -> false
-    | _, Null -> true
-    | _, (Int _ | Float _ | Str _ | Date _ | Bool _) -> false)
-  | Dtype.Str n -> (
-    if off < 0 || off + n > Bytes.length buf then false
-    else if n > 0 && Bytes.unsafe_get buf off = '\xff' then is_null v
-    else
-      match v with
-      | Str s ->
-        let len = String.length s in
-        len <= n
-        && (len = n || Bytes.unsafe_get buf (off + len) = '\000')
-        && same_str s buf off 0
-      | Null | Int _ | Float _ | Date _ | Bool _ -> false)
-
 (* [compare] has [Int n] equal to [Float (float_of_int n)], so numerics
    hash through their float image.  The image is hashed by its bits, which
    skips boxing it; NaNs are one class and -0.0 hashes like 0.0, matching

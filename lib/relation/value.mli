@@ -71,12 +71,6 @@ val encode : Dtype.t -> t -> bytes
 val decode : Dtype.t -> bytes -> int -> t
 (** [decode dt buf off] reads a value of type [dt] at offset [off]. *)
 
-val decodes_to : Dtype.t -> bytes -> int -> t -> bool
-(** [decodes_to dt buf off v] is whether [decode dt buf off] gives exactly
-    [v]: the same constructor and payload, a float by its bit pattern.  It
-    reads the cell in place and allocates nothing.  A string cell that
-    overruns [buf] gives [false] (where [decode] raises). *)
-
 val hash : t -> int
 (** Hash consistent with [equal]: [Int n] and [Float (float_of_int n)]
     hash alike.  Used by group-by hash tables. *)

@@ -192,7 +192,9 @@ let iter_records t f =
     (List.rev (Atomic.get t.pages))
 
 let fold_pages t ~init ~f =
-  let pages = List.rev (Atomic.get t.pages) in
+  (* Newest page first, each page's slots in descending order: a fold
+     that conses builds scan order with no final reversal. *)
+  let pages = Atomic.get t.pages in
   (* Scanning more pages than the pool has frames is LRU's worst case:
      every page would miss and flush the pool on the way.  Such a scan
      sends its misses to the cold end instead, so they recycle one frame
@@ -204,7 +206,7 @@ let fold_pages t ~init ~f =
   in
   List.fold_left
     (fun acc pid ->
-      read t.pool pid (fun img -> f acc ~page:pid img (Page.iter_used_offsets t.layout img)))
+      read t.pool pid (fun img -> f acc ~page:pid img (Page.rev_iter_used_offsets t.layout img)))
     init pages
 
 let fold_raw t ~init ~f =

@@ -100,10 +100,11 @@ val iter_records : t -> (bytes -> int -> unit) -> unit
 
 val fold_pages :
   t -> init:'a -> f:('a -> page:int -> bytes -> ((int -> int -> unit) -> unit) -> 'a) -> 'a
-(** Fold [f] over the pages in order, latch-free: [f acc ~page img iter]
-    runs under {!Buffer_pool.read_page} with the page's id, its image and
-    an iterator that calls [g slot off] for each live record, in slot
-    order.  [f] must be pure with respect to [acc] and external state (it
+(** Fold [f] over the pages in reverse scan order (newest page first),
+    latch-free: [f acc ~page img iter] runs under {!Buffer_pool.read_page}
+    with the page's id, its image and an iterator that calls [g slot off]
+    for each live record, in descending slot order, so a fold that conses
+    each record builds a list in scan order.  [f] must be pure with respect to [acc] and external state (it
     may be re-run against a torn image and that attempt's result
     discarded) and must not retain the image; only a validated attempt's
     result is threaded on, so per-page tallies in it stay exact.  The one

@@ -67,3 +67,8 @@ let iter_used_offsets l page f =
   for slot = 0 to l.slots - 1 do
     if Bytes.get page (l.flags_offset + slot) = '\001' then f slot (record_offset l slot)
   done
+
+let rev_iter_used_offsets l page f =
+  for slot = l.slots - 1 downto 0 do
+    if Bytes.get page (l.flags_offset + slot) = '\001' then f slot (record_offset l slot)
+  done

@@ -49,3 +49,6 @@ val iter_used_offsets : layout -> bytes -> (int -> int -> unit) -> unit
 (** [iter_used_offsets l page f] applies [f slot offset] to every used
     slot in slot order, without copying the record bytes; the offsets are
     only meaningful while the page image is pinned and unmodified. *)
+
+val rev_iter_used_offsets : layout -> bytes -> (int -> int -> unit) -> unit
+(** {!iter_used_offsets} in descending slot order, for folds that cons. *)
