@@ -103,8 +103,16 @@ let run_shell seed n =
            incr day;
            Warehouse.queue_changes wh ~view:"DailySales" batch;
            let pending = Warehouse.take_pending wh ~view:"DailySales" in
-           let o = Vnl_warehouse.Summary.apply_batch m (Warehouse.view wh "DailySales") pending in
-           Format.printf "applied: %a (uncommitted)@." Vnl_warehouse.Summary.pp_outcome o
+           (* A failed apply leaves the groups before the failure written:
+              abort, so no later .commit can publish half a batch. *)
+           match Vnl_warehouse.Summary.apply_batch m (Warehouse.view wh "DailySales") pending with
+           | o -> Format.printf "applied: %a (uncommitted)@." Vnl_warehouse.Summary.pp_outcome o
+           | exception e ->
+             let reverted = Twovnl.Txn.abort m in
+             txn := None;
+             Printf.printf "apply failed; maintenance transaction aborted, %d tuples reverted\n"
+               reverted;
+             raise e
          end
          else if line = ".commit" then (
            match !txn with
@@ -143,7 +151,8 @@ let run_shell seed n =
       | Vnl_sql.Parser.Parse_error msg -> Printf.printf "parse error: %s\n" msg
       | Vnl_sql.Lexer.Lex_error (msg, pos) -> Printf.printf "lex error at %d: %s\n" pos msg
       | Vnl_query.Eval.Eval_error msg | Plan.Query_error msg -> Printf.printf "error: %s\n" msg
-      | Invalid_argument msg | Failure msg -> Printf.printf "error: %s\n" msg);
+      | Invalid_argument msg | Failure msg | Vnl_core.Op.Impossible msg ->
+        Printf.printf "error: %s\n" msg);
       true
     end
   in

@@ -22,14 +22,32 @@ let fresh_stats () =
     physical_deletes = 0;
   }
 
+let add_stats ~into s =
+  into.logical_inserts <- into.logical_inserts + s.logical_inserts;
+  into.logical_updates <- into.logical_updates + s.logical_updates;
+  into.logical_deletes <- into.logical_deletes + s.logical_deletes;
+  into.physical_inserts <- into.physical_inserts + s.physical_inserts;
+  into.physical_updates <- into.physical_updates + s.physical_updates;
+  into.physical_deletes <- into.physical_deletes + s.physical_deletes
+
 let count f = function Some s -> f s | None -> ()
 
-let check_updatable ext assignments =
+let check_update ext assignments =
+  let s = Schema_ext.extended ext in
   List.iter
-    (fun (j, _) ->
+    (fun (j, v) ->
       if not (Schema_ext.is_updatable ext j) then
-        invalid_arg (Printf.sprintf "Maintenance: base attribute %d is not updatable" j))
+        invalid_arg (Printf.sprintf "Maintenance: base attribute %d is not updatable" j);
+      Tuple.check_value s (Schema_ext.base_index ext j) v)
     assignments
+
+let check_insert ext base_tuple =
+  if Tuple.arity base_tuple <> Schema_ext.base_arity ext then
+    invalid_arg "Maintenance: base tuple arity mismatch";
+  let s = Schema_ext.extended ext in
+  for j = 0 to Tuple.arity base_tuple - 1 do
+    Tuple.check_value s (Schema_ext.base_index ext j) (Tuple.get base_tuple j)
+  done
 
 let is_logically_live ext tuple =
   match Schema_ext.operation ext ~slot:1 tuple with
@@ -40,9 +58,9 @@ let is_logically_live ext tuple =
 (* Tables 2-4 on record bytes.                                        *)
 (*                                                                    *)
 (* Every transition reads slot 1's cells and the base cells in place   *)
-(* and writes only the cells it changes, on whatever bytes hold the    *)
-(* record: a page slot inside a page run, or the batch fold's private  *)
-(* copy.  Each validates every value before its first byte lands.      *)
+(* and writes only the cells it changes, on the page slot that holds   *)
+(* the record, inside a page run or an insert run.  Each validates     *)
+(* every value before its first byte lands.                            *)
 (* ------------------------------------------------------------------ *)
 
 (* The extended record's cell types and byte offsets, looked up once per
@@ -98,9 +116,10 @@ let write_stamp l ~vn op img off =
 
 let restamp ext ~vn op img off = write_stamp (layout ext) ~vn op img off
 
-let current_cells ext ~vn img off =
+let current_cells ~row2 ext ~vn img off =
   let l = layout ext in
-  if same_txn l ~vn img off then invalid_arg "Maintenance: record already written at this VN";
+  if same_txn l ~vn img off && not row2 then
+    invalid_arg "Maintenance: record already written at this VN";
   match stored_op l img off with
   | Op.Delete -> None
   | Op.Insert | Op.Update -> Some (fun j -> cell l (Schema_ext.base_index ext j) img off)
@@ -154,10 +173,6 @@ let write_slot1 l ext img off ~vn ~op ~pre ~set =
   List.iter (fun (j, v) -> write_cell l (Schema_ext.base_index ext j) v img off) (List.rev set);
   write_stamp l ~vn op img off
 
-let check_cells ext set =
-  let s = Schema_ext.extended ext in
-  List.iter (fun (j, v) -> Tuple.check_value s (Schema_ext.base_index ext j) v) set
-
 (* Row 2: the net effect of this transaction's operations on the record. *)
 let net ~previous op =
   match Op.combine_same_txn ~previous op with
@@ -170,10 +185,8 @@ let insert_record ?(on_over_delete = fun () -> ()) ext ~vn img off base_tuple =
   let previous = stored_op l img off in
   (* Table 2, row 1: only a logically deleted record can collide. *)
   if not same then Op.check_older_txn ~previous Op.Insert;
-  if Tuple.arity base_tuple <> Schema_ext.base_arity ext then
-    invalid_arg "Maintenance: base tuple arity mismatch";
+  check_insert ext base_tuple;
   let set = List.mapi (fun j v -> (j, v)) (Tuple.values base_tuple) in
-  check_cells ext set;
   if same then
     (* Table 2, row 2. *)
     write_slot1 l ext img off ~vn ~op:(net ~previous Op.Insert) ~pre:`Keep ~set
@@ -184,20 +197,16 @@ let insert_record ?(on_over_delete = fun () -> ()) ext ~vn img off base_tuple =
   end
 
 let update_record ext ~vn img off assignments =
-  check_updatable ext assignments;
+  check_update ext assignments;
   let l = layout ext in
   let same = same_txn l ~vn img off in
   let previous = stored_op l img off in
-  if same then begin
+  if same then
     (* Table 3, row 2: the net effect keeps the existing operation. *)
-    let op = net ~previous Op.Update in
-    check_cells ext assignments;
-    write_slot1 l ext img off ~vn ~op ~pre:`Keep ~set:assignments
-  end
+    write_slot1 l ext img off ~vn ~op:(net ~previous Op.Update) ~pre:`Keep ~set:assignments
   else begin
     (* Table 3, row 1. *)
     Op.check_older_txn ~previous Op.Update;
-    check_cells ext assignments;
     push_back l ext img off;
     write_slot1 l ext img off ~vn ~op:Op.Update ~pre:`From_current ~set:assignments
   end

@@ -21,7 +21,7 @@
     every version slot down by one, discarding slot n-1.  Per §4 the new
     state replaces the old record on its page: the transitions below act on
     the record's bytes, and every maintenance path — the per-operation
-    appliers, {!Batch.apply}'s fold and the refresh's page runs — runs
+    appliers and {!Batch}'s page runs, hand-driven or refresh — runs
     them. *)
 
 type stats = {
@@ -36,13 +36,15 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+val add_stats : into:stats -> stats -> unit
+
 (** {2 Tables 2-4 on record bytes}
 
     The one implementation of Tables 2-4.  Each transition acts on a
     record's bytes ([img], record at byte offset [off]) — a page slot
-    inside a page run ({!Vnl_query.Table.rewrite_many}), or the batch
-    fold's private copy — reading slot 1's cells and the base cells in
-    place and writing only the cells it changes.  Slot 1's stamp selects
+    inside a page run ({!Vnl_query.Table.rewrite_many}) or an insert run —
+    reading slot 1's cells and the base cells in place and writing only
+    the cells it changes.  Slot 1's stamp selects
     the row: below [vn], row 1 (an older transaction's record: push back,
     then write slot 1); at [vn], row 2 (this transaction's record: the net
     effect per {!Op.combine_same_txn}, no push-back).  A stamp above [vn]
@@ -51,13 +53,23 @@ val fresh_stats : unit -> stats
     {!Op.Impossible}) leaves the bytes as they were. *)
 
 val current_cells :
-  Schema_ext.t -> vn:int -> bytes -> int -> (int -> Vnl_relation.Value.t) option
-(** The refresh's entry point: a reader of the record's current base cells
+  row2:bool -> Schema_ext.t -> vn:int -> bytes -> int -> (int -> Vnl_relation.Value.t) option
+(** A page run's entry point: a reader of the record's current base cells
     by base position, or [None] when the record is logically deleted (what
     a maintenance read sees, per the first row of Table 1).  Raises
-    [Invalid_argument] on a record stamped at or above [vn]: a refresh
-    writes each key once, so its page runs meet row 1 only.  The reader
-    decodes cells in place, so it is valid only while the bytes are. *)
+    [Invalid_argument] on a record stamped above [vn], and, unless [row2],
+    on one stamped at [vn]: the refresh's guard, since a refresh writes
+    each key once and so meets row 1 only.  The reader decodes cells in
+    place, so it is valid only while the bytes are. *)
+
+val check_insert : Schema_ext.t -> Vnl_relation.Tuple.t -> unit
+(** The value checks {!insert_record} makes: the base tuple's arity and
+    every cell's type.  Raises [Invalid_argument]. *)
+
+val check_update : Schema_ext.t -> (int * Vnl_relation.Value.t) list -> unit
+(** The value checks {!update_record} makes: every assigned position is
+    updatable (so no key attribute) and every value has its type.  Raises
+    [Invalid_argument]. *)
 
 val insert_record :
   ?on_over_delete:(unit -> unit) ->

@@ -160,16 +160,8 @@ let stats (p : plan) ~table =
     (fun s ->
       List.iter
         (fun part ->
-          if Twovnl.handle_name part.handle = table then begin
-            let open Maintenance in
-            let x = part.stats in
-            sum.logical_inserts <- sum.logical_inserts + x.logical_inserts;
-            sum.logical_updates <- sum.logical_updates + x.logical_updates;
-            sum.logical_deletes <- sum.logical_deletes + x.logical_deletes;
-            sum.physical_inserts <- sum.physical_inserts + x.physical_inserts;
-            sum.physical_updates <- sum.physical_updates + x.physical_updates;
-            sum.physical_deletes <- sum.physical_deletes + x.physical_deletes
-          end)
+          if Twovnl.handle_name part.handle = table then
+            Maintenance.add_stats ~into:sum part.stats)
         s.parts)
     p.stripes;
   sum
@@ -229,7 +221,7 @@ let apply_stripe (p : plan) i =
       List.concat_map
         (fun part ->
           let h = part.handle in
-          Batch.apply_in_place ~stats:part.stats ~pad:(Twovnl.pad_op h)
+          Batch.apply_in_place ~row2:false ~stats:part.stats ~pad:(Twovnl.pad_op h)
             ~on_over_delete:(Twovnl.Txn.record_over_delete p.txn)
             (Twovnl.ext h) (Twovnl.table h) ~vn:stripe.vn (runs_of part))
         stripe.parts)

@@ -813,14 +813,6 @@ module Txn = struct
     | Some (rid, Some (_, (Op.Insert | Op.Update))) -> Some rid
     | Some (_, (Some (_, Op.Delete) | None)) | None -> None
 
-  let read_current m ~table:name ~key =
-    check_live m;
-    let h = txn_handle_exn m name in
-    match Table.find_by_key h.table key with
-    | Some (_, tuple) when Maintenance.is_logically_live h.ext tuple ->
-      Some (Schema_ext.current_tuple h.ext tuple)
-    | Some _ | None -> None
-
   let update_by_key m ~table:name ~key ~set =
     check_live m;
     let h = txn_handle_exn m name in
@@ -843,17 +835,26 @@ module Txn = struct
       true
 
   (* The batched maintenance path: same Tables 2-4 transitions as the
-     per-op entry points above, but net-effect-folded and page-ordered
-     (see {!Batch}).  Over-delete bookkeeping flows both ways: re-inserts
+     per-op entry points above, run by the refresh's executor (see
+     {!Batch}).  Over-delete bookkeeping flows both ways: re-inserts
      recorded by earlier statements of this transaction govern the Table 4
      row 2 correction inside the batch, and over-deletes the batch performs
      are recorded for no-log rollback. *)
   let apply_batch m ~table:name ops =
     check_live m;
     let h = txn_handle_exn m name in
-    let ops = pad_ops h ops in
     Batch.apply ~stats:m.txn_stats ~on_over_delete:(record_over_delete m)
-      ~was_insert_over_delete:(was_insert_over_delete m) h.ext h.table ~vn:(vn m) ops
+      ~was_insert_over_delete:(was_insert_over_delete m) h.ext h.table ~vn:(vn m) (pad_ops h ops)
+
+  let apply_changes m ~table:name plan =
+    check_live m;
+    let h = txn_handle_exn m name in
+    let st = Maintenance.fresh_stats () in
+    Batch.run ~stats:st ~pad:(pad_op h) ~on_over_delete:(record_over_delete m)
+      ~was_insert_over_delete:(was_insert_over_delete m) h.ext h.table ~vn:(vn m)
+      (Batch.group (plan h.table));
+    Maintenance.add_stats ~into:m.txn_stats st;
+    st
 
   (* ---------- online schema evolution ---------- *)
 

@@ -235,12 +235,6 @@ module Txn : sig
 
   val insert : m -> table:string -> Vnl_relation.Value.t list -> unit
 
-  val read_current :
-    m -> table:string -> key:Vnl_relation.Value.t list -> Vnl_relation.Tuple.t option
-  (** Maintenance read: the latest (current) version of the live tuple with
-      this key, as a base tuple; [None] when absent or logically deleted.
-      Maintenance transactions always read the latest version (§3.3). *)
-
   val update_by_key :
     m ->
     table:string ->
@@ -253,14 +247,25 @@ module Txn : sig
   val delete_by_key : m -> table:string -> key:Vnl_relation.Value.t list -> bool
 
   val apply_batch : m -> table:string -> Batch.op list -> Batch.outcome
-  (** Apply a batch of logical operations through the net-effect pipeline
-      ({!Batch.apply}): same-key operations fold to one physical action via
-      {!Op.combine_same_txn} semantics, key lookups are resolved in a single
-      sorted index pass, and physical writes are applied in ascending
-      (page, slot) order.  Reader-visible results and table bytes are the
-      same as issuing the operations one by one (see {!Batch} for the two
-      documented exceptions).  Over-delete bookkeeping is shared with the
-      per-op entry points, so mixing both in one transaction is sound. *)
+  (** Apply a batch of logical operations through the refresh's executor
+      ({!Batch.apply}): the whole batch is validated first (one probe of
+      slot 1's stamp per key; a rejected batch raises before any write),
+      then each key's operations run in order on its record's page bytes,
+      one physical action per key, page run by page run in ascending
+      (page, slot) order, with fresh keys as insert runs.  Reader-visible
+      results and table bytes are the same as issuing the operations one
+      by one (see {!Batch} for the two documented exceptions).
+      Over-delete bookkeeping is shared with the per-op entry points, so
+      mixing both in one transaction is sound. *)
+
+  val apply_changes :
+    m -> table:string -> (Vnl_query.Table.t -> Batch.change list) -> Maintenance.stats
+  (** Run the changes [plan] builds against the transaction's table
+      (probing rids there) through the same executor ({!Batch.run}, row 2
+      allowed), with short inserts padded as in a refresh; returns this
+      statement's counts, which the transaction's {!stats} also receive.
+      Nothing validates the changes first: a failure leaves the records
+      before it written, and {!abort} reverts them. *)
 
   (** {2 Online schema evolution}
 

@@ -78,12 +78,13 @@ let cells_at schema img off positions =
    resolved the key against the index this transaction (the maintenance
    appliers and the batch pipeline); everyone else keeps the check.  Index
    entries go in inside the insert run, just after each record's bytes;
-   [key i] and [cells i positions] read record [i]'s unique key and
-   indexed cells. *)
+   [key i] and [cells i img off positions] read record [i]'s unique key
+   and indexed cells (the record written at [off] in [img]). *)
 let insert_run ~check t n ~key ~cells write =
-  let after i rid =
+  let after i rid img off =
     (match t.index with Some index -> Hash_index.replace index (key i) rid | None -> ());
-    iter_secondaries t (fun sec -> Bptree.insert sec.tree (sec_key (cells i sec.positions) rid) ())
+    iter_secondaries t (fun sec ->
+        Bptree.insert sec.tree (sec_key (cells i img off sec.positions) rid) ())
   in
   let before i =
     match t.index with
@@ -96,17 +97,14 @@ let insert_run ~check t n ~key ~cells write =
 let insert_many ?(check = true) t tuples =
   insert_run ~check t (Array.length tuples)
     ~key:(fun i -> key_of t tuples.(i))
-    ~cells:(fun i positions -> Tuple.project tuples.(i) positions)
+    ~cells:(fun i _ _ positions -> Tuple.project tuples.(i) positions)
     (fun i -> Tuple.encode_into (schema t) tuples.(i))
 
 let insert ?check t tuple = (insert_many ?check t [| tuple |]).(0)
 
-let insert_records t records =
+let insert_records t n ~key write =
   let s = schema t in
-  insert_run ~check:false t (Array.length records)
-    ~key:(fun i -> fst records.(i))
-    ~cells:(fun i positions -> cells_at s (snd records.(i)) 0 positions)
-    (fun i img off -> Bytes.blit (snd records.(i)) 0 img off (Schema.width s))
+  insert_run ~check:false t n ~key ~cells:(fun _ img off -> cells_at s img off) write
 
 (* Do [a] and [b] agree at every position?  Compared in place: the
    common update leaves every key alone, so no key list is built unless

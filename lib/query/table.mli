@@ -61,12 +61,16 @@ val insert_many :
     input. *)
 
 val insert_records :
-  t -> (Vnl_relation.Value.t list * bytes) array -> Vnl_storage.Heap_file.rid array
-(** {!insert_many} [~check:false] of records already encoded, each given
-    with its unique key (which the caller resolved absent, as in
-    [~check:false]): the record is [Schema.width] bytes at offset 0,
-    copied into its slot, and its secondary entries are read from its
-    cells. *)
+  t ->
+  int ->
+  key:(int -> Vnl_relation.Value.t list) ->
+  (int -> bytes -> int -> unit) ->
+  Vnl_storage.Heap_file.rid array
+(** [insert_records t n ~key write] is {!insert_many} [~check:false] of
+    [n] records that [write i img off] writes straight into their slots,
+    each with its unique key [key i] (which the caller resolved absent, as
+    in [~check:false]); each record's secondary entries are read from its
+    cells once written. *)
 
 val update_in_place : t -> Vnl_storage.Heap_file.rid -> Vnl_relation.Tuple.t -> unit
 (** Overwrite the record in place ({!Vnl_storage.Heap_file.modify_many} of

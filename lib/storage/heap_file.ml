@@ -47,7 +47,7 @@ let alloc_page t =
    the lowest page with one.  The slot's flag goes up after [write], so a
    raising [write] leaves its slot free; a failure mid-run leaves the
    records before it inserted, as the same lone inserts would. *)
-let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t n write =
+let insert_many ?(before = ignore) ?(after = fun _ _ _ _ -> ()) t n write =
   let rids = Array.make n { page = 0; slot = 0 } in
   let rec fill pid img i from =
     if i >= n then i
@@ -60,7 +60,7 @@ let insert_many ?(before = ignore) ?(after = fun _ _ -> ()) t n write =
         t.count <- t.count + 1;
         let rid = { page = pid; slot } in
         rids.(i) <- rid;
-        after i rid;
+        after i rid img (Page.record_offset t.layout slot);
         Vnl_util.Sched.yield ();
         fill pid img (i + 1) (slot + 1)
   in
@@ -91,9 +91,6 @@ let read_record t rid f =
       else None)
 
 let get t rid = read_record t rid (Tuple.decode_from t.schema)
-
-let copy_record t rid =
-  read_record t rid (fun img off -> Bytes.sub img off (Schema.width t.schema))
 
 (* A page run — consecutive records of one page — costs one heap latch,
    one pin (two pool-mutex round trips) and one exclusive frame latch,

@@ -24,7 +24,7 @@ val insert : t -> Vnl_relation.Tuple.t -> rid
 
 val insert_many :
   ?before:(int -> unit) ->
-  ?after:(int -> rid -> unit) ->
+  ?after:(int -> rid -> bytes -> int -> unit) ->
   t ->
   int ->
   (int -> bytes -> int -> unit) ->
@@ -36,7 +36,7 @@ val insert_many :
     off] writes record [i]'s [Schema.width] bytes at [off] in the page
     image ({!insert} encodes a tuple there); a raising [write] leaves its
     slot free.  [before i] runs just before record [i]'s bytes land and
-    [after i rid] just after, both inside the run: none of the three may
+    [after i rid img off] just after, both inside the run: none of the three may
     touch this file or its buffer pool (a table checks and enters its
     index entries there).  A failure leaves the records before it
     inserted and every pin released.  The rids come back in input
@@ -50,10 +50,6 @@ val read_record : t -> rid -> (bytes -> int -> 'a) -> 'a option
 
 val get : t -> rid -> Vnl_relation.Tuple.t option
 (** [None] if the slot is free (e.g. after {!delete}). *)
-
-val copy_record : t -> rid -> bytes option
-(** A copy of the record's [Schema.width] bytes, read latch-free;
-    [None] if the slot is free. *)
 
 val modify_many : t -> rid array -> (int -> bytes -> int -> unit) -> unit
 (** [modify_many t rids f] runs [f i img off] on each live record

@@ -40,8 +40,7 @@ let classify rule { Delta.key; agg_delta; count_delta; _ } current =
   match current with
   | None ->
     if count_delta < 0 then invalid_arg "Summary: negative delta for absent group";
-    if count_delta > 0 then Some (Batch.Insert (Tuple.make rule.target (key @ agg_delta)))
-    else None
+    if count_delta > 0 then [ Batch.Insert (Tuple.make rule.target (key @ agg_delta)) ] else []
   | Some read ->
     let assignments =
       List.mapi
@@ -50,41 +49,16 @@ let classify rule { Delta.key; agg_delta; count_delta; _ } current =
           (j, Value.add (read j) v))
         agg_delta
     in
-    if rule.has_count && support assignments <= 0 then Some (Batch.Delete key)
-    else Some (Batch.Update (key, assignments))
+    if rule.has_count && support assignments <= 0 then [ Batch.Delete key ]
+    else [ Batch.Update (key, assignments) ]
 
 let net_deltas view changes =
   Obs.with_span "summary.net_deltas" (fun () -> Delta.net_group_deltas view changes)
 
-(* Inside a hand-driven transaction: classify through the transaction's own
-   reads, then hand the operations to {!Twovnl.Txn.apply_batch}. *)
-let apply_batch txn view changes =
-  let table = View_def.name view in
-  let rule = rule view in
-  let deltas = net_deltas view changes in
-  let ops =
-    Obs.with_span "summary.classify" (fun () ->
-        List.filter_map
-          (fun d ->
-            classify rule d
-              (Option.map Tuple.get (Twovnl.Txn.read_current txn ~table ~key:d.Delta.key)))
-          deltas)
-  in
-  ignore (Twovnl.Txn.apply_batch txn ~table ops);
-  List.fold_left
-    (fun o op ->
-      match op with
-      | Batch.Insert _ -> { o with groups_inserted = o.groups_inserted + 1 }
-      | Batch.Update _ -> { o with groups_updated = o.groups_updated + 1 }
-      | Batch.Delete _ -> { o with groups_deleted = o.groups_deleted + 1 })
-    { groups_inserted = 0; groups_updated = 0; groups_deleted = 0 }
-    ops
-
-(* The refresh's share: one hash-index probe per net delta, with the hash
-   the netting pass already computed.  No page is read here; each change
-   carries the classifier, which the round runs on the record's bytes. *)
-let plan_batch vnl view changes =
-  let table = Twovnl.table (Twovnl.handle_exn vnl (View_def.name view)) in
+(* One hash-index probe per net delta, with the hash the netting pass
+   already computed.  No page is read here; each change carries the
+   classifier, which the executor runs on the record's bytes. *)
+let changes table view changes =
   let rule = rule view in
   let deltas = net_deltas view changes in
   Obs.with_span "summary.resolve" (fun () ->
@@ -97,12 +71,22 @@ let plan_batch vnl view changes =
           })
         deltas)
 
+let plan_batch vnl view batch =
+  changes (Twovnl.table (Twovnl.handle_exn vnl (View_def.name view))) view batch
+
 let outcome_of_stats (st : Vnl_core.Maintenance.stats) =
   {
     groups_inserted = st.logical_inserts;
     groups_updated = st.logical_updates;
     groups_deleted = st.logical_deletes;
   }
+
+(* Inside a hand-driven transaction: the refresh's changes, probed against
+   the transaction's table and run by its executor. *)
+let apply_batch txn view batch =
+  outcome_of_stats
+    (Twovnl.Txn.apply_changes txn ~table:(View_def.name view) (fun table ->
+         changes table view batch))
 
 (* Union-view merge for the sharded warehouse: each shard materializes its
    own instance of the template, and the logical view is the key-merge of

@@ -213,7 +213,7 @@ let changes_of_ops vnl name ops =
       {
         Vnl_core.Batch.key;
         rid = Option.map fst (Table.find_by_key table key);
-        decide = (fun _ -> Some op);
+        decide = (fun _ -> [ op ]);
       })
     ops
 

@@ -317,25 +317,98 @@ let test_net_effect_folding () =
   | [ t ] -> check Alcotest.string "folded value" "300" (Value.to_string (Tuple.get t 4))
   | l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
 
+(* Every page's bytes, flushed to disk. *)
+let disk_pages db =
+  flush db;
+  let d = Database.disk db in
+  List.init (Disk.page_count d) (Disk.read d)
+
+let valid_update = G_update (0, 4242)
+
+(* Rejected statements, each placed after a valid update to key 0, stored
+   on an earlier page than any key the rejected op names: a batch that
+   wrote before validating would leave key 0 rewritten.  Keys 0-23 are
+   stored, 20 live and 21 logically deleted; 50 is absent.  [first] is an
+   earlier statement of the same transaction. *)
+let rejection_cases =
+  let key k = key_of_id k and row k v = key_of_id k @ [ v ] in
+  [
+    ("update of an absent key", [], [ G_update (50, 1) ], []);
+    ("delete of an absent key", [], [ G_delete 50 ], []);
+    ("update of a logically deleted key", [], [ G_update (21, 1) ], []);
+    ("delete of a logically deleted key", [], [ G_delete 21 ], []);
+    ("insert over a live key", [], [ G_insert (20, 1) ], []);
+    ( "insert over this transaction's insert (row 2)",
+      [ G_insert (50, 5) ],
+      [ G_insert (50, 6) ],
+      [] );
+    ( "assignment to a key attribute",
+      [],
+      [],
+      [ Batch.Update (key 20, [ (0, Value.Str "Nowhere") ]) ] );
+    ("assignment to no attribute", [], [], [ Batch.Update (key 20, [ (9, Value.Int 1) ]) ]);
+    ("wrongly typed update", [], [], [ Batch.Update (key 20, [ (sales_index, Value.Str "x") ]) ]);
+    ( "wrongly typed insert",
+      [],
+      [],
+      [ Batch.Insert (Tuple.unsafe_of_array (Array.of_list (row 50 (Value.Str "x")))) ] );
+    ( "insert of the wrong arity",
+      [],
+      [],
+      [ Batch.Insert (Tuple.unsafe_of_array (Array.of_list (key 50))) ] );
+  ]
+
 let test_rejected_batch_leaves_table_untouched () =
-  let db, wh = mk_wh 2 in
-  let m0 = Twovnl.Txn.begin_ wh in
-  apply_per_op m0 [ G_insert (0, 100) ];
-  Twovnl.Txn.commit m0;
-  flush db;
-  let before = Disk.read (Database.disk db) 0 in
-  let m = Twovnl.Txn.begin_ wh in
-  Alcotest.(check bool) "update of absent key rejected" true
-    (try
-       ignore
-         (Twovnl.Txn.apply_batch m ~table:"T"
-            (to_batch_ops [ G_update (0, 1); G_update (5, 2) ]));
-       false
-     with Invalid_argument _ -> true);
-  ignore (Twovnl.Txn.abort m);
-  flush db;
-  Alcotest.(check bool) "no write reached the table" true
-    (Bytes.equal before (Disk.read (Database.disk db) 0))
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (name, first, ops, raw) ->
+          let ctx = Printf.sprintf "n=%d %s" n name in
+          let db, wh = mk_wh n in
+          List.iter
+            (fun ops ->
+              let m = Twovnl.Txn.begin_ wh in
+              apply_per_op m ops;
+              Twovnl.Txn.commit m)
+            [ List.init 24 (fun k -> G_insert (k, 100 + k)); [ G_delete 21 ] ];
+          let table = Twovnl.table (Twovnl.handle_exn wh "T") in
+          let page_of k =
+            Option.map (fun (r : Heap_file.rid) -> r.Heap_file.page)
+              (Table.probe table ~hash:(Key.hash (key_of_id k)) (key_of_id k))
+          in
+          let committed = disk_pages db in
+          let s = Twovnl.Session.begin_ wh in
+          let visible = sorted_rows (Twovnl.Session.read_table wh s "T") in
+          let m = Twovnl.Txn.begin_ wh in
+          apply_per_op m first;
+          List.iter
+            (fun k ->
+              match (page_of 0, page_of k) with
+              | Some p0, Some pk when p0 >= pk ->
+                Alcotest.failf "%s: key %d is not stored after key 0's page" ctx k
+              | Some _, _ -> ()
+              | None, _ -> Alcotest.failf "%s: key 0 is not stored" ctx)
+            [ 20; 21; 50 ];
+          let before = disk_pages db in
+          Alcotest.(check bool) (ctx ^ ": rejected") true
+            (try
+               ignore
+                 (Twovnl.Txn.apply_batch m ~table:"T" (to_batch_ops (valid_update :: ops) @ raw));
+               false
+             with Invalid_argument _ | Vnl_core.Op.Impossible _ -> true);
+          Alcotest.(check bool) (ctx ^ ": no write reached the table") true
+            (List.equal Bytes.equal before (disk_pages db));
+          ignore (Twovnl.Txn.abort m);
+          (* An earlier statement's fresh insert leaves its freed slot's
+             stale bytes behind, so only a transaction with nothing else
+             to revert returns to the committed bytes. *)
+          if first = [] then
+            Alcotest.(check bool) (ctx ^ ": pages byte-identical after the abort") true
+              (List.equal Bytes.equal committed (disk_pages db));
+          check Fixtures.base_testable (ctx ^ ": the abort restores the committed state") visible
+            (sorted_rows (Twovnl.Session.read_table wh s "T")))
+        rejection_cases)
+    [ 2; 4 ]
 
 let test_key_assignment_rejected () =
   let _db, wh = mk_wh 2 in
@@ -349,6 +422,44 @@ let test_key_assignment_rejected () =
        false
      with Invalid_argument _ -> true);
   Twovnl.Txn.commit m
+
+(* A table without a unique key takes insert-only batches down the same
+   insert run: every insert is its own record, in order, and an update is
+   refused before any of them lands. *)
+let test_keyless_insert_only () =
+  let log =
+    Schema.make
+      [ Schema.attr "city" (Vnl_relation.Dtype.Str 20); Schema.attr "n" Vnl_relation.Dtype.Int ]
+  in
+  let db = Database.create ~page_size:512 ~pool_capacity:8 () in
+  let wh = Twovnl.init db in
+  ignore (Twovnl.register_table wh ~name:"L" log);
+  let row c n = Tuple.make log [ Value.Str c; Value.Int n ] in
+  let inserts = List.init 12 (fun i -> Batch.Insert (row "Davis" (i mod 3))) in
+  let m = Twovnl.Txn.begin_ wh in
+  let outcome = Twovnl.Txn.apply_batch m ~table:"L" inserts in
+  check Alcotest.int "every insert its own key" 12 outcome.Batch.distinct_keys;
+  check Alcotest.int "every insert a physical insert" 12 outcome.Batch.physical_inserts;
+  Twovnl.Txn.commit m;
+  let committed = disk_pages db in
+  let m = Twovnl.Txn.begin_ wh in
+  Alcotest.(check bool) "an update on a keyless table is refused" true
+    (try
+       ignore
+         (Twovnl.Txn.apply_batch m ~table:"L"
+            [
+              Batch.Insert (row "Fresno" 1);
+              Batch.Update ([ Value.Str "Davis" ], [ (1, Value.Int 9) ]);
+            ]);
+       false
+     with Invalid_argument _ -> true);
+  ignore (Twovnl.Txn.abort m);
+  Alcotest.(check bool) "no write reached the table" true
+    (List.equal Bytes.equal committed (disk_pages db));
+  let s = Twovnl.Session.begin_ wh in
+  check Fixtures.base_testable "the inserts, in order"
+    (List.init 12 (fun i -> row "Davis" (i mod 3)))
+    (Twovnl.Session.read_table wh s "L")
 
 (* The refresh's page runs meet row 1 only: a record the transaction
    already stamped at the run's VN is refused before its change is
@@ -365,18 +476,22 @@ let test_refresh_run_refuses_same_vn () =
       let h = Twovnl.handle_exn wh "T" and key = key_of_id 0 in
       let table = Twovnl.table h in
       let rid = Table.probe table ~hash:(Key.hash key) key in
-      let record () = Option.bind rid (Heap_file.copy_record (Table.heap table)) in
+      let record () =
+        Option.bind rid (fun rid ->
+            Heap_file.read_record (Table.heap table) rid (fun img off ->
+                Bytes.sub img off (Schema.width (Table.schema table))))
+      in
       let before = record () in
       let decided = ref false in
       let decide _ =
         decided := true;
-        Some (Batch.Update (key, [ (sales_index, Value.Int 300) ]))
+        [ Batch.Update (key, [ (sales_index, Value.Int 300) ]) ]
       in
       let runs = Batch.group [ { Batch.key; rid; decide } ] in
       Alcotest.(check bool) "a record stamped at the run's VN is refused" true
         (try
            ignore
-             (Batch.apply_in_place ~stats:(Maintenance.fresh_stats ()) ~pad:Fun.id
+             (Batch.apply_in_place ~row2:false ~stats:(Maintenance.fresh_stats ()) ~pad:Fun.id
                 ~on_over_delete:ignore (Twovnl.ext h) table ~vn:(Twovnl.Txn.vn m) runs);
            false
          with Invalid_argument _ -> true);
@@ -396,6 +511,7 @@ let suite =
     Alcotest.test_case "rejected batch leaves table untouched" `Quick
       test_rejected_batch_leaves_table_untouched;
     Alcotest.test_case "key assignment rejected" `Quick test_key_assignment_rejected;
+    Alcotest.test_case "keyless table: insert-only batches" `Quick test_keyless_insert_only;
     Alcotest.test_case "refresh page run refuses a record stamped at its VN" `Quick
       test_refresh_run_refuses_same_vn;
   ]

@@ -3,10 +3,13 @@
    A refresh probes each group's rid, then classifies and writes every
    changed group on its page bytes ({!Vnl_core.Batch.apply_in_place}).
    The hand-driven path — {!Vnl_warehouse.Summary.apply_batch} inside
-   {!Vnl_core.Recovery.run_maintenance} — classifies through decoded
-   tuples and applies through the batch fold.  Both must leave the same
-   bytes on every page, answer every reader alike, and count the same
-   outcomes:
+   {!Vnl_core.Recovery.run_maintenance} — runs the same executor one
+   statement at a time, so the two must leave the same bytes on every
+   page, answer every reader alike, and count the same outcomes.  Since
+   they share the executor, every session of both is also checked against
+   the full-history oracle (Oracle) fed the view recomputed from the
+   source after each refresh, the witness that is not the code under
+   test:
 
    - the netting pass's group hash is the unique index's key hash, so the
      probe can reuse it;
@@ -219,10 +222,30 @@ let check_bytes_identical ctx a b =
 
 (* ---------- differential: page runs against the hand-driven path ---------- *)
 
+(* Record the view recomputed from the source as the state at [vn]: every
+   group the oracle held deleted, every recomputed group inserted. *)
+let record_view oracle ~vn tuples =
+  let target = View_def.target_schema view in
+  Oracle.apply_txn oracle ~vn
+    (List.map (fun t -> Oracle.Del (Tuple.key_of target t)) (Oracle.visible oracle ~vn:(vn - 1))
+    @ List.map (fun t -> Oracle.Ins t) tuples)
+
+(* Each session of [wh] and [twin] (begun at one VN) against the oracle. *)
+let check_sessions ctx oracle (wh, s) (twin, s') =
+  let vn = Twovnl.Session.vn s in
+  check Alcotest.int (ctx ^ ": sessions at one VN") vn (Twovnl.Session.vn s');
+  let expected = Oracle.visible oracle ~vn in
+  List.iter
+    (fun (side, got) ->
+      if not (List.equal Tuple.equal expected got) then
+        Alcotest.failf "%s: %s session at vn %d differs from the oracle" ctx side vn)
+    [ ("page-run", read wh s); ("hand-driven", read twin s') ]
+
 let run_history ~n ~workers seed =
   let rng = Xorshift.create seed in
   let wh = Warehouse.create ~n ~pool_capacity:8 [ view ] in
   let twin = Warehouse.create ~n ~pool_capacity:8 [ view ] in
+  let oracle = Oracle.create (View_def.target_schema view) in
   for step = 1 to 6 do
     let ctx = Printf.sprintf "n=%d workers=%d seed=%d step=%d" n workers seed step in
     let batch =
@@ -232,11 +255,14 @@ let run_history ~n ~workers seed =
     let pinned = Warehouse.begin_session wh and pinned' = Warehouse.begin_session twin in
     let got, want = refresh_both ~workers wh twin batch in
     check_outcome ctx got want;
-    if read wh pinned <> read twin pinned' then Alcotest.failf "%s: pinned readers differ" ctx;
+    record_view oracle
+      ~vn:(Twovnl.current_vn (Warehouse.vnl wh))
+      (List.sort Tuple.compare (Warehouse.expected_view wh name));
+    check_sessions (ctx ^ " pinned") oracle (wh, pinned) (twin, pinned');
     Warehouse.end_session wh pinned;
     Warehouse.end_session twin pinned';
     let s = Warehouse.begin_session wh and s' = Warehouse.begin_session twin in
-    if read wh s <> read twin s' then Alcotest.failf "%s: fresh readers differ" ctx;
+    check_sessions (ctx ^ " fresh") oracle (wh, s) (twin, s');
     Warehouse.end_session wh s;
     Warehouse.end_session twin s';
     check_bytes_identical ctx wh twin
