@@ -23,8 +23,8 @@ module Json = Vnl_obs.Json
 let bench_files =
   [
     "BENCH_maintenance.json"; "BENCH_plans.json"; "BENCH_recovery.json";
-    "BENCH_parallel.json"; "BENCH_pipeline.json"; "BENCH_shard.json";
-    "BENCH_net.json"; "BENCH_catalog.json";
+    "BENCH_parallel.json"; "BENCH_pipeline.json"; "BENCH_net.json";
+    "BENCH_catalog.json";
   ]
 
 let errors = ref 0
@@ -173,33 +173,6 @@ let check_pipeline_floor ~floor (fresh : Json.t) =
       | None -> error "BENCH_pipeline.json: 4-worker row lacks \"inconsistent\""))
   | _ -> error "BENCH_pipeline.json: no \"scaling\" array for the floor gate"
 
-(* The sharding twin, over the fresh BENCH_shard.json: the 4-shard
-   configuration must keep a minimum drain speedup over 1 shard and report
-   zero inconsistent cross-shard union pairs.  The floor (--shard-floor,
-   default 1.3) sits well under a quiet machine's ~2.3x: the gate is for a
-   regression that erases the per-shard netting win or lets a VN-vector
-   snapshot tear. *)
-let check_shard_floor ~floor (fresh : Json.t) =
-  let num = function Some (Json.Num n) -> Some n | _ -> None in
-  match Json.member "scaling" fresh with
-  | Some (Json.Arr rows) ->
-    let entry r =
-      match num (Json.member "shards" r) with Some n -> int_of_float n | None -> -1
-    in
-    (match List.find_opt (fun r -> entry r = 4) rows with
-    | None -> error "BENCH_shard.json: no 4-shard row in \"scaling\""
-    | Some row ->
-      (match num (Json.member "speedup" row) with
-      | Some s when s < floor ->
-        error "BENCH_shard.json: 4-shard drain speedup %.2fx below floor %.2fx" s floor
-      | Some s -> Printf.printf "ok    BENCH_shard.json: 4-shard drain speedup %.2fx (floor %.2fx)\n" s floor
-      | None -> error "BENCH_shard.json: 4-shard row lacks a numeric \"speedup\"");
-      (match num (Json.member "inconsistent" row) with
-      | Some 0.0 -> ()
-      | Some n -> error "BENCH_shard.json: %g inconsistent cross-shard pairs at 4 shards" n
-      | None -> error "BENCH_shard.json: 4-shard row lacks \"inconsistent\""))
-  | _ -> error "BENCH_shard.json: no \"scaling\" array for the floor gate"
-
 (* The serving gate, over BENCH_net.json.  Unlike the speedup floors this
    one is a *ratio against the committed baseline*: fresh totals.qps must
    reach at least [floor] (default 0.05) of the baseline's — absolute
@@ -294,12 +267,12 @@ let compare_file ~baseline ~fresh file =
 let usage () =
   prerr_endline
     "usage: compare.exe --baseline DIR --fresh DIR [--parallel-floor X] [--pipeline-floor X] \
-     [--shard-floor X] [--net-floor X] [--catalog-floor X]";
+     [--net-floor X] [--catalog-floor X]";
   exit 2
 
 let () =
   let baseline = ref "." and fresh = ref "" in
-  let floor = ref 1.5 and pipeline_floor = ref 1.2 and shard_floor = ref 1.3 in
+  let floor = ref 1.5 and pipeline_floor = ref 1.2 in
   let net_floor = ref 0.05 in
   let catalog_floor = ref 0.25 in
   let positive name x k =
@@ -316,8 +289,6 @@ let () =
       positive "--parallel-floor" x (fun f -> floor := f; parse rest)
     | "--pipeline-floor" :: x :: rest ->
       positive "--pipeline-floor" x (fun f -> pipeline_floor := f; parse rest)
-    | "--shard-floor" :: x :: rest ->
-      positive "--shard-floor" x (fun f -> shard_floor := f; parse rest)
     | "--net-floor" :: x :: rest ->
       positive "--net-floor" x (fun f -> net_floor := f; parse rest)
     | "--catalog-floor" :: x :: rest ->
@@ -333,8 +304,6 @@ let () =
     (load "fresh" (Filename.concat !fresh "BENCH_parallel.json"));
   Option.iter (check_pipeline_floor ~floor:!pipeline_floor)
     (load "fresh" (Filename.concat !fresh "BENCH_pipeline.json"));
-  Option.iter (check_shard_floor ~floor:!shard_floor)
-    (load "fresh" (Filename.concat !fresh "BENCH_shard.json"));
   Option.iter
     (check_net_floor ~floor:!net_floor
        ~baseline:(load "baseline" (Filename.concat !baseline "BENCH_net.json")))

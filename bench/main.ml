@@ -12,7 +12,7 @@
                     (what the @bench-smoke dune alias builds on)
      --only IDS     comma-separated group ids (figures, scenarios, storage,
                     io, batch, blocking, expiry, gc, ablation, indexing,
-                    faults, parallel, pipeline, shard, net, micro) *)
+                    faults, parallel, pipeline, net, catalog, micro) *)
 
 let groups : (string * (unit -> unit)) list =
   [
@@ -29,7 +29,6 @@ let groups : (string * (unit -> unit)) list =
     ("faults", Exp_faults.run);
     ("parallel", Exp_parallel.run);
     ("pipeline", Exp_pipeline.run);
-    ("shard", Exp_shard.run);
     ("net", Exp_net.run);
     ("catalog", Exp_catalog.run);
   ]

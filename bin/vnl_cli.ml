@@ -34,6 +34,7 @@ let shell_help =
                       in an open maintenance transaction
   .commit             commit the open maintenance transaction
   .abort              roll the open maintenance transaction back (no log)
+                      and requeue the changes it took
   .explain <SELECT>   show the rewritten query's access plan
   .rewrite <SELECT>   show the rewritten SQL (Example 4.1 style)
   .gc                 collect logically deleted tuples
@@ -49,6 +50,16 @@ let run_shell seed n =
   let vnl = Warehouse.vnl wh in
   let session = ref (Warehouse.begin_session wh) in
   let txn : Twovnl.Txn.m option ref = ref None in
+  (* The changes the open transaction took off the queue, in arrival
+     order: the source already holds them, so an abort puts them back. *)
+  let taken = ref [] in
+  let abort_txn m =
+    let reverted = Twovnl.Txn.abort m in
+    txn := None;
+    Warehouse.requeue wh ~view:"DailySales" !taken;
+    taken := [];
+    reverted
+  in
   let day = ref 6 in
   Printf.printf
     "%dVNL warehouse shell -- DailySales loaded (%d groups), currentVN = %d\n\
@@ -103,13 +114,13 @@ let run_shell seed n =
            incr day;
            Warehouse.queue_changes wh ~view:"DailySales" batch;
            let pending = Warehouse.take_pending wh ~view:"DailySales" in
+           taken := !taken @ pending;
            (* A failed apply leaves the groups before the failure written:
               abort, so no later .commit can publish half a batch. *)
            match Vnl_warehouse.Summary.apply_batch m (Warehouse.view wh "DailySales") pending with
            | o -> Format.printf "applied: %a (uncommitted)@." Vnl_warehouse.Summary.pp_outcome o
            | exception e ->
-             let reverted = Twovnl.Txn.abort m in
-             txn := None;
+             let reverted = abort_txn m in
              Printf.printf "apply failed; maintenance transaction aborted, %d tuples reverted\n"
                reverted;
              raise e
@@ -119,14 +130,13 @@ let run_shell seed n =
            | Some m ->
              Twovnl.Txn.commit m;
              txn := None;
+             taken := [];
              Printf.printf "committed; currentVN = %d\n" (Twovnl.current_vn vnl)
            | None -> print_endline "no open maintenance transaction")
          else if line = ".abort" then (
            match !txn with
            | Some m ->
-             let reverted = Twovnl.Txn.abort m in
-             txn := None;
-             Printf.printf "aborted; %d tuples reverted without a log\n" reverted
+             Printf.printf "aborted; %d tuples reverted without a log\n" (abort_txn m)
            | None -> print_endline "no open maintenance transaction")
          else if starts_with ".explain" line then
            let sql = strip ".explain" line in

@@ -113,7 +113,7 @@ val finish : plan -> report
 
 val run : plan -> report
 (** Execute the round on [stripe_count] domains
-    ({!Vnl_util.Domain_pool.parallel}) and {!finish} it.  A single stripe
+    ({!Vnl_util.Domain_pool.Persistent.parallel}) and {!finish} it.  A single stripe
     runs inline on the calling domain, and a round with more stripes than
     the host has cores runs the canonical in-order schedule there too
     (more worker domains than cores only add hand-off latency). *)

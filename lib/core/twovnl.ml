@@ -305,7 +305,7 @@ let generation_meta g =
    and everything newer stays, the rest goes — along with any storage table
    referenced only by the dropped suffix (the frozen pre-evolution
    copies).  Their disk pages are not recycled; the leak is bounded by the
-   number of evolutions and documented in DESIGN.md §16. *)
+   number of evolutions and documented in DESIGN.md §15. *)
 let retire_generations t ~horizon =
   let gens = Atomic.get t.generations in
   match gens with
@@ -560,28 +560,6 @@ module Session = struct
   (* [exchange] makes a double-end harmless: the slot is released exactly
      once, never yanking a pin a later session acquired in the same slot. *)
   let end_ _t s = if not (Atomic.exchange s.closed true) then Epoch.unpin s.slot
-
-  (* Cross-shard snapshot vector: one session per warehouse instance, each
-     pinned under its own epoch.  There is no global clock to agree on —
-     consistency of the vector means each component is a consistent
-     snapshot of its shard and stays readable for the reader's lifetime,
-     which each epoch pin guarantees independently.  If a later begin
-     fails (a shard mid-crash), the earlier pins are released before the
-     exception escapes so no GC horizon is held hostage. *)
-  let begin_vector ts =
-    let opened = ref [] in
-    (try List.iter (fun t -> opened := (t, begin_ t) :: !opened) ts
-     with e ->
-       List.iter (fun (t, s) -> end_ t s) !opened;
-       raise e);
-    List.rev_map snd !opened
-
-  let end_vector ts sessions =
-    if List.compare_lengths ts sessions <> 0 then
-      invalid_arg "Twovnl.Session.end_vector: length mismatch";
-    List.iter2 end_ ts sessions
-
-  let vn_vector sessions = List.map vn sessions
 
   let expired t s =
     Obs.Counter.record m_sessions_expired 1;

@@ -153,19 +153,6 @@ module Session : sig
 
   val end_ : t -> s -> unit
 
-  val begin_vector : t list -> s list
-  (** One session per instance, in order — the cross-shard snapshot
-      vector: each component is epoch-pinned against its own warehouse, so
-      the vector as a whole stays readable while every component session
-      is valid.  If opening any component fails, the already-opened
-      sessions are ended before the exception escapes. *)
-
-  val end_vector : t list -> s list -> unit
-  (** End each component ([Invalid_argument] on length mismatch). *)
-
-  val vn_vector : s list -> int list
-  (** The snapshot vector's version numbers, in component order. *)
-
   val query :
     ?params:(string * Vnl_relation.Value.t) list ->
     t -> s -> string -> Vnl_query.Plan.result

@@ -7,11 +7,6 @@
    job receives a [start] thunk that blocks (spinning with
    [Domain.cpu_relax]) until every domain has reached it. *)
 
-let parallel ~domains f =
-  if domains < 1 then invalid_arg "Domain_pool.parallel: need at least one domain";
-  let ds = Array.init domains (fun i -> Domain.spawn (fun () -> f i)) in
-  Array.map Domain.join ds
-
 (* Persistent variant: helper domains are spawned once and parked on a
    condition variable between jobs.  Domain spawn + join costs milliseconds
    on this class of machine — far more than a pipelined maintenance round's
@@ -129,7 +124,7 @@ module Persistent = struct
 end
 
 (* Long-running service domains (a network server's accept and worker
-   loops): unlike [parallel], the jobs are not expected to finish on their
+   loops): unlike [run]'s, the jobs are not expected to finish on their
    own — the owner flips its own stop flag, then [join]s.  The group only
    remembers the domains and surfaces the first exception at join time, so
    a crashed worker loop cannot vanish silently. *)
@@ -163,4 +158,5 @@ let run ~domains f =
       Domain.cpu_relax ()
     done
   in
-  parallel ~domains (fun i -> f ~start i)
+  let ds = Array.init domains (fun i -> Domain.spawn (fun () -> f ~start i)) in
+  Array.map Domain.join ds

@@ -5,15 +5,12 @@
     an array indexed by domain rank; an exception in any job propagates
     from the join. *)
 
-val parallel : domains:int -> (int -> 'a) -> 'a array
-(** [parallel ~domains f] spawns [domains] domains running [f rank]
-    (ranks [0 .. domains-1]) and joins them all.  Raises
-    [Invalid_argument] when [domains < 1]. *)
-
 val run : domains:int -> (start:(unit -> unit) -> int -> 'a) -> 'a array
-(** Like {!parallel}, but each job receives a [start] barrier: calling it
-    blocks until every domain has called it, so timed sections can begin
-    simultaneously after spawn overhead. *)
+(** [run ~domains f] spawns [domains] domains running [f ~start rank]
+    (ranks [0 .. domains-1]) and joins them all.  [start] is a barrier:
+    calling it blocks until every domain has called it, so timed sections
+    can begin simultaneously after spawn overhead.  Raises
+    [Invalid_argument] when [domains < 1]. *)
 
 (** Long-running service domains: spawn [count] loops that run until the
     owner tells them (through its own state) to stop, then [join].  The

@@ -88,36 +88,6 @@ let apply_batch txn view batch =
     (Twovnl.Txn.apply_changes txn ~table:(View_def.name view) (fun table ->
          changes table view batch))
 
-(* Union-view merge for the sharded warehouse: each shard materializes its
-   own instance of the template, and the logical view is the key-merge of
-   the per-shard visible relations.  SUM and COUNT distribute over a
-   disjoint partition of the base rows, so addition is exact; when a group
-   key does appear on several shards (a routing function keyed on
-   something coarser than the group-by), adding the per-shard aggregates
-   is still the right union semantics. *)
-let merge_union view relations =
-  let target = View_def.target_schema view in
-  let key_arity = List.length (View_def.group_by view) in
-  let agg_arity = List.length (View_def.aggregates view) in
-  let acc : (Value.t list, Value.t array) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in
-  List.iter
-    (fun relation ->
-      List.iter
-        (fun tuple ->
-          let key = List.init key_arity (Tuple.get tuple) in
-          let aggs = Array.init agg_arity (fun i -> Tuple.get tuple (key_arity + i)) in
-          match Hashtbl.find_opt acc key with
-          | None ->
-            Hashtbl.add acc key aggs;
-            order := key :: !order
-          | Some prev -> Array.iteri (fun i v -> prev.(i) <- Value.add prev.(i) v) aggs)
-        relation)
-    relations;
-  List.rev_map
-    (fun key -> Tuple.make target (key @ Array.to_list (Hashtbl.find acc key)))
-    !order
-
 let pp_outcome ppf o =
   Format.fprintf ppf "inserted=%d updated=%d deleted=%d" o.groups_inserted o.groups_updated
     o.groups_deleted

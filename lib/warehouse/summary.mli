@@ -48,12 +48,4 @@ val outcome_of_stats : Vnl_core.Maintenance.stats -> outcome
 (** The outcome a round's logical counts for one view describe
     ({!Vnl_core.Pipeline.stats}). *)
 
-val merge_union : View_def.t -> Vnl_relation.Tuple.t list list -> Vnl_relation.Tuple.t list
-(** Merge per-shard instances of one view template into the logical union
-    view: tuples sharing a group key have their aggregates added
-    ([Value.add] per column), others pass through; result in first-seen
-    order across the inputs.  SUM/COUNT distribute over the shards'
-    partition of the base rows, so the merge of consistent per-shard
-    snapshots equals the view over the union of the bases. *)
-
 val pp_outcome : Format.formatter -> outcome -> unit

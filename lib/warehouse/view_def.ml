@@ -47,12 +47,6 @@ let make ~name ~source ~group_by ~aggregates ?(with_count = true) () =
 
 let name t = t.name
 
-let instance_name template ~shard =
-  if shard < 0 then invalid_arg "View_def.instance_name: negative shard";
-  Printf.sprintf "%s__s%d" template shard
-
-let instantiate t ~shard = { t with name = instance_name t.name ~shard }
-
 let source t = t.source
 
 let group_by t = t.group_by

@@ -30,16 +30,6 @@ val make :
 
 val name : t -> string
 
-val instance_name : string -> shard:int -> string
-(** The stamped name of a template's per-shard instance
-    ([<template>__s<shard>]); raises [Invalid_argument] when [shard < 0]. *)
-
-val instantiate : t -> shard:int -> t
-(** Stamp a per-shard instance of a view template: identical definition
-    (source schema, group-by, aggregates) under the shard's
-    {!instance_name}.  One definition authored once becomes one summary
-    table per shard; the instances' union is the logical view. *)
-
 val source : t -> Vnl_relation.Schema.t
 
 val group_by : t -> string list

@@ -10,9 +10,6 @@ type entry = {
   def : View_def.t;
   source : Source.t;
   mutable queue : Delta.change list;  (** Reverse order. *)
-  mutable queue_len : int;
-      (** Maintained alongside [queue] so {!pending} is O(1) — the sharded
-          facade polls every shard's every view per drain decision. *)
   mutable added : (Schema.attribute * Value.t) list;
       (** Columns appended by {!evolve} (oldest first) with their defaults;
           the view template in [def] stays at its original arity and the
@@ -28,7 +25,7 @@ type t = {
 }
 
 let fresh_entry def =
-  { def; source = Source.create (View_def.source def); queue = []; queue_len = 0; added = [] }
+  { def; source = Source.create (View_def.source def); queue = []; added = [] }
 
 let create ?n ?page_size ?pool_capacity defs =
   let db = Database.create ?page_size ?pool_capacity () in
@@ -61,10 +58,9 @@ let source t name = (entry t name).source
 let queue_changes t ~view changes =
   let e = entry t view in
   Source.apply e.source changes;
-  e.queue <- List.rev_append changes e.queue;
-  e.queue_len <- e.queue_len + List.length changes
+  e.queue <- List.rev_append changes e.queue
 
-let pending t ~view = (entry t view).queue_len
+let pending t ~view = List.length (entry t view).queue
 
 let peek_pending t ~view = List.rev (entry t view).queue
 
@@ -72,8 +68,13 @@ let take_pending t ~view =
   let e = entry t view in
   let batch = List.rev e.queue in
   e.queue <- [];
-  e.queue_len <- 0;
   batch
+
+(* The list is newest-first, so the front of the logical queue is the
+   tail of the list. *)
+let requeue t ~view changes =
+  let e = entry t view in
+  e.queue <- e.queue @ List.rev changes
 
 (* The source changes a failed refresh did NOT durably propagate, in their
    original arrival order.  [published name key] says whether view [name]'s
@@ -121,10 +122,9 @@ let published_groups = function
 
    The queues are drained and the simulated sources already hold the
    changes, so a failure anywhere — classification, planning, a stripe —
-   puts the changes the round did not publish back at the FRONT of each
-   queue (the list is newest-first, so the front of the logical queue is
-   the tail of the list), in their original order, before re-raising: no
-   queued change is ever lost, and a follow-up refresh converges. *)
+   requeues the changes the round did not publish, in their original
+   order, before re-raising: no queued change is ever lost, and a
+   follow-up refresh converges. *)
 let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
   let module Obs = Vnl_obs.Obs in
   Obs.with_span "warehouse.refresh" @@ fun () ->
@@ -146,9 +146,7 @@ let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
     let published = published_groups !plan in
     List.iter
       (fun (e, batch) ->
-        let residual = unpublished_suffix e.def published batch in
-        e.queue <- e.queue @ List.rev residual;
-        e.queue_len <- e.queue_len + List.length residual)
+        requeue t ~view:(View_def.name e.def) (unpublished_suffix e.def published batch))
       drained;
     raise exn
 

@@ -32,7 +32,7 @@ val queue_changes : t -> view:string -> Delta.change list -> unit
     source nor the queue changed. *)
 
 val pending : t -> view:string -> int
-(** Queued changes not yet propagated (O(1)). *)
+(** Queued changes not yet propagated. *)
 
 val peek_pending : t -> view:string -> Delta.change list
 (** The queued changes in arrival order, without draining them (the
@@ -42,6 +42,13 @@ val take_pending : t -> view:string -> Delta.change list
 (** Drain the view's queue, returning the batch in arrival order; used by
     scenarios that spread one maintenance transaction over simulated time
     instead of calling {!refresh}. *)
+
+val requeue : t -> view:string -> Delta.change list -> unit
+(** Put [changes] back at the front of the view's queue, in the order
+    given, ahead of anything queued since.  The source already holds them
+    ({!queue_changes} applied them), so a batch taken with {!take_pending}
+    whose maintenance transaction aborts must be requeued, or the view
+    never sees it. *)
 
 val refresh :
   ?workers:int ->
@@ -69,10 +76,10 @@ val refresh :
     (usually an in-place update carrying the delete mark) 2VNL uses for it.
 
     If the refresh fails — in planning, or in any stripe (classification
-    included, which runs inside the page runs) — the unpublished stripes are reverted with the §7 no-log abort
-    and made durable, and the source changes they carried are re-enqueued
-    at the front of each affected view's queue in their original order
-    before the exception re-raises.  No queued change is lost and the
+    included, which runs inside the page runs) — the unpublished stripes
+    are reverted with the §7 no-log abort and made durable, and the source
+    changes they carried are put back with {!requeue} before the exception
+    re-raises.  No queued change is lost and the
     version state is never left active, so a follow-up {!refresh}
     converges to {!expected_view}.  (A change whose net effect straddles
     the published boundary is requeued as just its unpublished half.)

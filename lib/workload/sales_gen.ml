@@ -30,14 +30,6 @@ let sales_schema =
       Schema.attr "amount" Dtype.Int;
     ]
 
-(* The sales domain's natural tenant is the regional subsidiary — the
-   state attribute — and the view's group-by contains it, so a summary
-   group never straddles shards under this key. *)
-let tenant_attrs = [ "state" ]
-
-let sales_shard_map ~shards =
-  Vnl_warehouse.Shard.Shard_map.by_attrs ~shards ~source:sales_schema ~attrs:tenant_attrs
-
 let daily_sales_view ?with_count () =
   View_def.make ~name:"DailySales" ~source:sales_schema
     ~group_by:[ "city"; "state"; "product_line"; "date" ]

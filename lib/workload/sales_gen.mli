@@ -18,13 +18,6 @@ val sales_schema : Vnl_relation.Schema.t
 val daily_sales_view : ?with_count:bool -> unit -> Vnl_warehouse.View_def.t
 (** The DailySales summary view over {!sales_schema}. *)
 
-val tenant_attrs : string list
-(** The tenant shard key of the sales domain ([state]): contained in the
-    DailySales group-by, so no summary group straddles shards. *)
-
-val sales_shard_map : shards:int -> Vnl_warehouse.Shard.Shard_map.t
-(** Hash routing of sales over {!tenant_attrs}. *)
-
 val gen_sale : Vnl_util.Xorshift.t -> day:int -> Vnl_relation.Tuple.t
 (** One random sale on the given day (days count from the paper's
     10/14/96). *)

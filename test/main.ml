@@ -30,7 +30,6 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("parallel", Test_parallel.suite);
       ("parallel-stress", Test_parallel_stress.suite);
-      ("shard", Test_shard.suite);
       ("net", Test_net.suite);
       ("catalog-evolve", Test_catalog_evolve.suite);
       ("reader-path", Test_reader_path.suite);

@@ -13,6 +13,9 @@
      two-stripe round whose every stripe re-inserts a retired group (fold,
      apply, token), and from classification (a negative delta for an
      absent group), over a two-view warehouse.
+   - A hand-driven drain (what [vnl shell]'s [.maintain] does): a batch
+     taken off the queue, applied in a transaction and aborted goes back
+     with [Warehouse.requeue], and the next refresh converges.
    - Evolve: unknown views, a key column, a duplicate index name, a
      duplicate view, and a bad item placed after a good one in the same
      evolution list. *)
@@ -29,6 +32,7 @@ module Pipeline = Vnl_core.Pipeline
 module View_def = Vnl_warehouse.View_def
 module Delta = Vnl_warehouse.Delta
 module Warehouse = Vnl_warehouse.Warehouse
+module Summary = Vnl_warehouse.Summary
 module Sales_gen = Vnl_workload.Sales_gen
 module Xorshift = Vnl_util.Xorshift
 module Sched = Vnl_util.Sched
@@ -236,6 +240,50 @@ let test_refresh_classification_failure () =
   ignore (Warehouse.refresh wh);
   check_converged wh "classification"
 
+(* [take_pending] drains a queue whose changes the source already holds,
+   so an aborted hand-driven transaction must requeue what it took: once
+   after an apply that succeeded (the shell's [.abort]), once after an
+   apply that raised on a group a hand-driven transaction removed from the
+   view (the shell's abort-on-raise).  Without the requeue the view would
+   miss both batches for good. *)
+let test_hand_driven_abort_requeues () =
+  let wh, rng = loaded ~seed:43 () in
+  let db = Warehouse.database wh and vnl = Warehouse.vnl wh in
+  let src = Warehouse.source wh "DailySales" in
+  let take_apply_abort what ~raises =
+    let taken = Warehouse.take_pending wh ~view:"DailySales" in
+    let txn = Twovnl.Txn.begin_ vnl in
+    (match Summary.apply_batch txn daily taken with
+    | _ -> if raises then Alcotest.failf "%s: the apply did not raise" what
+    | exception e -> if not raises then raise e);
+    ignore (Twovnl.Txn.abort txn);
+    Warehouse.requeue wh ~view:"DailySales" taken;
+    Alcotest.(check bool) (what ^ ": queue restored in order") true
+      (changes_equal taken (Warehouse.peek_pending wh ~view:"DailySales"))
+  in
+  Warehouse.queue_changes wh ~view:"DailySales"
+    (Sales_gen.gen_batch rng src ~day:3 ~inserts:20 ~updates:4 ~deletes:2);
+  take_apply_abort "abort after apply" ~raises:false;
+  ignore (Warehouse.refresh wh);
+  check_converged wh "abort after apply";
+  let victim = List.hd (Vnl_warehouse.Source.rows src) in
+  let key = View_def.group_key daily victim in
+  let target = View_def.target_schema daily in
+  let group =
+    List.find (fun t -> List.equal Value.equal (Tuple.key_of target t) key) (read wh "DailySales")
+  in
+  Recovery.run_maintenance db vnl (fun txn ->
+      Alcotest.(check bool) "group removed" true
+        (Twovnl.Txn.delete_by_key txn ~table:"DailySales" ~key));
+  Warehouse.queue_changes wh ~view:"DailySales"
+    (Sales_gen.gen_batch rng src ~day:4 ~inserts:20 ~updates:0 ~deletes:0
+    @ [ Delta.Delete victim ]);
+  take_apply_abort "abort after a raising apply" ~raises:true;
+  Recovery.run_maintenance db vnl (fun txn ->
+      Twovnl.Txn.insert txn ~table:"DailySales" (Tuple.values group));
+  ignore (Warehouse.refresh wh);
+  check_converged wh "abort after a raising apply"
+
 (* ---------- evolve ---------- *)
 
 let region = Schema.attr "region" (Dtype.Str 8)
@@ -337,6 +385,8 @@ let suite =
       test_refresh_phase_sweep;
     Alcotest.test_case "refresh: raise in classify" `Quick
       test_refresh_classification_failure;
+    Alcotest.test_case "hand-driven abort requeues the taken batch" `Quick
+      test_hand_driven_abort_requeues;
   ]
   @ List.map
       (fun ((what, _, _, _) as case) ->

@@ -1,7 +1,9 @@
 (* The pipelined maintenance round: partitioning laws, differential
    equivalence against the serial reference schedule, deterministic
-   reader/worker interleavings against the full-history oracle, and the
-   crash-at-every-write sweep landing on a VN (stripe) boundary.
+   reader/worker interleavings against the full-history oracle, the
+   crash-at-every-write sweep landing on a VN (stripe) boundary, and,
+   through the warehouse, the abort/requeue sweeps and the float-residue
+   cases of the refresh's netting.
 
    The serial reference for a round is {!Vnl_core.Pipeline.stripe_keys}
    (mapped back to the operations the round's changes were built from,
@@ -22,6 +24,12 @@ module Pipeline = Vnl_core.Pipeline
 module Recovery = Vnl_core.Recovery
 module Sched = Vnl_util.Sched
 module Xorshift = Vnl_util.Xorshift
+module Dtype = Vnl_relation.Dtype
+module Schema = Vnl_relation.Schema
+module View_def = Vnl_warehouse.View_def
+module Delta = Vnl_warehouse.Delta
+module Warehouse = Vnl_warehouse.Warehouse
+module Sales_gen = Vnl_workload.Sales_gen
 
 let check = Alcotest.check
 
@@ -425,6 +433,241 @@ let test_one_stripe_sweep_grows_heap () =
   Alcotest.(check bool) "early crash points recover to pre" true (hit.(0) > 0);
   Alcotest.(check bool) "late crash points recover to post" true (hit.(1) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Abort and requeue through the warehouse
+
+   Killing a round at any (phase, stripe) point leaves each view's queue
+   holding exactly the source changes the aborted suffix failed to
+   propagate, in arrival order, and a follow-up one-stripe refresh
+   converges byte-identically to the source recomputation.  The kill is
+   injected through [Pipeline.plan]'s [on_phase] hook and driven by the
+   deterministic scheduler, so every failure point is replayable. *)
+
+let view_name = "DailySales"
+
+let view = Sales_gen.daily_sales_view ()
+
+let sale city pl day amount =
+  Tuple.make Sales_gen.sales_schema
+    [ Value.Str city; Value.Str "CA"; Value.Str pl; Sales_gen.date_of_day day;
+      Value.Int amount ]
+
+let sorted = List.sort Tuple.compare
+
+let views_equal a b = List.equal Tuple.equal (sorted a) (sorted b)
+
+(* ------------------------------------------------------------------ *)
+(* Abort/requeue sweep *)
+
+exception Killed of Pipeline.phase * int
+
+(* Deterministic execution of a planned round: the stripe workers as
+   fibers under the seeded scheduler, then the ordinary join. *)
+let sched_run ~seed plan =
+  ignore (Sched.run ~seed (Pipeline.tasks plan));
+  Pipeline.finish plan
+
+(* A mixed batch over a preloaded warehouse: fresh groups, accumulating
+   sales into existing groups, amount corrections, cross-group updates
+   (product line restated — old and new rows in different groups), and
+   returns.  Drawn deterministically so every sweep point sees the same
+   batch. *)
+let mixed_batch rng src ~day =
+  let base = Sales_gen.gen_batch rng src ~day ~inserts:40 ~updates:6 ~deletes:4 in
+  (* A guaranteed cross-group update: the city is outside the generator's
+     vocabulary so the pair can never collide with [base]'s victims, and
+     the product-line change moves the row between groups — exercising the
+     Update → Insert/Delete decomposition at the published boundary. *)
+  let fresh = sale "Crossville" "tennis" day 7 in
+  let moved = Tuple.set fresh 2 (Value.Str "camping") in
+  base @ [ Delta.Insert fresh; Delta.Update (fresh, moved) ]
+
+let mk_loaded_warehouse ~n ~seed =
+  let wh = Warehouse.create ~n [ view ] in
+  let rng = Xorshift.create seed in
+  Warehouse.queue_changes wh ~view:view_name
+    (Sales_gen.initial_load rng ~days:3 ~sales_per_day:60);
+  ignore (Warehouse.refresh wh);
+  (wh, rng)
+
+(* [requeued] must be exactly a suffix selection of [original] in arrival
+   order: every requeued change matches a later original change than the
+   previous one did, where an original [Update] may stand for itself or
+   for either decomposed half (the published-boundary straddle). *)
+let check_requeue_order ~original ~requeued =
+  let covers orig req =
+    match (orig, req) with
+    | Delta.Update (o, n), Delta.Update (o', n') -> Tuple.equal o o' && Tuple.equal n n'
+    | Delta.Update (_, n), Delta.Insert r | Delta.Insert n, Delta.Insert r ->
+      Tuple.equal n r
+    | Delta.Update (o, _), Delta.Delete r | Delta.Delete o, Delta.Delete r ->
+      Tuple.equal o r
+    | _ -> false
+  in
+  let rec walk orig reqs =
+    match reqs with
+    | [] -> true
+    | req :: rest -> (
+      match orig with
+      | [] -> false
+      | o :: orest -> if covers o req then walk orest rest else walk orest reqs)
+  in
+  if not (walk original requeued) then
+    Alcotest.failf "requeued changes are not an ordered selection of the batch (%d of %d)"
+      (List.length requeued) (List.length original)
+
+let run_kill_point ~workers ~seed (phase, stripe) =
+  let wh, rng = mk_loaded_warehouse ~n:(workers + 1) ~seed in
+  let src = Warehouse.source wh view_name in
+  let batch = mixed_batch rng src ~day:3 in
+  Warehouse.queue_changes wh ~view:view_name batch;
+  let original = Warehouse.peek_pending wh ~view:view_name in
+  let on_phase p ~stripe:i = if p = phase && i = stripe then raise (Killed (p, i)) in
+  let killed =
+    match
+      Warehouse.refresh ~workers ~on_phase ~run:(sched_run ~seed) wh
+    with
+    | _ -> false
+    | exception Killed _ -> true
+  in
+  if killed then begin
+    (* (a) the queue holds exactly the unpublished suffix, in order. *)
+    let requeued = Warehouse.peek_pending wh ~view:view_name in
+    check_requeue_order ~original ~requeued;
+    (* Nothing beyond the drained batch may have appeared. *)
+    Alcotest.(check bool) "requeued bounded by batch" true
+      (List.length requeued <= List.length original)
+  end;
+  (* (b) a follow-up one-stripe refresh lands byte-identically on the source
+     recomputation — zero lost (and zero double-applied) changes, whether
+     or not the kill point was reached. *)
+  ignore (Warehouse.refresh wh);
+  let s = Warehouse.begin_session wh in
+  let got = Warehouse.read_view wh s view_name in
+  Warehouse.end_session wh s;
+  let expected = Warehouse.expected_view wh view_name in
+  if not (views_equal got expected) then
+    Alcotest.failf "view diverged after kill at stripe %d" stripe;
+  killed
+
+let test_abort_requeue_sweep () =
+  let stripe0_points = ref 0 and stripe0_kills = ref 0 in
+  let later_kills = ref 0 in
+  List.iter
+    (fun workers ->
+      List.iter
+        (fun phase ->
+          for stripe = 0 to workers - 1 do
+            List.iter
+              (fun seed ->
+                let killed = run_kill_point ~workers ~seed (phase, stripe) in
+                if stripe = 0 then begin
+                  incr stripe0_points;
+                  if killed then incr stripe0_kills
+                end
+                else if killed then incr later_kills)
+              [ 3; 17 ]
+          done)
+        [ `Fold; `Apply; `Token ])
+    [ 2; 3 ];
+  (* Stripe 0 exists whenever the round has work, so those kill points
+     must all fire; higher stripes depend on how the batch partitions
+     (convergence is still asserted either way), but the sweep must have
+     exercised at least one mid-round abort with a published prefix. *)
+  check Alcotest.int "every stripe-0 kill fired" !stripe0_points !stripe0_kills;
+  Alcotest.(check bool) "some multi-stripe kill fired" true (!later_kills > 0)
+
+let test_abort_requeue_real_domains () =
+  (* One kill point through the real [Pipeline.run] path: the requeue
+     logic must not depend on the deterministic scheduler. *)
+  let wh, rng = mk_loaded_warehouse ~n:3 ~seed:91 in
+  let src = Warehouse.source wh view_name in
+  let batch = mixed_batch rng src ~day:3 in
+  Warehouse.queue_changes wh ~view:view_name batch;
+  let on_phase p ~stripe:i = if p = `Apply && i = 0 then raise (Killed (p, i)) in
+  (match Warehouse.refresh ~workers:2 ~on_phase wh with
+  | _ -> Alcotest.fail "kill point not reached"
+  | exception Killed _ -> ());
+  ignore (Warehouse.refresh wh);
+  let s = Warehouse.begin_session wh in
+  let got = Warehouse.read_view wh s view_name in
+  Warehouse.end_session wh s;
+  Alcotest.(check bool) "converged" true
+    (views_equal got (Warehouse.expected_view wh view_name))
+
+let test_plan_failure_requeues_everything () =
+  let wh, rng = mk_loaded_warehouse ~n:3 ~seed:37 in
+  let src = Warehouse.source wh view_name in
+  let batch = mixed_batch rng src ~day:3 in
+  Warehouse.queue_changes wh ~view:view_name batch;
+  let original = Warehouse.peek_pending wh ~view:view_name in
+  (* workers < 1 makes Pipeline.plan raise after the queues were drained:
+     nothing published, so everything must come back. *)
+  (match Warehouse.refresh ~workers:0 wh with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "entire batch requeued" true
+    (List.equal
+       (fun a b ->
+         match (a, b) with
+         | Delta.Insert x, Delta.Insert y | Delta.Delete x, Delta.Delete y ->
+           Tuple.equal x y
+         | Delta.Update (o, n), Delta.Update (o', n') ->
+           Tuple.equal o o' && Tuple.equal n n'
+         | _ -> false)
+       original
+       (Warehouse.peek_pending wh ~view:view_name));
+  ignore (Warehouse.refresh wh);
+  let s = Warehouse.begin_session wh in
+  let got = Warehouse.read_view wh s view_name in
+  Warehouse.end_session wh s;
+  Alcotest.(check bool) "converged" true
+    (views_equal got (Warehouse.expected_view wh view_name))
+
+(* ------------------------------------------------------------------ *)
+(* Delta float-residue regression *)
+
+let float_schema =
+  Schema.make [ Schema.attr "grp" (Dtype.Str 4); Schema.attr "x" Dtype.Float ]
+
+let float_view =
+  View_def.make ~name:"F" ~source:float_schema ~group_by:[ "grp" ]
+    ~aggregates:[ ("total", View_def.Sum "x") ]
+    ()
+
+let frow g x = Tuple.make float_schema [ Value.Str g; Value.Float x ]
+
+let test_delta_float_residue_dropped () =
+  (* (0.1 +. 0.2) -. 0.3 <> 0. in floats; the group's rows cancel exactly
+     (count 0), so the residue must be cleaned and the group dropped. *)
+  let batch =
+    [ Delta.Insert (frow "a" 0.1); Delta.Insert (frow "a" 0.2);
+      Delta.Insert (frow "a" 0.3); Delta.Delete (frow "a" 0.1);
+      Delta.Delete (frow "a" 0.2); Delta.Delete (frow "a" 0.3) ]
+  in
+  check Alcotest.int "phantom group dropped" 0
+    (List.length (Delta.net_group_deltas float_view batch))
+
+let test_float_residue_refresh_is_noop () =
+  (* The same cancelling batch through a full refresh, against both an
+     absent group ("a") and a present one ("b"): neither may pick up
+     epsilon, and the refreshed view must equal the recomputation
+     byte-for-byte. *)
+  let wh = Warehouse.create [ float_view ] in
+  Warehouse.queue_changes wh ~view:"F" [ Delta.Insert (frow "b" 0.3) ];
+  ignore (Warehouse.refresh wh);
+  let cancelling g =
+    [ Delta.Insert (frow g 0.1); Delta.Insert (frow g 0.2); Delta.Insert (frow g 0.3);
+      Delta.Delete (frow g 0.1); Delta.Delete (frow g 0.2); Delta.Delete (frow g 0.3) ]
+  in
+  Warehouse.queue_changes wh ~view:"F" (cancelling "a" @ cancelling "b");
+  ignore (Warehouse.refresh wh);
+  let s = Warehouse.begin_session wh in
+  let got = Warehouse.read_view wh s "F" in
+  Warehouse.end_session wh s;
+  Alcotest.(check bool) "byte-identical to recompute" true
+    (views_equal got (Warehouse.expected_view wh "F"))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_partition_laws;
@@ -447,4 +690,14 @@ let suite =
       test_crash_sweep_lands_on_stripe_boundary;
     Alcotest.test_case "one-stripe crash sweep over a heap-growing batch" `Quick
       test_one_stripe_sweep_grows_heap;
+    Alcotest.test_case "abort/requeue sweep over every (phase, stripe)" `Quick
+      test_abort_requeue_sweep;
+    Alcotest.test_case "abort/requeue through real domains" `Quick
+      test_abort_requeue_real_domains;
+    Alcotest.test_case "plan failure requeues the entire batch" `Quick
+      test_plan_failure_requeues_everything;
+    Alcotest.test_case "float cancellation residue is dropped" `Quick
+      test_delta_float_residue_dropped;
+    Alcotest.test_case "cancelling float batch refreshes to a no-op" `Quick
+      test_float_residue_refresh_is_noop;
   ]
