@@ -497,6 +497,46 @@ let run_reader_attribution ?(smoke = false) () =
       ]);
   Printf.printf "-> %d records on %d pages, all resident.\n" records (Table.page_count table)
 
+(* PLAN CACHE: what a literal point probe pays on every query now that
+   reader plans are cached by statement shape.  The texts carry the whole
+   key as literals (a different city each call, all one shape), as the
+   wire clients send them:
+   - normalize: [Shape.normalize] alone, the shape key and four typed
+     literals;
+   - the whole hit path: [Session.query] — normalize, one cache lookup,
+     bind the literals, probe and project. *)
+let literal_probes =
+  lazy
+    (Array.map
+       (fun (city, state) ->
+         Printf.sprintf
+           "SELECT total_sales FROM DailySales WHERE city = '%s' AND state = '%s' AND \
+            product_line = 'golf equip' AND date = DATE '10/14/96'"
+           city state)
+       Vnl_workload.Sales_gen.cities)
+
+let next_probe =
+  let i = ref 0 in
+  fun () ->
+    let probes = Lazy.force literal_probes in
+    incr i;
+    probes.(!i mod Array.length probes)
+
+let run_plan_cache_attribution ?(smoke = false) () =
+  Vnl_util.Ascii_table.section "PLAN CACHE  the reader-plan hit path on a literal point probe";
+  Vnl_obs.Obs.enabled := false;
+  let _, wh, s = Lazy.force plans_fixture in
+  let min_time = if smoke then 0.005 else 0.5 in
+  let normalize = ns_per_run ~min_time (fun () -> Vnl_sql.Shape.normalize (next_probe ())) in
+  let query = ns_per_run ~min_time (fun () -> Twovnl.Session.query wh s (next_probe ())) in
+  Vnl_util.Ascii_table.print ~header:[ "step"; "ns/query" ]
+    [
+      [ "normalize (shape key + 4 literals)"; Printf.sprintf "%.0f" normalize ];
+      [ "Session.query hit (normalize, look up, bind, probe)"; Printf.sprintf "%.0f" query ];
+    ];
+  Printf.printf "-> normalizing is %.0f%% of a cached literal point probe.\n"
+    (100. *. normalize /. query)
+
 let tests =
   Test.make_grouped ~name:"vnl"
     ([
@@ -547,6 +587,7 @@ let smoke () =
     thunks;
   print_endline "-> all microbenchmark workloads executed once.";
   run_reader_attribution ~smoke:true ();
+  run_plan_cache_attribution ~smoke:true ();
   (* Short sampling windows: the smoke run still records BENCH_plans.json
      (with its registry-sourced phases) for the bench-compare CI gate. *)
   run_plans_json ~smoke:true ()
@@ -578,5 +619,6 @@ let run ?(smoke_only = false) () =
       "-> per-tuple extraction and decision-table steps are tens to hundreds of\n\
       \   nanoseconds: the run-time overhead 2VNL adds to reads is small (§6).";
     run_reader_attribution ();
+    run_plan_cache_attribution ();
     run_plans_json ()
   end

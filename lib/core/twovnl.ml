@@ -7,6 +7,7 @@ module Catalog = Vnl_query.Catalog
 module Heap_file = Vnl_storage.Heap_file
 module Epoch = Vnl_util.Epoch
 module StrMap = Map.Make (String)
+module IntMap = Map.Make (Int)
 
 let log_src = Logs.Src.create "vnl.core" ~doc:"2VNL warehouse events"
 
@@ -44,8 +45,9 @@ let m_session_lag =
 (* Versioned-catalog telemetry: the live generation index, committed
    evolutions, plan-cache entries invalidated per generation flip (the old
    generation's cache is left behind rather than cleared globally), the
-   per-generation reader plan cache's hit/miss split, and generations
-   retired by GC once no session can pin them. *)
+   per-generation reader plan cache's hit/miss split and the entries its
+   bound evicted, and generations retired by GC once no session can pin
+   them. *)
 let m_catalog_generation = Obs.Registry.gauge "twovnl.catalog_generation"
 
 let m_evolutions = Obs.Registry.counter "twovnl.evolutions"
@@ -55,6 +57,8 @@ let m_plan_gen_invalidations = Obs.Registry.counter "twovnl.plan_gen_invalidatio
 let m_reader_plan_hits = Obs.Registry.counter "twovnl.reader_plan_hits"
 
 let m_reader_plan_misses = Obs.Registry.counter "twovnl.reader_plan_misses"
+
+let m_reader_plan_evictions = Obs.Registry.counter "twovnl.reader_plan_evictions"
 
 let m_generations_retired = Obs.Registry.counter "twovnl.generations_retired"
 
@@ -74,10 +78,12 @@ type handle = {
           cache. *)
 }
 
-(* Cached reader plans, keyed by the pre-rewrite SQL text.  [generic] is
-   the compiled §4.1 rewrite; [fast] — when the query matches the pattern
-   {!Rewrite.reader_fast_path} recognizes — additionally holds a view plan
-   over the base schema, executed against {!Reader.visible_relation}. *)
+(* Cached reader plans, keyed by statement shape ({!Vnl_sql.Shape}): the
+   pre-rewrite SQL text with its WHERE literals as placeholders, which
+   execution binds.  [generic] is the compiled §4.1 rewrite; [fast] — when
+   the query matches the pattern {!Rewrite.reader_fast_path} recognizes —
+   additionally holds a view plan over the base schema, executed against
+   {!Reader.visible_relation}. *)
 type reader_plan = {
   rewritten : Vnl_sql.Ast.select;
   fast : (handle * Plan.t) option;
@@ -85,6 +91,43 @@ type reader_plan = {
       (** Atomic so any reader domain can swap in a re-prepared plan after
           index DDL without a cache-wide lock. *)
 }
+
+(* A generation's reader plans: at most [reader_plan_bound] entries,
+   [by_stamp] mapping each entry's insertion stamp to its key.  Immutable, so
+   a hit is one atomic load and one map lookup; a miss publishes a new
+   cache by CAS, evicting the oldest entry when full. *)
+type plan_cache = {
+  plans : reader_plan StrMap.t;
+  by_stamp : string IntMap.t;
+  size : int;
+  stamp : int;  (** The next insertion stamp. *)
+}
+
+let reader_plan_bound = 256
+
+let empty_cache = { plans = StrMap.empty; by_stamp = IntMap.empty; size = 0; stamp = 0 }
+
+(* [c] with [entry] added under [key], and whether the bound evicted the
+   oldest entry to make room. *)
+let cache_add c key entry =
+  let c =
+    {
+      plans = StrMap.add key entry c.plans;
+      by_stamp = IntMap.add c.stamp key c.by_stamp;
+      size = c.size + 1;
+      stamp = c.stamp + 1;
+    }
+  in
+  if c.size <= reader_plan_bound then (c, false)
+  else
+    let stamp, oldest = IntMap.min_binding c.by_stamp in
+    ( {
+        c with
+        plans = StrMap.remove oldest c.plans;
+        by_stamp = IntMap.remove stamp c.by_stamp;
+        size = c.size - 1;
+      },
+      true )
 
 (* One immutable catalog generation: the name registry frozen at a schema
    boundary, with its own reader plan cache.  [gen_vn] is the VN whose
@@ -98,7 +141,7 @@ type generation = {
   gen_vn : int;
   registry : handle StrMap.t;
   order : string list;  (** Registration order, newest first. *)
-  plans : reader_plan StrMap.t Atomic.t;
+  plans : plan_cache Atomic.t;
   plans_gen : int Atomic.t;
       (** Bumped by every invalidation; publishers that began compiling under
           an older registry state do not cache their (possibly stale)
@@ -132,7 +175,7 @@ type t = {
 exception Expired of { session_vn : int; current_vn : int }
 
 let fresh_generation ~gen ~gen_vn ~registry ~order =
-  { gen; gen_vn; registry; order; plans = Atomic.make StrMap.empty; plans_gen = Atomic.make 0 }
+  { gen; gen_vn; registry; order; plans = Atomic.make empty_cache; plans_gen = Atomic.make 0 }
 
 let make db version =
   {
@@ -183,7 +226,9 @@ let rec update_head t f =
    invalidation sees the changed generation and declines to publish. *)
 let invalidate_plans g =
   Atomic.incr g.plans_gen;
-  Atomic.set g.plans StrMap.empty
+  Atomic.set g.plans empty_cache
+
+let reader_plan_count t = (Atomic.get (head t).plans).size
 
 let register_handle t h =
   update_head t (fun g ->
@@ -578,21 +623,43 @@ module Session = struct
     c
 
   (* Compile-once reader sessions: the first execution of a statement
-     parses, rewrites, and compiles it; re-executions run cached closures.
-     The cache lives on the session's catalog generation: an evolution
-     leaves the old generation's entries serving its pinned sessions and
-     starts the new generation empty, so plans compiled under generation g
-     miss (never stale-hit) under g+1.  The generic plan is revalidated
-     each time against the generation's own registry ([Plan.valid
-     ~resolve]) — resolution must not fall through to the database catalog,
-     where a staging rename may have rebound the logical name to a
-     half-copied replacement table. *)
-  let reader_plan_for t g src =
-    let resolve = gen_resolve g in
-    match StrMap.find_opt src (Atomic.get g.plans) with
+     shape parses, rewrites, and compiles it; re-executions, whatever their
+     WHERE literals, run cached closures.  The cache lives on the session's
+     catalog generation: an evolution leaves the old generation's entries
+     serving its pinned sessions and starts the new generation empty, so
+     plans compiled under generation g miss (never stale-hit) under g+1.
+     The generic plan is revalidated each time against the generation's
+     own registry ([Plan.valid ~resolve]) — resolution must not fall
+     through to the database catalog, where a staging rename may have
+     rebound the logical name to a half-copied replacement table. *)
+  let prepare_entry t g parse =
+    Obs.with_span "reader.prepare" @@ fun () ->
+    let select = parse () in
+    let rewritten = Rewrite.reader_select ~lookup:(gen_lookup g) select in
+    let generic = Plan.prepare ~resolve:(gen_resolve g) t.db rewritten in
+    let fast =
+      if Plan.full_scan_only generic then
+        match Rewrite.reader_fast_path ~lookup:(gen_lookup g) select with
+        | Some (name, label) ->
+          let h = StrMap.find name g.registry in
+          (* The rewrite leaves bare items unaliased, so the generic
+             plan's labels (e.g. "col0" for a CASE-translated column)
+             are authoritative; the view plan reproduces them. *)
+          Some
+            ( h,
+              Plan.prepare_view ~label ~columns:(Plan.columns generic)
+                (Schema_ext.base h.ext) select )
+        | None -> None
+      else None
+    in
+    { rewritten; fast; generic = Atomic.make generic }
+
+  let reader_plan_for t g ~key src =
+    match StrMap.find_opt key (Atomic.get g.plans).plans with
     | Some entry ->
       Obs.Counter.record m_reader_plan_hits 1;
       let generic = Atomic.get entry.generic in
+      let resolve = gen_resolve g in
       if not (Plan.valid ~resolve t.db generic) then
         (* Concurrent re-preparations are idempotent: each produces a
            valid plan for the current catalog and the last store wins. *)
@@ -602,44 +669,34 @@ module Session = struct
       Obs.Counter.record m_reader_plan_misses 1;
       let gen0 = Atomic.get g.plans_gen in
       let entry =
-        Obs.with_span "reader.prepare" @@ fun () ->
-        let select = Vnl_sql.Parser.parse_select src in
-        let rewritten = Rewrite.reader_select ~lookup:(gen_lookup g) select in
-        let generic = Plan.prepare ~resolve t.db rewritten in
-        let fast =
-          if Plan.full_scan_only generic then
-            match Rewrite.reader_fast_path ~lookup:(gen_lookup g) select with
-            | Some (name, label) ->
-              let h = StrMap.find name g.registry in
-              (* The rewrite leaves bare items unaliased, so the generic
-                 plan's labels (e.g. "col0" for a CASE-translated column)
-                 are authoritative; the view plan reproduces them. *)
-              Some
-                ( h,
-                  Plan.prepare_view ~label ~columns:(Plan.columns generic)
-                    (Schema_ext.base h.ext) select )
-            | None -> None
-          else None
-        in
-        { rewritten; fast; generic = Atomic.make generic }
+        prepare_entry t g (fun () ->
+            (* A shape fails to parse only where its text does: parse the
+               text to raise its own error, message and position. *)
+            try Vnl_sql.Parser.parse_shape key
+            with e ->
+              ignore (Vnl_sql.Parser.parse_select src);
+              raise e)
       in
-      (* Publish by CAS into the immutable map.  A racing compiler of the
-         same statement loses and adopts the winner's entry; a racing
+      (* Publish by CAS into the immutable cache.  A racing compiler of the
+         same shape loses and adopts the winner's entry; a racing
          invalidation (generation changed) means this entry may reflect a
          stale registry, so it is used once but not cached. *)
       let rec publish () =
         let cur = Atomic.get g.plans in
-        match StrMap.find_opt src cur with
+        match StrMap.find_opt key cur.plans with
         | Some winner -> winner
         | None ->
           if Atomic.get g.plans_gen <> gen0 then entry
-          else if Atomic.compare_and_set g.plans cur (StrMap.add src entry cur) then begin
-            (* An invalidation that slipped between the generation check
-               and the CAS must still win: clear again on its behalf. *)
-            if Atomic.get g.plans_gen <> gen0 then Atomic.set g.plans StrMap.empty;
-            entry
-          end
-          else publish ()
+          else
+            let next, evicted = cache_add cur key entry in
+            if Atomic.compare_and_set g.plans cur next then begin
+              if evicted then Obs.Counter.record m_reader_plan_evictions 1;
+              (* An invalidation that slipped between the generation check
+                 and the CAS must still win: clear again on its behalf. *)
+              if Atomic.get g.plans_gen <> gen0 then Atomic.set g.plans empty_cache;
+              entry
+            end
+            else publish ()
       in
       publish ()
 
@@ -661,7 +718,17 @@ module Session = struct
       rows
 
   let query_body t s src params =
-    let entry = reader_plan_for t (session_gen t s) src in
+    let g = session_gen t s in
+    let entry, params =
+      match Vnl_sql.Shape.normalize src with
+      | Some (key, literals) ->
+        (reader_plan_for t g ~key src, match params with [] -> literals | _ -> literals @ params)
+      | None ->
+        (* A literal the lexer or parser rejects: parsing the text raises
+           its error (a text that parsed would run uncached). *)
+        Obs.Counter.record m_reader_plan_misses 1;
+        (prepare_entry t g (fun () -> Vnl_sql.Parser.parse_select src), params)
+    in
     let generic = Atomic.get entry.generic in
     let params = ("sessionVN", Value.Int s.vn) :: params in
     match entry.fast with
@@ -987,7 +1054,7 @@ module Txn = struct
     if not (Atomic.compare_and_set t.generations gens (g :: gens)) then activate t st ~vn
     else begin
       Obs.Counter.record m_evolutions 1;
-      Obs.Counter.record m_plan_gen_invalidations (StrMap.cardinal (Atomic.get hd.plans));
+      Obs.Counter.record m_plan_gen_invalidations (Atomic.get hd.plans).size;
       Obs.Gauge.record m_catalog_generation g.gen;
       Log.info (fun m ->
           m "catalog generation %d activates at VN %d (%d table(s))" g.gen vn

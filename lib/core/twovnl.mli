@@ -104,6 +104,15 @@ val catalog_generation : t -> int
 (** Index of the head (newest) catalog generation; 0 until the first
     schema evolution commits. *)
 
+val reader_plan_bound : int
+(** Reader plans one catalog generation caches: 256 statement shapes (see
+    {!Session.query}).  A miss that finds the cache full evicts the shape
+    cached longest ago and counts [twovnl.reader_plan_evictions]. *)
+
+val reader_plan_count : t -> int
+(** Statement shapes the head generation's reader plan cache holds; never
+    above {!reader_plan_bound}. *)
+
 val pad_op : handle -> Batch.op -> Batch.op
 (** Pad a short {!Batch.Insert} tuple — built against a pre-evolution base
     schema — with the trailing added-column defaults.  Identity on every
@@ -158,12 +167,18 @@ module Session : sig
     t -> s -> string -> Vnl_query.Plan.result
   (** Rewrite (per §4.1, generalized to any n) and execute a SELECT over
       base-schema names with [:sessionVN] bound; [params] supplies
-      additional named parameters, so repeated statements differing only
-      in a value share one cached plan.  Statements are parsed, rewritten,
-      and compiled once per [t] ({!Vnl_query.Plan}), then re-executed from
-      the plan cache; queries matching the §4.1 pattern are answered by
-      engine-level extraction when the rewrite would full-scan anyway.
-      Raises {!Expired} if the session is no longer valid. *)
+      additional named parameters.  Statements are cached by shape
+      ({!Vnl_sql.Shape}): texts differing only in WHERE-clause literals —
+      or in the values of [params] — share one plan, parsed, rewritten and
+      compiled once per shape and catalog generation ({!Vnl_query.Plan}),
+      with the literals bound as parameters at execution, typed as the
+      parser types them.  A point probe on the whole key still plans as a
+      unique-key probe.  Each generation caches at most
+      {!reader_plan_bound} shapes.  Queries matching the §4.1 pattern are
+      answered by engine-level extraction when the rewrite would full-scan
+      anyway.  A text the lexer or parser rejects raises the same error as
+      {!Vnl_sql.Parser.parse_select}.  Raises {!Expired} if the session is
+      no longer valid. *)
 
   val read_table : t -> s -> string -> Vnl_relation.Tuple.t list
   (** Engine-level extraction (works for any n): all base tuples visible at

@@ -357,16 +357,21 @@ let finish c =
   | Lexer.EOF -> ()
   | t -> fail "trailing input: %s" (describe t)
 
-let parse src =
-  let c = { tokens = Lexer.tokenize src } in
+let parse_tokens tokens =
+  let c = { tokens } in
   let stmt = parse_statement c in
   finish c;
   stmt
 
-let parse_select src =
-  match parse src with
+let parse src = parse_tokens (Lexer.tokenize src)
+
+let select_of = function
   | Select s -> s
   | Insert _ | Update _ | Delete _ -> fail "expected a SELECT statement"
+
+let parse_select src = select_of (parse src)
+
+let parse_shape key = select_of (parse_tokens (Lexer.tokenize ~placeholders:true key))
 
 let parse_expr src =
   let c = { tokens = Lexer.tokenize src } in

@@ -10,6 +10,10 @@ val parse : string -> Ast.statement
 val parse_select : string -> Ast.select
 (** Parse and require a SELECT. *)
 
+val parse_shape : string -> Ast.select
+(** Parse a statement shape ({!Shape.normalize}) as a SELECT: the k-th
+    [?] is the parameter {!Lexer.placeholder_name}[ k]. *)
+
 val parse_expr : string -> Ast.expr
 (** Parse a standalone expression; used by tests. *)
 

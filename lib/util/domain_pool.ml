@@ -140,8 +140,6 @@ module Group = struct
     in
     { domains = List.init count spawn_one }
 
-  let count t = List.length t.domains
-
   let join t =
     let ds = t.domains in
     t.domains <- [];

@@ -23,8 +23,6 @@ module Group : sig
   (** Spawn [count] domains running [f rank].  Raises [Invalid_argument]
       when [count < 1]. *)
 
-  val count : t -> int
-
   val join : t -> unit
   (** Join every domain (idempotent), then re-raise the first exception
       any of them died with.  The caller must already have signalled the

@@ -24,7 +24,10 @@
      cached plan (Obs counter regression);
    - free-running readers: add_column + CREATE VIEW committed under >= 4
      concurrent reader domains with zero inconsistent reads and zero
-     decode errors. *)
+     decode errors;
+   - the plan cache's bound: more statement shapes than it holds, from
+     one domain and from reader domains racing an evolution, with every
+     answer exact and the head generation never over the bound. *)
 
 module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
@@ -778,6 +781,115 @@ let test_free_readers_during_evolution () =
   Alcotest.(check bool) "readers actually ran" true (Atomic.get checked > 0);
   check Alcotest.int "evolution committed under load" 1 (Twovnl.catalog_generation vnl)
 
+(* ---------- the reader plan cache's bound ---------- *)
+
+(* [k] candidates from [base + 1]: k candidates make k shapes.  Every row's
+   total_sales is 1000, so the answer is all rows or none. *)
+let in_list_query ~base k =
+  Printf.sprintf "SELECT COUNT(*), SUM(total_sales) FROM DailySales WHERE total_sales IN (%s)"
+    (String.concat ", " (List.init k (fun i -> string_of_int (base + i + 1))))
+
+let in_list_answer ~base k =
+  let rows = List.length initial_rows in
+  if base < 1000 && 1000 <= base + k then [ [ Value.Int rows; Value.Int (1000 * rows) ] ]
+  else [ [ Value.Int 0; Value.Null ] ]
+
+let test_plan_cache_bound () =
+  let was = !Obs.enabled in
+  Obs.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Obs.enabled := was)
+    (fun () ->
+      let vnl = fresh () in
+      let db = Twovnl.database vnl in
+      let s = Twovnl.Session.begin_ vnl in
+      let bound = Twovnl.reader_plan_bound in
+      let run ~base k =
+        let src = in_list_query ~base k in
+        let got = Twovnl.Session.query vnl s src in
+        let interp =
+          Vnl_query.Executor.query db
+            ~params:[ ("sessionVN", Value.Int (Twovnl.Session.vn s)) ]
+            (Vnl_core.Rewrite.reader_select ~lookup:(Twovnl.lookup vnl)
+               (Vnl_sql.Parser.parse_select src))
+        in
+        if not (Vnl_query.Plan.result_equal got interp) then
+          Alcotest.failf "%d candidates from %d: Session.query differs from the interpreter" k base;
+        check
+          Alcotest.(list (list (of_pp Value.pp)))
+          "answer" (in_list_answer ~base k) got.Vnl_query.Plan.rows;
+        if Twovnl.reader_plan_count vnl > bound then
+          Alcotest.failf "%d shapes cached, bound %d" (Twovnl.reader_plan_count vnl) bound
+      in
+      let extra = 64 in
+      let ev0 = counter "twovnl.reader_plan_evictions" in
+      for k = 1 to bound + extra do
+        run ~base:(990 - (k mod 3)) k
+      done;
+      check Alcotest.int "cache full" bound (Twovnl.reader_plan_count vnl);
+      check Alcotest.int "one eviction per shape past the bound" (ev0 + extra)
+        (counter "twovnl.reader_plan_evictions");
+      (* The one-candidate shape went first: it recompiles and still
+         answers right, with other literals. *)
+      let m0 = counter "twovnl.reader_plan_misses" and h0 = counter "twovnl.reader_plan_hits" in
+      run ~base:999 1;
+      run ~base:5 1;
+      check Alcotest.int "evicted shape recompiles once" (m0 + 1)
+        (counter "twovnl.reader_plan_misses");
+      check Alcotest.int "then hits" (h0 + 1) (counter "twovnl.reader_plan_hits");
+      Twovnl.Session.end_ vnl s)
+
+(* Reader domains run more shapes than the bound while the maintainer
+   commits an evolution: compiles, evictions and the generation flip race
+   each other.  Every answer must be exact, and the head generation's
+   cache must never exceed the bound. *)
+let test_plan_cache_bound_under_domains () =
+  let vnl = fresh ~n:3 () in
+  let readers = env_int "VNL_STRESS_DOMAINS" 4 in
+  let shapes = Twovnl.reader_plan_bound + 64 in
+  let queries = Atomic.make 0 and errors = Atomic.make 0 and first_error = Atomic.make None in
+  let stop = Atomic.make false in
+  let fail msg =
+    Atomic.incr errors;
+    ignore (Atomic.compare_and_set first_error None (Some msg))
+  in
+  let wait_for n =
+    while Atomic.get queries < n && Atomic.get errors = 0 do
+      Domain.cpu_relax ()
+    done
+  in
+  ignore
+    (Domain_pool.run ~domains:(readers + 1) (fun ~start rank ->
+         start ();
+         if rank = 0 then
+           Fun.protect
+             ~finally:(fun () -> Atomic.set stop true)
+             (fun () ->
+               wait_for (2 * shapes);
+               evolve_discount vnl;
+               wait_for (4 * shapes))
+         else begin
+           let rng = Xorshift.create (7919 * rank) in
+           while not (Atomic.get stop || Atomic.get errors > 0) do
+             let k = 1 + Xorshift.int rng shapes and base = 990 - Xorshift.int rng 20 in
+             let s = Twovnl.Session.begin_ vnl in
+             (match Twovnl.Session.query vnl s (in_list_query ~base k) with
+             | r ->
+               if r.Vnl_query.Plan.rows <> in_list_answer ~base k then
+                 fail (Printf.sprintf "%d candidates from %d: wrong answer" k base)
+             | exception Twovnl.Expired _ -> ()
+             | exception e -> fail (Printexc.to_string e));
+             Twovnl.Session.end_ vnl s;
+             let cached = Twovnl.reader_plan_count vnl in
+             if cached > Twovnl.reader_plan_bound then
+               fail (Printf.sprintf "%d shapes cached" cached);
+             Atomic.incr queries
+           done
+         end;
+         0));
+  (match Atomic.get first_error with Some msg -> Alcotest.fail msg | None -> ());
+  check Alcotest.int "evolution committed under load" 1 (Twovnl.catalog_generation vnl)
+
 let suite =
   [
     Alcotest.test_case "generation pinning: old sessions never see the column" `Quick
@@ -797,4 +909,7 @@ let suite =
     Alcotest.test_case "GC retires unpinnable generations" `Quick test_generation_gc;
     Alcotest.test_case "free-running readers across an evolution" `Quick
       test_free_readers_during_evolution;
+    Alcotest.test_case "plan cache holds at most its bound" `Quick test_plan_cache_bound;
+    Alcotest.test_case "plan cache bound under reader domains and an evolution" `Quick
+      test_plan_cache_bound_under_domains;
   ]

@@ -17,6 +17,11 @@ module Plan = Vnl_query.Plan
 module Parser = Vnl_sql.Parser
 module Ast = Vnl_sql.Ast
 module Pp = Vnl_sql.Pp
+module Shape = Vnl_sql.Shape
+module Lexer = Vnl_sql.Lexer
+module Twovnl = Vnl_core.Twovnl
+module Rewrite = Vnl_core.Rewrite
+module Obs = Vnl_obs.Obs
 
 let check = Alcotest.check
 
@@ -485,6 +490,298 @@ let test_float_probe_of_int_key () =
   check rows "Int probe = full scan" by_scan by_int;
   check rows "Float probe = full scan" by_scan by_float
 
+(* ------------------------------------------------------------------ *)
+(* Statement shapes: literal-only variants share one reader plan.      *)
+(* ------------------------------------------------------------------ *)
+
+(* A 2VNL table with one column of each literal type.  [v] and [f] are
+   updatable, so the §4.1 rewrite puts their WHERE literals under CASE. *)
+let shape_schema =
+  Schema.make
+    [
+      Schema.attr ~key:true "id" Dtype.Int;
+      Schema.attr ~updatable:true "v" Dtype.Int;
+      Schema.attr ~updatable:true "f" Dtype.Float;
+      Schema.attr "s" (Dtype.Str 8);
+      Schema.attr "d" Dtype.Date;
+    ]
+
+let shape_rows =
+  [
+    (1, -3, 1.0, "a", 14); (2, 1, 1.5, "it's", 14); (3, 3, -2.0, "'", 15);
+    (4, 1, 0.25, "1", 15); (5, 0, 3.0, "ab", 16); (6, -2, 1.0, "a%b", 16);
+    (7, 5, 2.5, "", 14); (8, 3, -0.5, "_", 17);
+  ]
+
+(* The loaded table, a session before and one after a committed
+   maintenance transaction that updates and deletes rows. *)
+let shape_warehouse () =
+  let db = Database.create () in
+  let wh = Twovnl.init db in
+  ignore (Twovnl.register_table wh ~name:"T" shape_schema);
+  Twovnl.load_initial wh "T"
+    (List.map
+       (fun (id, v, f, s, d) ->
+         Tuple.make shape_schema
+           [ Value.Int id; Value.Int v; Value.Float f; Value.Str s; Value.date_of_mdy 10 d 96 ])
+       shape_rows);
+  let s1 = Twovnl.Session.begin_ wh in
+  let m = Twovnl.Txn.begin_ wh in
+  ignore
+    (Twovnl.Txn.update_by_key m ~table:"T" ~key:[ Value.Int 2 ]
+       ~set:[ ("v", Value.Int 3); ("f", Value.Float 1.0) ]);
+  ignore
+    (Twovnl.Txn.update_by_key m ~table:"T" ~key:[ Value.Int 5 ] ~set:[ ("v", Value.Int (-3)) ]);
+  ignore (Twovnl.Txn.delete_by_key m ~table:"T" ~key:[ Value.Int 8 ]);
+  Twovnl.Txn.commit m;
+  let s2 = Twovnl.Session.begin_ wh in
+  (db, wh, [ s1; s2 ])
+
+(* The interpreter on the §4.1 rewrite of the text as written. *)
+let interpret db wh s src =
+  Executor.query db
+    ~params:[ ("sessionVN", Value.Int (Twovnl.Session.vn s)) ]
+    (Rewrite.reader_select ~lookup:(Twovnl.lookup wh) (Parser.parse_select src))
+
+let same_outcome ~src a b =
+  match (a, b) with
+  | Error _, Error _ -> true
+  | Ok a, Ok b ->
+    Plan.result_equal a b
+    || QCheck.Test.fail_reportf "%s\nresults differ:\ninterpreter:\n%a\nSession.query:\n%a" src
+         Plan.pp_result a Plan.pp_result b
+  | Ok _, Error e ->
+    QCheck.Test.fail_reportf "%s\nSession.query failed where the interpreter succeeded: %s" src e
+  | Error e, Ok _ ->
+    QCheck.Test.fail_reportf "%s\ninterpreter failed where Session.query succeeded: %s" src e
+
+(* A WHERE clause with holes: each instantiation fills the holes with
+   literal texts, so every instantiation of one skeleton (and select) has
+   one shape, and all but the first hit the plan compiled for it. *)
+type skel =
+  | Cmp of string * string  (** Column and operator: [col op ?]. *)
+  | In of string * int  (** [col IN (?, ..)] with this many candidates. *)
+  | Between of string
+  | Like of string * string  (** The pattern stays in the shape. *)
+  | Not of skel
+  | And of skel * skel
+  | Or of skel * skel
+
+let rec holes = function
+  | Cmp _ -> 1
+  | Between _ -> 2
+  | In (_, k) -> k
+  | Like _ -> 0
+  | Not a -> holes a
+  | And (a, b) | Or (a, b) -> holes a + holes b
+
+let render skel lits =
+  let lits = ref lits in
+  let next () =
+    match !lits with
+    | l :: rest ->
+      lits := rest;
+      l
+    | [] -> assert false
+  in
+  let rec go = function
+    | Cmp (c, op) -> Printf.sprintf "%s %s %s" c op (next ())
+    | In (c, k) ->
+      Printf.sprintf "%s IN (%s)" c (String.concat ", " (List.init k (fun _ -> next ())))
+    | Between c ->
+      let lo = next () in
+      Printf.sprintf "%s BETWEEN %s AND %s" c lo (next ())
+    | Like (c, pat) -> Printf.sprintf "%s LIKE %s" c pat
+    | Not a -> Printf.sprintf "NOT (%s)" (go a)
+    | And (a, b) ->
+      let a = go a in
+      Printf.sprintf "(%s AND %s)" a (go b)
+    | Or (a, b) ->
+      let a = go a in
+      Printf.sprintf "(%s OR %s)" a (go b)
+  in
+  go skel
+
+let shape_selects =
+  [|
+    ("SELECT id, v, f, s, d FROM T WHERE ", "");
+    ("SELECT COUNT(*), SUM(v) FROM T WHERE ", "");
+    ("SELECT s, COUNT(*) FROM T WHERE ", " GROUP BY s HAVING COUNT(*) > 0 ORDER BY s");
+    ("SELECT * FROM T WHERE ", " ORDER BY id DESC LIMIT 4");
+  |]
+
+let literal_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map string_of_int (int_range (-5) 8);
+      oneofl
+        [
+          "1"; "3"; "-3"; "1.0"; "1.5"; "-2.0"; "0.25"; "3.0"; "'1'"; "'a'"; "'it''s'";
+          "''''"; "''"; "'ab'"; "DATE '10/14/96'"; "DATE '1996-10-15'"; "DATE '10/16/96'";
+          "DATE '1996-10-17'";
+        ];
+    ]
+
+let skel_gen =
+  let open QCheck.Gen in
+  let column = oneofl [ "id"; "v"; "f"; "s"; "d" ] in
+  let leaf =
+    oneof
+      [
+        map2 (fun c op -> Cmp (c, op)) column (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ]);
+        map2 (fun c k -> In (c, k)) column (int_range 1 4);
+        map (fun c -> Between c) column;
+        map2
+          (fun c p -> Like (c, p))
+          (oneofl [ "s"; "v" ])
+          (oneofl [ "'a%'"; "'%''%'"; "'_'"; "'1'" ]);
+      ]
+  in
+  int_range 0 2
+  >>= fix (fun self n ->
+          if n = 0 then leaf
+          else
+            frequency
+              [
+                (2, leaf);
+                (1, map (fun a -> Not a) (self (n - 1)));
+                (2, map2 (fun a b -> And (a, b)) (self (n - 1)) (self (n - 1)));
+                (1, map2 (fun a b -> Or (a, b)) (self (n - 1)) (self (n - 1)));
+              ])
+
+(* One select and skeleton, instantiated three times. *)
+let shape_case_gen =
+  let open QCheck.Gen in
+  oneofa shape_selects >>= fun (head, tail) ->
+  skel_gen >>= fun skel ->
+  list_repeat 3 (list_repeat (holes skel) literal_gen)
+  >|= List.map (fun lits -> head ^ render skel lits ^ tail)
+
+let qcheck_shapes_match_interpreter =
+  QCheck.Test.make ~name:"Session.query on literal texts = interpreter (shared shapes)"
+    ~count:300
+    (QCheck.make shape_case_gen ~print:(String.concat "\n"))
+    (fun texts ->
+      let db, wh, sessions = shape_warehouse () in
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun s ->
+              same_outcome ~src
+                (run_outcome (fun () -> interpret db wh s src))
+                (run_outcome (fun () -> Twovnl.Session.query wh s src)))
+            sessions)
+        texts)
+
+let counter name = Obs.Counter.get (Obs.Registry.counter name)
+
+let with_obs f =
+  let was = !Obs.enabled in
+  Obs.enabled := true;
+  Fun.protect ~finally:(fun () -> Obs.enabled := was) f
+
+let test_literal_variants_share_a_plan () =
+  with_obs @@ fun () ->
+  let _, wh, sessions = shape_warehouse () in
+  let s = List.nth sessions 1 in
+  let q src = ignore (Twovnl.Session.query wh s src) in
+  let h0 = counter "twovnl.reader_plan_hits" and m0 = counter "twovnl.reader_plan_misses" in
+  q "SELECT v FROM T WHERE id = 1 AND s <> 'a'";
+  q "SELECT v FROM T WHERE id = 4 AND s <> 'it''s'";
+  check Alcotest.int "one miss for both texts" (m0 + 1) (counter "twovnl.reader_plan_misses");
+  check Alcotest.int "the second text hits" (h0 + 1) (counter "twovnl.reader_plan_hits");
+  q "SELECT v FROM T WHERE id = 2.0 AND s <> DATE '10/14/96'";
+  check Alcotest.int "other literal types hit too" (h0 + 2) (counter "twovnl.reader_plan_hits");
+  check Alcotest.int "one entry cached" 1 (Twovnl.reader_plan_count wh);
+  (* Literals outside the WHERE clause are part of the shape. *)
+  q "SELECT v + 1 FROM T WHERE id = 1 AND s <> 'a'";
+  q "SELECT v + 2 FROM T WHERE id = 1 AND s <> 'a'";
+  check Alcotest.int "select-list literals are kept" (m0 + 3)
+    (counter "twovnl.reader_plan_misses")
+
+(* [= 1], [= 1.0] and [= '1'] share one plan but keep their literal's
+   type: on the key (a unique-key probe) and on plain columns. *)
+let test_literal_types_kept () =
+  let db, wh, sessions = shape_warehouse () in
+  let s = List.nth sessions 1 in
+  let rows = Alcotest.(list (list (of_pp Value.pp))) in
+  List.iter
+    (fun (src, want) ->
+      let got = Twovnl.Session.query wh s src in
+      Alcotest.(check bool) (src ^ " = interpreter") true
+        (Plan.result_equal got (interpret db wh s src));
+      check rows src want (Plan.sort_rows got).Plan.rows)
+    [
+      ("SELECT s FROM T WHERE id = 4", [ [ Value.Str "1" ] ]);
+      ("SELECT s FROM T WHERE id = 4.0", [ [ Value.Str "1" ] ]);
+      ("SELECT s FROM T WHERE id = '4'", []);
+      ("SELECT id FROM T WHERE v = 1", [ [ Value.Int 4 ] ]);
+      ("SELECT id FROM T WHERE v = 1.0", [ [ Value.Int 4 ] ]);
+      ("SELECT id FROM T WHERE v = '1'", []);
+      ("SELECT id FROM T WHERE s = '1'", [ [ Value.Int 4 ] ]);
+      ("SELECT id FROM T WHERE s = 1", []);
+    ]
+
+(* A text holding a literal the lexer or parser rejects raises the
+   parser's own exception and message, even when a valid text of the same
+   shape is cached. *)
+let test_malformed_literals_raise () =
+  let _, wh, sessions = shape_warehouse () in
+  let s = List.nth sessions 1 in
+  ignore (Twovnl.Session.query wh s "SELECT id FROM T WHERE v = 1");
+  ignore (Twovnl.Session.query wh s "SELECT id FROM T WHERE s LIKE 'a%' AND v = 1 ORDER BY id");
+  let raises src want =
+    let want = Printexc.to_string want in
+    (match Twovnl.Session.query wh s src with
+    | _ -> Alcotest.failf "%s: no error" src
+    | exception e -> check Alcotest.string src want (Printexc.to_string e));
+    match Parser.parse_select src with
+    | _ -> Alcotest.failf "%s: parsed" src
+    | exception e -> check Alcotest.string (src ^ " (parser)") want (Printexc.to_string e)
+  in
+  raises "SELECT id FROM T WHERE d = DATE '13/45'"
+    (Parser.Parse_error "malformed date literal \"13/45\"");
+  raises "SELECT id FROM T WHERE v = 99999999999999999999" (Failure "int_of_string");
+  raises "SELECT id FROM T WHERE s = 'ab" (Lexer.Lex_error ("unterminated string literal", 27));
+  raises "SELECT id FROM T WHERE v = ?" (Lexer.Lex_error ("unexpected character '?'", 27));
+  raises "SELECT id FROM T WHERE v = 1 2" (Parser.Parse_error "trailing input: INT(2)");
+  raises "SELECT id FROM T WHERE s LIKE 5 AND v = 1 ORDER BY id"
+    (Parser.Parse_error "expected pattern string after LIKE, found INT(5)");
+  raises "SELECT id FROM T WHERE v = 1 ORDER BY 'x"
+    (Lexer.Lex_error ("unterminated string literal", 38))
+
+(* The wire probe's statement shape still compiles to a unique-key probe:
+   its placeholders drive the probe as literals do. *)
+let test_point_probe_shape_plans_a_probe () =
+  let db = Database.create () in
+  let wh = Twovnl.init db in
+  ignore (Twovnl.register_table wh ~name:"DailySales" Fixtures.daily_sales);
+  let src =
+    "SELECT total_sales FROM DailySales WHERE city = 'San Jose' AND state = 'CA' AND \
+     product_line = 'golf equip' AND date = DATE '10/14/96'"
+  in
+  let key, literals = Option.get (Shape.normalize src) in
+  check Alcotest.string "shape key"
+    "SELECT total_sales FROM DailySales WHERE city = ? AND state = ? AND product_line = ? \
+     AND date = ?"
+    key;
+  check
+    Alcotest.(list (pair string (of_pp Value.pp)))
+    "typed literals"
+    [
+      ("1", Value.Str "San Jose"); ("2", Value.Str "CA"); ("3", Value.Str "golf equip");
+      ("4", Value.date_of_mdy 10 14 96);
+    ]
+    literals;
+  let explain sel =
+    Plan.explain (Plan.prepare db (Rewrite.reader_select ~lookup:(Twovnl.lookup wh) sel))
+  in
+  check Alcotest.string "shape plan" "DailySales: unique-key probe"
+    (explain (Parser.parse_shape key));
+  check Alcotest.string "literal plan" "DailySales: unique-key probe"
+    (explain (Parser.parse_select src))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_compiled_matches_interpreter;
@@ -500,4 +797,12 @@ let suite =
     Alcotest.test_case "I/O parity: key probe" `Quick test_io_parity_key_probe;
     Alcotest.test_case "Float probe of an Int key = full scan" `Quick
       test_float_probe_of_int_key;
+    QCheck_alcotest.to_alcotest qcheck_shapes_match_interpreter;
+    Alcotest.test_case "literal-only variants share one reader plan" `Quick
+      test_literal_variants_share_a_plan;
+    Alcotest.test_case "shared shapes keep each literal's type" `Quick test_literal_types_kept;
+    Alcotest.test_case "malformed literals raise the parser's errors" `Quick
+      test_malformed_literals_raise;
+    Alcotest.test_case "point-probe shape plans a unique-key probe" `Quick
+      test_point_probe_shape_plans_a_probe;
   ]
